@@ -295,8 +295,8 @@ class BiLstmLayer:
             b=Tensor(b, requires_grad=True, dtype=dtype),
         )
 
-    def forward(self, x: Tensor) -> Tensor:
-        return bilstm(x, self.fw, self.bw)
+    def forward(self, x: Tensor, lengths=None) -> Tensor:
+        return bilstm(x, self.fw, self.bw, lengths)
 
     def named_parameters(self):
         return [("fw.w_ih", self.fw.w_ih), ("fw.w_hh", self.fw.w_hh), ("fw.b", self.fw.b),
@@ -319,7 +319,7 @@ class ConvBlock:
         self.pw1 = LinearLayer(rng, width, mid, dtype)
         self.pw2 = LinearLayer(rng, mid, width, dtype)
 
-    def forward(self, x: Tensor, training: bool) -> Tensor:
+    def forward(self, x: Tensor, training: bool, lengths=None) -> Tensor:
         if self.shift_mode == "in_place":
             x = temporal_shift(x, self.shift_cfg)
         branch = temporal_shift(x, self.shift_cfg) if self.shift_mode == "residual" else x
@@ -354,7 +354,7 @@ class TransformerBlock:
         self.pw1 = LinearLayer(rng, width, mid, dtype)
         self.pw2 = LinearLayer(rng, mid, width, dtype)
 
-    def forward(self, x: Tensor, training: bool) -> Tensor:
+    def forward(self, x: Tensor, training: bool, lengths=None) -> Tensor:
         if self.shift_mode == "in_place":
             x = temporal_shift(x, self.shift_cfg)
         if self.mixer_kind != "none":
@@ -386,7 +386,9 @@ class LstmBlock:
 
     In-place placement shifts the input sequence itself; residual placement
     shifts only the recurrent branch and adds a learned projection shortcut
-    (the one shift variant that costs extra parameters).
+    (the one shift variant that costs extra parameters). Frames at or past
+    `lengths` are padding to the LSTM (see :func:`bilstm`); with a causal
+    shift, outputs on real frames therefore do not depend on padding.
     """
 
     def __init__(self, rng, cfg: ModelConfig, c_in: int, dtype, shift_mode: str):
@@ -396,12 +398,12 @@ class LstmBlock:
         self.rnn = BiLstmLayer(rng, c_in, hidden, dtype)
         self.proj = LinearLayer(rng, c_in, cfg.channels[1], dtype) if shift_mode == "residual" else None
 
-    def forward(self, x: Tensor, training: bool) -> Tensor:
+    def forward(self, x: Tensor, training: bool, lengths=None) -> Tensor:
         if self.shift_mode == "in_place":
             x = temporal_shift(x, self.shift_cfg)
         if self.shift_mode == "residual":
-            return add(self.proj.forward(x), self.rnn.forward(temporal_shift(x, self.shift_cfg)))
-        return self.rnn.forward(x)
+            return add(self.proj.forward(x), self.rnn.forward(temporal_shift(x, self.shift_cfg), lengths))
+        return self.rnn.forward(x, lengths)
 
     def sublayers(self):
         out = [("rnn", self.rnn)]
@@ -473,19 +475,23 @@ class SequenceClassifier:
                 f"features have {features.shape[3]} channels, model expects {self.cfg.channels[0]}")
 
     def forward_features(self, features: Tensor, training: bool = False,
-                         augment_prob: float = 0.0, rng=None) -> Tensor:
-        """Run everything up to (not including) pooling; returns (B, T, C_out)."""
+                         augment_prob: float = 0.0, rng=None, lengths=None) -> Tensor:
+        """Run everything up to (not including) pooling; returns (B, T, C_out).
+
+        `lengths` (per-record real frame counts, default all frames) reaches
+        every block; only the LSTM block honours it so far.
+        """
         self._check_features(features)
         x = weighted_layer_sum(features, self.layer_weights)
         if training and augment_prob > 0.0:
             x = shift_augment(x, self.augment_config(), augment_prob, rng, training=True)
         for block in self.blocks:
-            x = block.forward(x, training)
+            x = block.forward(x, training, lengths)
         return x
 
     def forward(self, features: Tensor, lengths=None, training: bool = False,
                 augment_prob: float = 0.0, rng=None) -> Tensor:
-        x = self.forward_features(features, training, augment_prob, rng)
+        x = self.forward_features(features, training, augment_prob, rng, lengths)
         if lengths is None:
             lengths = np.full(x.shape[0], x.shape[1], dtype=np.int64)
         pooled = mean_pool_time(x, lengths)

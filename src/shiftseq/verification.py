@@ -85,15 +85,17 @@ def _mhsa_case(pos: str):
     return build
 
 
-def _bilstm_case(rng, _seed):
-    fw = _lstm_direction(rng, 3, 2)
-    bw = _lstm_direction(rng, 3, 2)
-    x = _t(rng, 2, 4, 3)
+def _bilstm_case(lengths=None):
+    def build(rng, _seed):
+        fw = _lstm_direction(rng, 3, 2)
+        bw = _lstm_direction(rng, 3, 2)
+        x = _t(rng, 2, 4, 3)
 
-    def f(x_in, *_):
-        return bilstm(x_in, fw, bw)
+        def f(x_in, *_):
+            return bilstm(x_in, fw, bw, lengths)
 
-    return f, [x] + _direction_list(fw) + _direction_list(bw)
+        return f, [x] + _direction_list(fw) + _direction_list(bw)
+    return build
 
 
 def _block_case(family, **cfg_kw):
@@ -161,7 +163,8 @@ def _suite_cases():
         ("op.mhsa_no_positions", TOL_COMPOSED, _mhsa_case("none")),
         ("op.avg_pool_mixer", TOL_ELEMENTWISE,
          lambda rng, _: (lambda x: avg_pool_mixer(x, 3), [_t(rng, 2, 6, 4)])),
-        ("op.bilstm", TOL_COMPOSED, _bilstm_case),
+        ("op.bilstm", TOL_COMPOSED, _bilstm_case()),
+        ("op.bilstm_masked", TOL_COMPOSED, _bilstm_case(np.array([4, 2]))),
         ("op.mean_pool_time", TOL_ELEMENTWISE,
          lambda rng, _: (lambda x: mean_pool_time(x, np.array([3, 5])),
                          [_t(rng, 2, 5, 4)])),

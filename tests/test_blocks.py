@@ -404,6 +404,23 @@ def test_lstm_residual_wiring():
     np.testing.assert_allclose(out.data, expected.data, rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("preset", ["lstm", "shiftlstm"])
+def test_lstm_logits_do_not_depend_on_batch_padding(preset, training):
+    model = build_model(preset_config(preset, width=16, num_input_layers=2), seed=0)
+    rng = np.random.default_rng(14)
+    for name, p in model.named_parameters().items():
+        if name.endswith(".b"):  # trained biases: zero input no longer keeps a zero state
+            p.data = p.data + rng.normal(0.0, 0.5, p.shape).astype(np.float32)
+    short = features(rng, b=1, t=10, c=16)
+    batch = np.zeros((2, 2, 30, 16), dtype=np.float32)
+    batch[0, :, :10] = short[0]
+    batch[1] = features(rng, b=1, t=30, c=16)[0]
+    alone = model.forward(Tensor(short), np.array([10]), training=training, augment_prob=0.0)
+    padded = model.forward(Tensor(batch), np.array([10, 30]), training=training, augment_prob=0.0)
+    np.testing.assert_allclose(padded.data[0], alone.data[0], rtol=0, atol=1e-6)
+
+
 def test_augmentation_changes_training_forward_only():
     model = build_model(small_cfg("cnn"), seed=0)
     x = Tensor(features(np.random.default_rng(11)))

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from shiftseq.blocks import ModelConfig, build_model
 from shiftseq.errors import ConfigError, DimensionError
+from shiftseq.shift import ShiftConfig
 from shiftseq.tensor_autograd import (
     AttentionParams,
     LstmDirection,
@@ -117,9 +119,10 @@ def pool_oracle(x, window):
 def lstm_cell_oracle(x, w_ih, w_hh, b, reverse):
     bs, t, _ = x.shape
     hidden = w_hh.shape[0]
-    h = np.zeros((bs, hidden))
-    c = np.zeros((bs, hidden))
-    outs = np.zeros((bs, t, hidden))
+    dtype = np.result_type(x, w_ih, w_hh, b)  # complex under complex-step differentiation
+    h = np.zeros((bs, hidden), dtype=dtype)
+    c = np.zeros((bs, hidden), dtype=dtype)
+    outs = np.zeros((bs, t, hidden), dtype=dtype)
     order = range(t - 1, -1, -1) if reverse else range(t)
 
     def sig(v):
@@ -467,6 +470,30 @@ def make_lstm_direction(c, hidden, seed, zero=False):
     )
 
 
+def bilstm_reference(x, fw, bw, lengths):
+    """Each record run alone on its first lengths[b] frames; zero past them."""
+    bs, t, _ = x.shape
+    hidden = fw[1].shape[0]
+    out = np.zeros((bs, t, 2 * hidden), dtype=np.result_type(x, *fw, *bw))
+    for i, n in enumerate(lengths):
+        out[i, :n, :hidden] = lstm_cell_oracle(x[i:i + 1, :n], *fw, reverse=False)[0]
+        out[i, :n, hidden:] = lstm_cell_oracle(x[i:i + 1, :n], *bw, reverse=True)[0]
+    return out
+
+
+def complex_step_gradients(f, arrays, r, h=1e-30):
+    """d sum(f(*arrays) * r) / d arrays, exact to rounding for a real-analytic f."""
+    grads = []
+    for k, a in enumerate(arrays):
+        g = np.zeros(a.size)
+        for j in range(a.size):
+            probe = [arr.astype(complex) for arr in arrays]
+            probe[k].reshape(-1)[j] += 1j * h
+            g[j] = np.sum(f(*probe) * r).imag / h
+        grads.append(g.reshape(a.shape))
+    return grads
+
+
 class TestBiLstm:
     def test_zero_parameters_zero_output(self):
         fwd = make_lstm_direction(2, 3, 61, zero=True)
@@ -504,6 +531,68 @@ class TestBiLstm:
             [Tensor(rnd((1, 3, 2), 71)), fwd.w_ih, fwd.w_hh, fwd.b, bwd.w_ih, bwd.w_hh, bwd.b],
             tol=1e-4)
         assert report.passed, str(report)
+
+    @pytest.mark.parametrize("b,t,c,hidden,lengths", [
+        (2, 4, 3, 2, None),
+        (1, 3, 2, 3, None),
+        (2, 1, 3, 2, None),
+        (1, 1, 2, 2, None),
+        (3, 5, 2, 2, [5, 2, 1]),
+    ])
+    def test_forward_and_gradients_match_reference(self, b, t, c, hidden, lengths):
+        fw = make_lstm_direction(c, hidden, 80)
+        bw = make_lstm_direction(c, hidden, 81)
+        x = Tensor(rnd((b, t, c), 82), requires_grad=True)
+        params = [fw.w_ih, fw.w_hh, fw.b, bw.w_ih, bw.w_hh, bw.b]
+        r = rnd((b, t, 2 * hidden), 83)
+        out = bilstm(x, fw, bw, lengths)
+        backward(sum_all(out * Tensor(r)))
+
+        def reference(xa, *p):
+            return bilstm_reference(xa, p[:3], p[3:], lengths or [t] * b)
+
+        arrays = [x.data] + [p.data for p in params]
+        np.testing.assert_allclose(out.data, reference(*arrays), rtol=0, atol=1e-10)
+        expected = complex_step_gradients(reference, arrays, r)
+        for tensor, grad in zip([x] + params, expected):
+            np.testing.assert_allclose(tensor.grad, grad, rtol=1e-10, atol=1e-10)
+
+    def test_reverse_direction_sees_only_later_frames(self):
+        fw = make_lstm_direction(3, 2, 84)
+        bw = make_lstm_direction(3, 2, 85)
+        x = rnd((2, 6, 3), 86)
+        base = bilstm(Tensor(x), fw, bw).data
+        frames = np.arange(6)
+        for t in range(6):
+            bumped = x.copy()
+            bumped[:, t] += 0.5
+            moved = np.any(bilstm(Tensor(bumped), fw, bw).data != base, axis=0)
+            assert np.array_equal(moved[:, :2].any(axis=1), frames >= t)
+            assert np.array_equal(moved[:, 2:].any(axis=1), frames <= t)
+
+    @pytest.mark.parametrize("lengths", [[3], [0, 3], [3, 4], [[3, 3]]])
+    def test_bad_lengths_rejected(self, lengths):
+        fw = make_lstm_direction(2, 2, 90)
+        bw = make_lstm_direction(2, 2, 91)
+        with pytest.raises(DimensionError):
+            bilstm(Tensor(rnd((2, 3, 2), 92)), fw, bw, np.array(lengths))
+
+    def test_graph_size_does_not_grow_with_frames(self):
+        cfg = ModelConfig(family="lstm", channels=(8, 8), blocks=1, num_input_layers=1,
+                          shift=ShiftConfig(alpha=0.25, placement="residual"))
+        block = build_model(cfg, seed=0, dtype=np.float64).blocks[0]
+
+        def reachable(t):
+            out = block.forward(Tensor(rnd((2, t, 8), 93), requires_grad=True), training=True)
+            seen, stack = set(), [out]
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen:
+                    seen.add(id(node))
+                    stack.extend(node._parents)
+            return len(seen)
+
+        assert reachable(5) == reachable(50)
 
 
 class TestMeanPoolTime:
