@@ -141,46 +141,30 @@ def _layer_costs(layer, t: int) -> tuple:
     raise UsageError(f"no cost rule for layer type {type(layer).__name__}")
 
 
-def _block_entries(prefix: str, block, cfg, t: int) -> list:
-    entries = []
-
-    def shift_entry(name):
-        entries.append(CostEntry(f"{prefix}.{name}", 0, 0, 0))
-
-    if isinstance(block, ConvBlock):
-        if block.shift_mode != "none":
-            shift_entry("shift")
-        for sub_name, layer in block.sublayers():
-            entries.append(CostEntry(f"{prefix}.{sub_name}", *_layer_costs(layer, t)))
-        mid = block.pw1.weight.shape[1]
-        width = block.pw2.weight.shape[1]
-        entries.append(CostEntry(f"{prefix}.gelu", 0, 0, GELU_EW * mid * t))
-        entries.append(CostEntry(f"{prefix}.residual", 0, 0, width * t))
-    elif isinstance(block, TransformerBlock):
-        width = block.pw2.weight.shape[1]
-        mid = block.pw1.weight.shape[1]
-        if block.shift_mode != "none":
-            shift_entry("shift")
-        for sub_name, layer in block.sublayers():
-            entries.append(CostEntry(f"{prefix}.{sub_name}", *_layer_costs(layer, t)))
+def _block_entries(prefix: str, block, t: int) -> list:
+    """The block's shift row (if it shifts), one row per sublayer, then the
+    rows its own wiring adds: mixer, GELU and residual adds."""
+    if not isinstance(block, (ConvBlock, TransformerBlock, LstmBlock)):
+        raise UsageError(f"no cost rule for block type {type(block).__name__}")
+    entries = [CostEntry(f"{prefix}.shift", 0, 0, 0)] if block.shift_mode != "none" else []
+    entries += [CostEntry(f"{prefix}.{sub_name}", *_layer_costs(layer, t))
+                for sub_name, layer in block.sublayers()]
+    if isinstance(block, LstmBlock):
+        if block.shift_mode == "residual":
+            entries.append(CostEntry(f"{prefix}.residual", 0, 0, 2 * block.rnn.hidden * t))
+        return entries
+    width, mid = block.pw1.weight.shape
+    residuals = 1
+    if isinstance(block, TransformerBlock):
         if block.mixer_kind == "pooling":
             entries.append(CostEntry(f"{prefix}.pool",
                                      0, 0, (block.pool_window + 1) * width * t))
         elif block.mixer_kind == "shift":
-            shift_entry("mixer_shift")
-        entries.append(CostEntry(f"{prefix}.gelu", 0, 0, GELU_EW * mid * t))
-        residuals = 1 if block.mixer_kind == "none" else 2
-        entries.append(CostEntry(f"{prefix}.residual", 0, 0, residuals * width * t))
-    elif isinstance(block, LstmBlock):
-        if block.shift_mode != "none":
-            shift_entry("shift")
-        for sub_name, layer in block.sublayers():
-            entries.append(CostEntry(f"{prefix}.{sub_name}", *_layer_costs(layer, t)))
-        if block.shift_mode == "residual":
-            width = 2 * block.rnn.hidden
-            entries.append(CostEntry(f"{prefix}.residual", 0, 0, width * t))
-    else:
-        raise UsageError(f"no cost rule for block type {type(block).__name__}")
+            entries.append(CostEntry(f"{prefix}.mixer_shift", 0, 0, 0))
+        if block.mixer_kind != "none":
+            residuals = 2
+    entries.append(CostEntry(f"{prefix}.gelu", 0, 0, GELU_EW * mid * t))
+    entries.append(CostEntry(f"{prefix}.residual", 0, 0, residuals * width * t))
     return entries
 
 
@@ -192,7 +176,7 @@ def _build_report(model: SequenceClassifier, t: int) -> CostReport:
     entries.append(CostEntry("layer_mix", n_layers,
                              0, 2 * n_layers * width * t + SOFTMAX_EW * n_layers))
     for i, block in enumerate(model.blocks):
-        entries.extend(_block_entries(f"blocks.{i}", block, cfg, t))
+        entries.extend(_block_entries(f"blocks.{i}", block, t))
     out_w = cfg.out_width
     entries.append(CostEntry("mean_pool", 0, 0, out_w * (t + 1)))
     head_params = out_w * cfg.num_classes + cfg.num_classes

@@ -26,6 +26,7 @@ import struct
 import numpy as np
 
 from .model import ModelConfig, SequenceClassifier, build_model, config_from_dict, config_to_dict
+from ..data import write_atomic
 from ..errors import ConfigError
 
 MAGIC = b"SSCK"
@@ -62,8 +63,7 @@ def save_checkpoint(path, model: SequenceClassifier, extra: dict | None = None) 
     parts = [MAGIC, struct.pack("<II", VERSION, len(blob)), blob]
     parts.extend(records([(n, p.data) for n, p in model.named_parameters().items()]))
     parts.extend(records(list(model.named_buffers().items())))
-    with open(path, "wb") as f:
-        f.write(b"".join(parts))
+    write_atomic(path, parts)
 
 
 class _Reader:

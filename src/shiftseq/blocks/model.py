@@ -5,7 +5,8 @@ over the input feature layers, a stack of blocks, masked mean pooling over
 time, and a linear head. The shift enters a block either in-place (on the
 trunk, so skip connections also carry shifted features), on a residual
 branch (skip path keeps the unshifted features), or as the token mixer
-itself (the shiftformer family).
+itself (the transformer family with mixer="shift", as in the shiftformer
+preset).
 
 Parameter initialization is deterministic given the init RNG: weights are
 normal with std 1/sqrt(fan_in), biases and norm shifts zero, norm scales
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, DimensionError
+from ..errors import ConfigError, DimensionError, check_config_dict
 from ..seeding import substream
 from ..shift import ShiftConfig, shift_augment, shifted_channels, temporal_shift
 from ..tensor_autograd import (
@@ -46,7 +47,7 @@ from ..tensor_autograd import (
     softmax,
 )
 
-FAMILIES = ("cnn", "transformer", "shiftformer", "lstm")
+FAMILIES = ("cnn", "transformer", "lstm")
 NORMS = ("layer", "batch")
 POS_MODES = ("relative", "absolute", "none")
 MIXERS = ("attention", "pooling", "shift", "none")
@@ -85,7 +86,7 @@ class ModelConfig:
     def validate(self) -> None:
         if self.family not in FAMILIES:
             raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if not all(isinstance(c, int) and c >= 1 for c in self.channels):
+        if not all(isinstance(c, int) and not isinstance(c, bool) and c >= 1 for c in self.channels):
             raise ConfigError(f"channels must be positive integers, got {self.channels}")
         if self.family == "lstm":
             if len(self.channels) != 2:
@@ -105,17 +106,15 @@ class ModelConfig:
             raise ConfigError(f"norm must be one of {NORMS}, got {self.norm!r}")
         if self.mixer not in MIXERS:
             raise ConfigError(f"mixer must be one of {MIXERS}, got {self.mixer!r}")
-        if self.family == "shiftformer" and self.mixer != "shift":
-            raise ConfigError(f"mixer must be 'shift' for the shiftformer family, got {self.mixer!r}")
         if self.mixer == "shift":
-            if self.family not in ("transformer", "shiftformer"):
-                raise ConfigError(f"mixer 'shift' needs a transformer-style family, got {self.family!r}")
+            if self.family != "transformer":
+                raise ConfigError(f"mixer 'shift' needs the transformer family, got {self.family!r}")
             if self.shift is None:
                 raise ConfigError("mixer 'shift' needs a shift config")
             if self.shift.placement != "residual":
                 raise ConfigError(
                     f"shift.placement must be 'residual' when the shift is the token mixer, got {self.shift.placement!r}")
-        if self.mixer == "attention" and self.family in ("transformer", "shiftformer"):
+        if self.mixer == "attention" and self.family == "transformer":
             if self.pos not in POS_MODES:
                 raise ConfigError(f"pos must be one of {POS_MODES}, got {self.pos!r}")
             if self.heads < 1 or self.channels[0] % self.heads != 0:
@@ -146,26 +145,22 @@ def config_to_dict(cfg: ModelConfig) -> dict:
 
 
 def config_from_dict(raw: dict) -> ModelConfig:
-    """Strict inverse of :func:`config_to_dict`; unknown keys are errors."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"model config must be a mapping, got {type(raw).__name__}")
-    known = {f.name for f in dataclasses.fields(ModelConfig)}
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ConfigError(f"unknown model config keys: {', '.join(unknown)}")
+    """Strict inverse of :func:`config_to_dict`; unknown keys and mistyped
+    values are errors. Older configs' `"family": "shiftformer"` (with mixer
+    "shift") loads as the transformer family; their `"boundary": "zero_fill"`
+    shift key, once the only allowed value, is dropped.
+    """
+    check_config_dict(raw, ModelConfig, "model")
     if "family" not in raw or "channels" not in raw:
         raise ConfigError("model config needs at least 'family' and 'channels'")
     kwargs = dict(raw)
+    if kwargs["family"] == "shiftformer" and kwargs.get("mixer") == "shift":
+        kwargs["family"] = "transformer"
     shift_raw = kwargs.pop("shift", None)
     if shift_raw is not None:
-        if not isinstance(shift_raw, dict):
-            raise ConfigError("shift config must be a mapping or null")
-        shift_known = {f.name for f in dataclasses.fields(ShiftConfig)}
-        shift_unknown = sorted(set(shift_raw) - shift_known)
-        if shift_unknown:
-            raise ConfigError(f"unknown shift config keys: {', '.join(shift_unknown)}")
+        shift_raw = {k: v for k, v in shift_raw.items() if (k, v) != ("boundary", "zero_fill")}
+        check_config_dict(shift_raw, ShiftConfig, "shift")
         shift_raw = ShiftConfig(**shift_raw)
-    kwargs["channels"] = tuple(kwargs["channels"])
     cfg = ModelConfig(shift=shift_raw, **kwargs)
     cfg.validate()
     return cfg
@@ -346,7 +341,7 @@ class TransformerBlock:
         self.mixer_kind = cfg.mixer
         self.pool_window = cfg.pool_window
         self.shift_cfg = cfg.shift
-        self.shift_mode = shift_mode if cfg.mixer != "shift" else "none"
+        self.shift_mode = shift_mode
         self.norm1 = _make_norm(cfg.norm, width, dtype) if cfg.mixer != "none" else None
         self.attn = (AttentionLayer(rng, width, cfg.heads, cfg.pos, cfg.clip_dist, cfg.max_len, dtype)
                      if cfg.mixer == "attention" else None)
@@ -418,6 +413,7 @@ def _block_shift_mode(cfg: ModelConfig, index: int) -> str:
     In-place placement shifts the trunk before every block. Residual
     placement shifts every transformer mixer branch, but only the last
     cnn block's branch (the lighter touch pairs with the small alpha there).
+    A shift that is the token mixer is the block's only shift.
     """
     if cfg.shift is None or cfg.mixer == "shift":
         return "none"
@@ -457,7 +453,7 @@ class SequenceClassifier:
             mode = _block_shift_mode(cfg, i)
             if cfg.family == "cnn":
                 self.blocks.append(ConvBlock(rng, cfg, dtype, mode))
-            elif cfg.family in ("transformer", "shiftformer"):
+            elif cfg.family == "transformer":
                 self.blocks.append(TransformerBlock(rng, cfg, dtype, mode))
             else:
                 c_in = cfg.channels[0] if i == 0 else cfg.channels[1]
@@ -557,8 +553,7 @@ def preset_config(name: str, width: int = 768, num_classes: int = 4,
             num_classes=num_classes, num_input_layers=num_input_layers)
     elif name in ("shiftformer", "transformer"):
         cfg = ModelConfig(
-            family="shiftformer" if name == "shiftformer" else "transformer",
-            channels=(width, 4 * width, width), blocks=2,
+            family="transformer", channels=(width, 4 * width, width), blocks=2,
             mixer="shift" if name == "shiftformer" else "attention",
             shift=ShiftConfig(alpha=0.25, direction="bidirectional", placement="residual")
             if name == "shiftformer" else None,

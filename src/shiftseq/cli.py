@@ -123,13 +123,9 @@ def _apply_shift_flags(cfg: ModelConfig, args) -> ModelConfig:
 
 
 def _strip_shift(cfg: ModelConfig) -> ModelConfig:
-    """The no-shift baseline: shiftformer falls back to attention mixing."""
-    if cfg.family == "shiftformer":
-        return dataclasses.replace(cfg, family="transformer", mixer="attention",
-                                   shift=None)
-    if cfg.mixer == "shift":
-        return dataclasses.replace(cfg, mixer="attention", shift=None)
-    return dataclasses.replace(cfg, shift=None)
+    """The no-shift baseline: a shift token mixer falls back to attention."""
+    return dataclasses.replace(cfg, shift=None,
+                               mixer="attention" if cfg.mixer == "shift" else cfg.mixer)
 
 
 # ---------------------------------------------------------------------------

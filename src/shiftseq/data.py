@@ -36,12 +36,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_config_dict
 from .seeding import substream
 
 FSEQ_MAGIC = b"FSEQ"
@@ -96,6 +97,22 @@ class FseqFile:
 # binary I/O
 # ---------------------------------------------------------------------------
 
+def write_atomic(path, chunks) -> None:
+    """Write the byte strings in `chunks` to a temporary file beside `path`,
+    then rename it over `path`; on any error an existing `path` is untouched
+    and the temporary file is removed."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_fseq(path, records, k_cls: int, class_names=None, gen_config=None) -> None:
     """Write records plus a JSON manifest sidecar at `<path>.manifest.json`."""
     if k_cls < 1:
@@ -118,8 +135,7 @@ def write_fseq(path, records, k_cls: int, class_names=None, gen_config=None) -> 
         payload = np.ascontiguousarray(rec.data, dtype="<f4").tobytes()
         chunks.extend([header, payload])
         pos += len(header) + len(payload)
-    with open(path, "wb") as f:
-        f.write(b"".join(chunks))
+    write_atomic(path, chunks)
 
     groups = sorted({rec.group for rec in records})
     manifest = {
@@ -132,9 +148,8 @@ def write_fseq(path, records, k_cls: int, class_names=None, gen_config=None) -> 
         "offsets": offsets,
         "gen_config": gen_config,
     }
-    with open(str(path) + ".manifest.json", "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_atomic(str(path) + ".manifest.json",
+                 [json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"), b"\n"])
 
 
 class _Cursor:
@@ -247,12 +262,7 @@ def gen_config_to_dict(gcfg: GenConfig) -> dict:
 
 
 def gen_config_from_dict(raw: dict) -> GenConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"data config must be a mapping, got {type(raw).__name__}")
-    known = {f.name for f in dataclasses.fields(GenConfig)}
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ConfigError(f"unknown data config keys: {', '.join(unknown)}")
+    check_config_dict(raw, GenConfig, "data")
     return GenConfig(**raw)
 
 

@@ -1,8 +1,10 @@
-"""Shared exception types.
+"""Shared exception types, and the strict check every config loader runs.
 
 Format-specific parse errors live next to their formats (see
 :mod:`shiftseq.data` and :mod:`shiftseq.blocks.checkpoint`).
 """
+
+import dataclasses
 
 
 class ConfigError(ValueError):
@@ -23,3 +25,25 @@ class EmptyInputError(ValueError):
 
 class TrainingDiverged(RuntimeError):
     """Training produced a nonfinite loss; the message names the step."""
+
+
+# the JSON values each config field annotation accepts; a bool is never a number
+_JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+               "str": ((str,), "a string"), "tuple[int, ...]": ((list,), "a list"),
+               "ShiftConfig | None": ((dict, type(None)), "a mapping or null")}
+
+
+def check_config_dict(raw, cls, section: str) -> None:
+    """Reject a non-mapping, keys that are not fields of the dataclass `cls`,
+    and values whose JSON type does not fit their field."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{section} config must be a mapping, got {type(raw).__name__}")
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(raw) - set(types))
+    if unknown:
+        raise ConfigError(f"unknown {section} config keys: {', '.join(unknown)}")
+    for name, value in raw.items():
+        accepted, label = _JSON_TYPES[types[name]]
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ConfigError(
+                f"{section} config {name!r} must be {label}, got {type(value).__name__}")

@@ -34,13 +34,11 @@ class ShiftConfig:
         an odd count favors the forward group).
     placement: "in_place" shifts the trunk so skip paths also see shifted
         features; "residual" shifts only inside a residual branch.
-    boundary: vacated frames are zero-filled; no other policy is supported.
     """
 
     alpha: float = 0.25
     direction: str = "unidirectional"
     placement: str = "in_place"
-    boundary: str = "zero_fill"
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
@@ -49,8 +47,6 @@ class ShiftConfig:
             raise ConfigError(f"shift direction must be one of {DIRECTIONS}, got {self.direction!r}")
         if self.placement not in PLACEMENTS:
             raise ConfigError(f"shift placement must be one of {PLACEMENTS}, got {self.placement!r}")
-        if self.boundary != "zero_fill":
-            raise ConfigError(f"only zero_fill boundaries are supported, got {self.boundary!r}")
 
 
 def shifted_channels(cfg: ShiftConfig, channels: int) -> int:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocks import SequenceClassifier, build_model
-from .data import assign_folds
-from .errors import ConfigError, DimensionError, EmptyInputError, TrainingDiverged, UsageError
+from .data import assign_folds, write_atomic
+from .errors import ConfigError, DimensionError, EmptyInputError, TrainingDiverged, UsageError, check_config_dict
 from .seeding import substream
 from .tensor_autograd import Tensor, backward
 
@@ -64,12 +64,7 @@ def train_config_to_dict(cfg: TrainConfig) -> dict:
 
 
 def train_config_from_dict(raw: dict) -> TrainConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"train config must be a mapping, got {type(raw).__name__}")
-    known = {f.name for f in dataclasses.fields(TrainConfig)}
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ConfigError(f"unknown train config keys: {', '.join(unknown)}")
+    check_config_dict(raw, TrainConfig, "train")
     cfg = TrainConfig(**raw)
     cfg.validate()
     return cfg
@@ -374,7 +369,4 @@ def format_curves(result: CrossValResult) -> str:
 
 
 def write_text(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
-        if text:
-            f.write("\n")
+    write_atomic(path, [text.encode("utf-8"), b"\n" if text else b""])

@@ -187,7 +187,7 @@ def _suite_cases():
                      num_input_layers=1,
                      shift=ShiftConfig(alpha=0.25, placement="in_place"))),
         ("block.shiftformer", TOL_COMPOSED,
-         _block_case("shiftformer", channels=(8, 16, 8), blocks=1, mixer="shift",
+         _block_case("transformer", channels=(8, 16, 8), blocks=1, mixer="shift",
                      num_input_layers=1, shift=shift_bi)),
         ("block.transformer_attention", TOL_COMPOSED,
          _block_case("transformer", channels=(8, 16, 8), blocks=1, heads=2,
@@ -247,7 +247,7 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def run_grad_suite(num_seeds: int = 10, verbose: bool = False) -> SuiteReport:
+def run_grad_suite(num_seeds: int = 10) -> SuiteReport:
     """Run every case over `num_seeds` seeds; worst error per case is kept."""
     if not isinstance(num_seeds, int) or isinstance(num_seeds, bool) or num_seeds < 1:
         raise UsageError(f"num_seeds must be a positive integer, got {num_seeds!r}")
@@ -263,6 +263,4 @@ def run_grad_suite(num_seeds: int = 10, verbose: bool = False) -> SuiteReport:
             worst = max(worst, report.max_rel_err)
         entries.append(SuiteEntry(name=name, tol=tol, max_rel_err=worst,
                                   passed=worst < tol))
-        if verbose:
-            print(entries[-1])
     return SuiteReport(entries=tuple(entries), num_seeds=num_seeds)

@@ -113,7 +113,7 @@ def test_head_and_pool_entries():
 
 def test_shift_rows_are_all_zero():
     shift = ShiftConfig(alpha=0.25, direction="bidirectional", placement="residual")
-    report = count_flops(small("shiftformer", mixer="shift", shift=shift), 20)
+    report = count_flops(small("transformer", mixer="shift", shift=shift), 20)
     row = report.entry("blocks.0.mixer_shift")
     assert (row.params, row.flops, row.ew_flops) == (0, 0, 0)
     report = count_flops(small("cnn", shift=ShiftConfig(alpha=0.25, placement="residual")), 20)

@@ -1,5 +1,8 @@
 """Model construction, wiring, parameter counts, and checkpoints."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,11 @@ from shiftseq.tensor_autograd import Tensor, add, bilstm, gelu, layer_norm, line
 from shiftseq.tensor_autograd.engine import backward
 
 
+# the shiftformer preset's block, spelled as the transformer family it belongs to
+SHIFT_MIXER = dict(mixer="shift", shift=ShiftConfig(alpha=0.25, direction="bidirectional",
+                                                    placement="residual"))
+
+
 def small_cfg(family="cnn", **kw):
     base = dict(channels=(8, 16, 8), blocks=2, kernel=3, heads=2,
                 num_classes=3, num_input_layers=2, clip_dist=4, max_len=32)
@@ -40,11 +48,12 @@ def features(rng, b=2, layers=2, t=9, c=8):
 # ---------------------------------------------------------------------------
 
 def test_presets_validate_and_have_expected_families():
-    expected = {"shiftcnn": "cnn", "cnn": "cnn", "shiftformer": "shiftformer",
+    expected = {"shiftcnn": "cnn", "cnn": "cnn", "shiftformer": "transformer",
                 "transformer": "transformer", "shiftlstm": "lstm", "lstm": "lstm"}
     for name, family in expected.items():
         cfg = preset_config(name)
         assert cfg.family == family
+        assert (cfg.mixer == "shift") == (name == "shiftformer")
         has_shift = name.startswith("shift")
         assert (cfg.shift is not None) == has_shift
 
@@ -83,17 +92,21 @@ def test_validate_heads_must_divide_width():
 
 
 def test_validate_shiftformer_needs_shift_mixer():
-    cfg = small_cfg("shiftformer", mixer="attention")
-    with pytest.raises(ConfigError):
-        cfg.validate()
+    """The shiftformer is a preset, not a family; old configs map only with the shift mixer."""
+    with pytest.raises(ConfigError, match="family"):
+        small_cfg("shiftformer", **SHIFT_MIXER).validate()
+    raw = config_to_dict(small_cfg("transformer", **SHIFT_MIXER))
+    raw.update(family="shiftformer", mixer="attention")
+    with pytest.raises(ConfigError, match="family"):
+        config_from_dict(raw)
 
 
 def test_validate_shift_mixer_needs_residual_placement():
     shift = ShiftConfig(alpha=0.25, placement="in_place")
-    cfg = small_cfg("shiftformer", mixer="shift", shift=shift)
+    cfg = small_cfg("transformer", mixer="shift", shift=shift)
     with pytest.raises(ConfigError):
         cfg.validate()
-    cfg = small_cfg("shiftformer", mixer="shift", shift=None)
+    cfg = small_cfg("transformer", mixer="shift", shift=None)
     with pytest.raises(ConfigError):
         cfg.validate()
 
@@ -113,9 +126,7 @@ def test_validate_alpha_must_reach_one_channel():
 
 def test_config_round_trip():
     for cfg in [preset_config(p) for p in ("shiftcnn", "transformer", "shiftlstm")] + [
-            small_cfg(), small_cfg("shiftformer", mixer="shift",
-                                   shift=ShiftConfig(alpha=0.25, direction="bidirectional",
-                                                     placement="residual"))]:
+            small_cfg(), small_cfg("transformer", **SHIFT_MIXER)]:
         back = config_from_dict(config_to_dict(cfg))
         assert back == cfg
 
@@ -137,6 +148,31 @@ def test_config_from_dict_rejects_unknown_shift_keys():
 def test_config_from_dict_requires_family_and_channels():
     with pytest.raises(ConfigError):
         config_from_dict({"family": "cnn"})
+
+
+@pytest.mark.parametrize("section,key,value", [
+    (None, "channels", 8),
+    (None, "channels", "8,16,8"),
+    (None, "channels", [True, 16, True]),
+    (None, "blocks", "2"),
+    (None, "blocks", True),
+    (None, "kernel", 3.0),
+    (None, "family", None),
+    (None, "shift", [0.25]),
+    ("shift", "alpha", "0.5"),
+    ("shift", "direction", 1),
+])
+def test_config_from_dict_rejects_mistyped_values(section, key, value):
+    raw = config_to_dict(small_cfg(shift=ShiftConfig(alpha=0.25)))
+    (raw[section] if section else raw)[key] = value
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict(raw)
+
+
+def test_config_from_dict_takes_an_integer_alpha():
+    raw = config_to_dict(small_cfg(shift=ShiftConfig(alpha=0.25)))
+    raw["shift"]["alpha"] = 1
+    assert config_from_dict(raw).shift.alpha == 1
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +318,7 @@ def test_parameter_names_are_unique_and_sized():
     ("transformer", dict(mixer="none")),
     ("transformer", dict(pos="absolute")),
     ("transformer", dict(pos="none")),
-    ("shiftformer", dict(mixer="shift",
-                         shift=ShiftConfig(alpha=0.25, direction="bidirectional",
-                                           placement="residual"))),
+    pytest.param("transformer", SHIFT_MIXER, id="shiftformer-kw8"),
     ("lstm", {}),
     ("lstm", dict(shift=ShiftConfig(alpha=0.25, placement="in_place"))),
     ("lstm", dict(shift=ShiftConfig(alpha=0.25, placement="residual"))),
@@ -344,9 +378,7 @@ def zero_block_params(model):
     ("transformer", {}),
     ("transformer", dict(mixer="pooling")),
     ("transformer", dict(mixer="none")),
-    ("shiftformer", dict(mixer="shift",
-                         shift=ShiftConfig(alpha=0.25, direction="bidirectional",
-                                           placement="residual"))),
+    pytest.param("transformer", SHIFT_MIXER, id="shiftformer-kw5"),
 ])
 def test_zeroed_blocks_pass_input_through_unchanged(family, kw):
     """Every parametric path sits on a branch, so zero weights give identity."""
@@ -371,7 +403,7 @@ def test_zeroed_in_place_model_is_pure_shift():
 
 def test_shiftformer_block_matches_manual_composition():
     shift = ShiftConfig(alpha=0.25, direction="bidirectional", placement="residual")
-    cfg = small_cfg("shiftformer", mixer="shift", shift=shift, blocks=1)
+    cfg = small_cfg("transformer", mixer="shift", shift=shift, blocks=1)
     model = build_model(cfg, seed=3)
     # give the norms non-trivial scales so the composition order matters
     p = model.named_parameters()
@@ -451,9 +483,7 @@ def test_batch_norm_buffers_update_in_training_and_freeze_in_eval():
 @pytest.mark.parametrize("family,kw", [
     ("cnn", dict(shift=ShiftConfig(alpha=0.25, placement="residual"))),
     ("transformer", {}),
-    ("shiftformer", dict(mixer="shift",
-                         shift=ShiftConfig(alpha=0.25, direction="bidirectional",
-                                           placement="residual"))),
+    pytest.param("transformer", SHIFT_MIXER, id="shiftformer-kw2"),
     ("lstm", dict(shift=ShiftConfig(alpha=0.25, placement="in_place"))),
 ])
 def test_loss_backward_reaches_every_parameter(family, kw):
@@ -551,3 +581,43 @@ def test_checkpoint_rejects_missing_parameters(tmp_path):
     save_checkpoint(path, Stripped())
     with pytest.raises(CheckpointError, match="missing"):
         build_from_checkpoint(path)
+
+
+def rewrite_model_config(path, boundary=None, **fields):
+    """Edit the model config in a checkpoint's JSON header, fixing its length field."""
+    raw = path.read_bytes()
+    end = 12 + struct.unpack("<I", raw[8:12])[0]
+    payload = json.loads(raw[12:end])
+    payload["model"].update(fields)
+    if boundary is not None:
+        payload["model"]["shift"]["boundary"] = boundary
+    blob = json.dumps(payload, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[end:])
+
+
+def test_legacy_shiftformer_checkpoint_loads_bit_exactly(tmp_path):
+    """Older writers stored the shiftformer as its own family with a shift boundary."""
+    model = build_model(preset_config("shiftformer", width=16, num_input_layers=2), seed=5)
+    path = tmp_path / "legacy.ckpt"
+    save_checkpoint(path, model)
+    rewrite_model_config(path, family="shiftformer", boundary="zero_fill")
+    loaded, _ = build_from_checkpoint(path)
+    assert loaded.cfg == model.cfg
+    assert loaded.cfg.family == "transformer" and loaded.cfg.mixer == "shift"
+    x = Tensor(features(np.random.default_rng(3), t=11, c=16))
+    np.testing.assert_array_equal(loaded.forward(x).data, model.forward(x).data)
+
+
+@pytest.mark.parametrize("edits", [
+    dict(family="shiftformer", mixer="attention", boundary="zero_fill"),
+    dict(family="shiftformer", boundary="replicate"),
+    dict(family="transformer", boundary="replicate"),
+    dict(blocks="2"),
+])
+def test_checkpoint_with_invalid_config_is_rejected(tmp_path, edits):
+    model = build_model(preset_config("shiftformer", width=16, num_input_layers=2), seed=5)
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(path, model)
+    rewrite_model_config(path, **edits)
+    with pytest.raises(CheckpointError, match="invalid model config"):
+        load_checkpoint(path)

@@ -202,6 +202,15 @@ def test_count_attention_deficit(capsys):
     assert "(delta -4726800)" in params_line
 
 
+def test_count_shift_preset_with_attention_mixer(capsys):
+    """--mixer attention on the shiftformer keeps its shift, now on the attention branch."""
+    assert main(["count", "--preset", "shiftformer", "--mixer", "attention",
+                 "--frames", "10"]) == 0
+    out = capsys.readouterr().out
+    assert "vs no-shift baseline (transformer)" in out
+    assert "differing rows: blocks.0.shift, blocks.1.shift" in out
+
+
 def test_count_plain_preset_has_no_baseline(capsys):
     assert main(["count", "--preset", "cnn"]) == 0
     assert "no baseline" in capsys.readouterr().out
@@ -236,6 +245,19 @@ def test_unknown_train_key(workdir, data_path, tmp_path, capsys):
     assert main(["train", data_path, "--config", cfg, "--preset", "cnn",
                  "--out", str(tmp_path / "run")]) == 1
     assert "momentum" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sections", [
+    dict(train=dict(TRAIN_CFG, epochs="3")),
+    dict(model={"family": "cnn", "channels": 16}),
+    dict(model={"family": "cnn", "channels": [16, 32, 16], "blocks": "2"}),
+])
+def test_mistyped_config_value_exits_one(workdir, data_path, tmp_path, capsys, sections):
+    cfg = write_config(tmp_path / "cfg.json", **sections)
+    assert main(["train", data_path, "--config", cfg, "--preset", "cnn",
+                 "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_malformed_json(tmp_path, capsys):

@@ -1,11 +1,14 @@
 """FSEQ format, synthetic order task, and fold assignment."""
 
 import dataclasses
+import errno
 import json
 
 import numpy as np
 import pytest
 
+import shiftseq.data
+from shiftseq.blocks import build_model, preset_config, save_checkpoint
 from shiftseq.data import (
     FeatureSequence,
     FseqMagicError,
@@ -15,13 +18,16 @@ from shiftseq.data import (
     FseqVersionError,
     GenConfig,
     assign_folds,
+    gen_config_from_dict,
     gen_synthetic,
     read_fseq,
     render_record,
     valid_bump_pairs,
+    write_atomic,
     write_fseq,
 )
 from shiftseq.errors import ConfigError
+from shiftseq.train import write_text
 
 
 def random_records(rng, n=6):
@@ -201,6 +207,14 @@ def test_gen_config_rejects_groups_outside_channels():
 def test_gen_config_rejects_impossible_placement():
     with pytest.raises(ConfigError, match="placements"):
         tiny_gen_cfg(frames=18)          # margins leave no room for the gap
+
+
+@pytest.mark.parametrize("raw", [
+    {"frames": "50"}, {"channels": 16.0}, {"noise_sigma": "0.1"}, {"groups": False},
+])
+def test_gen_config_from_dict_rejects_mistyped_values(raw):
+    with pytest.raises(ConfigError, match=next(iter(raw))):
+        gen_config_from_dict(raw)
 
 
 def test_gen_config_rejects_wrong_class_count():
@@ -390,3 +404,72 @@ def test_generated_set_round_trips_with_config_echo(tmp_path):
     manifest = json.loads((tmp_path / "syn.fseq.manifest.json").read_text())
     assert manifest["gen_config"]["frames"] == gcfg.frames
     assert manifest["num_groups"] == gcfg.groups
+
+
+# ---------------------------------------------------------------------------
+# atomic writes
+# ---------------------------------------------------------------------------
+
+class DiskFullAfterOneWrite:
+    """A binary file that takes one write, then fails as a full disk would."""
+
+    def __init__(self, path, mode):
+        self.f = open(path, mode)
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, chunk):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.f.write(chunk)
+
+
+def snapshot(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def test_write_atomic_failure_keeps_old_file(tmp_path):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"old")
+
+    def chunks():
+        yield b"half of the "
+        raise RuntimeError("producer failed")
+
+    with pytest.raises(RuntimeError, match="producer failed"):
+        write_atomic(path, chunks())
+    assert snapshot(tmp_path) == {"out.bin": b"old"}
+
+
+def _save_checkpoint(path, version):
+    save_checkpoint(path, build_model(preset_config("cnn", width=8, num_input_layers=1),
+                                      seed=version))
+
+
+def _write_fseq(path, version):
+    write_fseq(path, random_records(np.random.default_rng(version)), 3)
+
+
+def _write_text(path, version):
+    write_text(path, f"version {version}")
+
+
+@pytest.mark.parametrize("writer", [_save_checkpoint, _write_fseq, _write_text])
+def test_write_failing_partway_leaves_old_output(tmp_path, monkeypatch, writer):
+    path = tmp_path / "out"
+    writer(path, 0)
+    before = snapshot(tmp_path)
+    monkeypatch.setattr(shiftseq.data, "open", DiskFullAfterOneWrite, raising=False)
+    with pytest.raises(OSError, match="No space"):
+        writer(path, 1)
+    assert snapshot(tmp_path) == before
+    monkeypatch.undo()
+    writer(path, 1)
+    assert snapshot(tmp_path).keys() == before.keys()
+    assert snapshot(tmp_path)[path.name] != before[path.name]

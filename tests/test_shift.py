@@ -124,8 +124,6 @@ class TestTemporalShift:
             ShiftConfig(direction="sideways")
         with pytest.raises(ConfigError):
             ShiftConfig(placement="nowhere")
-        with pytest.raises(ConfigError):
-            ShiftConfig(boundary="replicate")
 
 
 class TestShiftAugment:

@@ -82,6 +82,19 @@ def test_train_config_round_trip():
         train_config_from_dict({"momentum": 0.9})
 
 
+@pytest.mark.parametrize("raw", [
+    {"epochs": "3"}, {"peak_lr": "1e-3"}, {"batch_size": 8.0}, {"seed": True},
+    {"augment_prob": None}, {"optimizer": 1},
+])
+def test_train_config_from_dict_rejects_mistyped_values(raw):
+    with pytest.raises(ConfigError, match=next(iter(raw))):
+        train_config_from_dict(raw)
+
+
+def test_train_config_from_dict_takes_integers_for_floats():
+    assert train_config_from_dict({"peak_lr": 1, "weight_decay": 0}).peak_lr == 1
+
+
 # ---------------------------------------------------------------------------
 # adam / adamw
 # ---------------------------------------------------------------------------
