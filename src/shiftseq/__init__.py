@@ -57,17 +57,14 @@ from .seeding import substream
 from .shift import ShiftConfig, shift_augment, temporal_shift
 from .tensor_autograd import Tensor, grad_check
 from .train import (
-    AdamHyper,
     CrossValResult,
     FoldResult,
     Metrics,
     TrainConfig,
-    adam_step,
     compute_metrics,
     cosine_warmup_lr,
     cross_validate,
     evaluate,
-    init_adam_state,
     pair_recall_average,
     train_fold,
 )
@@ -76,7 +73,6 @@ from .verification import run_grad_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamHyper",
     "CheckpointError",
     "ConfigError",
     "CostEntry",
@@ -98,7 +94,6 @@ __all__ = [
     "TrainConfig",
     "TrainingDiverged",
     "UsageError",
-    "adam_step",
     "assign_folds",
     "build_from_checkpoint",
     "build_model",
@@ -112,7 +107,6 @@ __all__ = [
     "evaluate",
     "gen_synthetic",
     "grad_check",
-    "init_adam_state",
     "load_checkpoint",
     "pair_recall_average",
     "preset_config",

@@ -26,7 +26,7 @@ import struct
 import numpy as np
 
 from .model import ModelConfig, SequenceClassifier, build_model, config_from_dict, config_to_dict
-from ..data import write_atomic
+from ..data import ByteReader, write_atomic
 from ..errors import ConfigError
 
 MAGIC = b"SSCK"
@@ -66,37 +66,23 @@ def save_checkpoint(path, model: SequenceClassifier, extra: dict | None = None) 
     write_atomic(path, parts)
 
 
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if n < 0 or self.pos + n > len(self.buf):
-            raise CheckpointError(
-                f"checkpoint truncated: needed {n} bytes at offset {self.pos}, "
-                f"have {len(self.buf) - self.pos}")
-        out = self.buf[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-
-def _read_records(r: _Reader) -> "dict[str, np.ndarray]":
-    count = r.u32()
+def _read_records(r: ByteReader) -> "dict[str, np.ndarray]":
+    count = r.u32("record count")
     out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        name = r.take(r.u32()).decode("utf-8")
-        ndim = r.u32()
+    for i in range(count):
+        what = f"record {i}"
+        try:
+            name = r.take(r.u32(what), what).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"{what} name is not valid UTF-8: {e}") from e
+        ndim = r.u32(what)
         if ndim > 8:
             raise CheckpointError(f"record {name!r} claims {ndim} dimensions")
-        shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim))
+        shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim, what))
         n_elems = 1
         for d in shape:
             n_elems *= d
-        data = np.frombuffer(r.take(4 * n_elems), dtype="<f4").reshape(shape)
+        data = np.frombuffer(r.take(4 * n_elems, what), dtype="<f4").reshape(shape)
         if name in out:
             raise CheckpointError(f"duplicate record {name!r}")
         out[name] = data.astype(np.float32)
@@ -106,14 +92,14 @@ def _read_records(r: _Reader) -> "dict[str, np.ndarray]":
 def load_checkpoint(path) -> tuple[ModelConfig, "dict[str, np.ndarray]", "dict[str, np.ndarray]", dict]:
     """Parse a checkpoint; returns (config, params, buffers, extra)."""
     with open(path, "rb") as f:
-        r = _Reader(f.read())
-    if r.take(4) != MAGIC:
+        r = ByteReader(f.read(), CheckpointError, "checkpoint")
+    if r.take(4, "magic") != MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
-    version = r.u32()
+    version = r.u32("version")
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     try:
-        payload = json.loads(r.take(r.u32()).decode("utf-8"))
+        payload = json.loads(r.take(r.u32("config"), "config").decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"checkpoint config is not valid JSON: {e}") from e
     if not isinstance(payload, dict) or "model" not in payload:
@@ -124,8 +110,7 @@ def load_checkpoint(path) -> tuple[ModelConfig, "dict[str, np.ndarray]", "dict[s
         raise CheckpointError(f"checkpoint carries an invalid model config: {e}") from e
     params = _read_records(r)
     buffers = _read_records(r)
-    if r.pos != len(r.buf):
-        raise CheckpointError(f"{len(r.buf) - r.pos} trailing bytes after checkpoint payload")
+    r.finish("checkpoint payload")
     return cfg, params, buffers, payload.get("extra", {})
 
 

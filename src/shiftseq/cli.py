@@ -28,6 +28,7 @@ import sys
 
 from .accounting import count_flops
 from .blocks import (
+    MIXERS,
     PRESETS,
     CheckpointError,
     ModelConfig,
@@ -52,6 +53,7 @@ from .errors import (
     EmptyInputError,
     TrainingDiverged,
     UsageError,
+    check_config_dict,
 )
 from .shift import ShiftConfig, temporal_shift
 from .tensor_autograd import Tensor
@@ -68,7 +70,6 @@ from .verification import run_grad_suite
 
 PLACEMENT_FLAGS = {"inplace": "in_place", "residual": "residual"}
 DIRECTION_FLAGS = {"uni": "unidirectional", "bi": "bidirectional"}
-MIXER_FLAGS = ("attention", "pooling", "shift", "none")
 
 
 def _load_config(path) -> dict:
@@ -86,15 +87,19 @@ def _load_config(path) -> dict:
     return raw
 
 
+@dataclasses.dataclass
+class _PresetSection:
+    """The keys a preset model section takes; absent sizes default per command."""
+    preset: str
+    width: int
+    num_classes: int
+    num_input_layers: int
+
+
 def _model_from_section(section: dict, default_width=None, default_classes=None,
                         default_layers=None) -> ModelConfig:
-    if "preset" in section:
-        allowed = {"preset", "width", "num_classes", "num_input_layers"}
-        unknown = sorted(set(section) - allowed)
-        if unknown:
-            raise ConfigError(
-                f"preset model sections only take {sorted(allowed)}; "
-                f"unknown keys: {', '.join(unknown)}")
+    if isinstance(section, dict) and "preset" in section:
+        check_config_dict(section, _PresetSection, "preset model")
         return preset_config(
             section["preset"],
             width=section.get("width", default_width or 768),
@@ -278,7 +283,7 @@ def _add_shift_flags(p: argparse.ArgumentParser) -> None:
                    help="where the shift applies: trunk (inplace) or branch (residual)")
     p.add_argument("--direction", choices=sorted(DIRECTION_FLAGS), default=None,
                    help="shift direction: uni (past to present) or bi (split both ways)")
-    p.add_argument("--mixer", choices=MIXER_FLAGS, default=None,
+    p.add_argument("--mixer", choices=MIXERS, default=None,
                    help="transformer token mixer (none = pointwise MLP only)")
 
 

@@ -152,15 +152,23 @@ def write_fseq(path, records, k_cls: int, class_names=None, gen_config=None) -> 
                  [json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"), b"\n"])
 
 
-class _Cursor:
-    def __init__(self, buf: bytes):
+class ByteReader:
+    """Bounds-checked sequential reads from an in-memory file image.
+
+    Every overrun, and any byte left over at `finish`, raises `error`, so each
+    format keeps its own typed exception. `kind` names the format in messages.
+    """
+
+    def __init__(self, buf: bytes, error: type, kind: str):
         self.buf = buf
         self.pos = 0
+        self.error = error
+        self.kind = kind
 
     def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise FseqTruncatedError(
-                f"file ends inside {what}: needed {n} bytes at offset {self.pos}, "
+        if n < 0 or self.pos + n > len(self.buf):
+            raise self.error(
+                f"{self.kind} truncated inside {what}: needed {n} bytes at offset {self.pos}, "
                 f"have {len(self.buf) - self.pos}")
         out = self.buf[self.pos:self.pos + n]
         self.pos += n
@@ -169,13 +177,17 @@ class _Cursor:
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
 
+    def finish(self, after: str) -> None:
+        if self.pos != len(self.buf):
+            raise self.error(f"{len(self.buf) - self.pos} trailing bytes after {after}")
+
 
 def read_fseq(path, max_frames: int | None = None) -> FseqFile:
     """Parse an FSEQ file; optionally truncate every record to `max_frames`."""
     if max_frames is not None and max_frames < 1:
         raise ConfigError(f"max_frames must be at least 1, got {max_frames}")
     with open(path, "rb") as f:
-        cur = _Cursor(f.read())
+        cur = ByteReader(f.read(), FseqTruncatedError, "FSEQ file")
     if cur.take(4, "magic") != FSEQ_MAGIC:
         raise FseqMagicError("not an FSEQ file (bad magic)")
     version = cur.u32("version")
@@ -200,8 +212,7 @@ def read_fseq(path, max_frames: int | None = None) -> FseqFile:
         if max_frames is not None and t > max_frames:
             data = data[:, :max_frames, :]
         records.append(FeatureSequence(label=int(label), group=int(group), data=data))
-    if cur.pos != len(cur.buf):
-        raise FseqTruncatedError(f"{len(cur.buf) - cur.pos} trailing bytes after last record")
+    cur.finish("last record")
     return FseqFile(k_cls=k_cls, records=records)
 
 

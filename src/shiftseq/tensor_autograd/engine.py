@@ -110,8 +110,10 @@ def track(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Ten
 
     This is the extension point for fused ops: `backward_fn(g)` receives the
     output gradient and must call :func:`accumulate_grad` on each parent.
-    The closure is only recorded when some parent participates in
-    differentiation, so inference runs build no graph.
+    The closure is only recorded when some parent requires grad. Model
+    parameters always do, so every forward pass through a model, eval mode
+    (``training=False``) included, records each node and keeps its saved
+    buffers alive until the output is dropped.
     """
     out = Tensor(out_data)
     if any(p.requires_grad for p in parents):

@@ -1,4 +1,4 @@
-"""Optimizers, LR schedule, metrics, and the cross-validation harness.
+"""Adam/AdamW, LR schedule, metrics, and the cross-validation harness.
 
 Training is deterministic given (configs, records, seed): initialization,
 per-epoch shuffling, and augmentation draw from independent named RNG
@@ -74,68 +74,47 @@ def train_config_from_dict(raw: dict) -> TrainConfig:
 # optimizer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AdamHyper:
-    lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
-    decoupled: bool = False  # True = decoupled decay; False = plain adam, decay ignored
-
-
-def init_adam_state(params: dict) -> dict:
-    return {name: (np.zeros_like(p), np.zeros_like(p)) for name, p in params.items()}
-
-
-def adam_step(params: dict, grads: dict, state: dict, t: int, hyper: AdamHyper) -> tuple:
-    """One bias-corrected moment update; returns (new_params, new_state).
-
-    Decoupled decay subtracts lr*wd*theta alongside the moment step, both
-    taken from the pre-step parameters.
-    """
-    if t < 1:
-        raise UsageError(f"step index t must start at 1, got {t}")
-    if set(params) != set(grads):
-        raise UsageError("params and grads must cover the same names")
-    new_params, new_state = {}, {}
-    for name, theta in params.items():
-        g = grads[name]
-        if g.shape != theta.shape:
-            raise DimensionError(f"gradient for {name!r} has shape {g.shape}, "
-                                 f"parameter has {theta.shape}")
-        m, v = state[name]
-        m = hyper.beta1 * m + (1.0 - hyper.beta1) * g
-        v = hyper.beta2 * v + (1.0 - hyper.beta2) * g * g
-        m_hat = m / (1.0 - hyper.beta1 ** t)
-        v_hat = v / (1.0 - hyper.beta2 ** t)
-        update = hyper.lr * m_hat / (np.sqrt(v_hat) + hyper.eps)
-        if hyper.decoupled:
-            update = update + hyper.lr * hyper.weight_decay * theta
-        new_params[name] = (theta - update).astype(theta.dtype)
-        new_state[name] = (m, v)
-    return new_params, new_state
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class Optimizer:
-    """Binds the functional update to a model's parameter tensors."""
+    """Adam over a model's parameters; AdamW when `cfg.optimizer == "adamw"`.
+
+    Holds one first moment `m` and one second moment `v` per parameter and
+    updates them and `p.data` in place. Decoupled decay (AdamW) subtracts
+    lr*wd*theta alongside the moment step, both taken from the pre-step
+    parameters; plain adam ignores `weight_decay`. A parameter without a
+    gradient steps with g = 0: its moments decay, so it can still move.
+    """
 
     def __init__(self, model: SequenceClassifier, cfg: TrainConfig):
         self.params = model.named_parameters()
         self.cfg = cfg
-        self.state = init_adam_state({n: p.data for n, p in self.params.items()})
+        self.m = {n: np.zeros_like(p.data) for n, p in self.params.items()}
+        self.v = {n: np.zeros_like(p.data) for n, p in self.params.items()}
         self.t = 0
 
     def step(self, lr: float) -> None:
-        self.t += 1
-        hyper = AdamHyper(lr=lr, weight_decay=self.cfg.weight_decay,
-                          decoupled=self.cfg.optimizer == "adamw")
-        values = {n: p.data for n, p in self.params.items()}
-        grads = {n: (p.grad if p.grad is not None else np.zeros_like(p.data))
-                 for n, p in self.params.items()}
-        new_values, self.state = adam_step(values, grads, self.state, self.t, hyper)
+        # checked up front so that a bad gradient leaves every parameter unstepped
         for name, p in self.params.items():
-            p.data = new_values[name]
+            if p.grad is not None and p.grad.shape != p.data.shape:
+                raise DimensionError(f"gradient for {name!r} has shape {p.grad.shape}, "
+                                     f"parameter has {p.data.shape}")
+        self.t += 1
+        c1 = 1.0 - BETA1 ** self.t
+        c2 = 1.0 - BETA2 ** self.t
+        decay = lr * self.cfg.weight_decay if self.cfg.optimizer == "adamw" else None
+        for name, p in self.params.items():
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            m, v = self.m[name], self.v[name]
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            update = lr * (m / c1) / (np.sqrt(v / c2) + EPS)
+            if decay is not None:
+                update += decay * p.data
+            p.data -= update
 
     def zero_grad(self) -> None:
         for p in self.params.values():

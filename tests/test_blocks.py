@@ -563,6 +563,17 @@ def test_checkpoint_rejects_truncation_and_trailing_bytes(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_rejects_non_utf8_record_name(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, build_model(small_cfg(), seed=0))
+    raw = bytearray(path.read_bytes())
+    first_name = 12 + struct.unpack("<I", raw[8:12])[0] + 8  # after config, count, name length
+    raw[first_name] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="UTF-8"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_missing_parameters(tmp_path):
     model = build_model(small_cfg(), seed=0)
 

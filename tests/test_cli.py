@@ -260,6 +260,25 @@ def test_mistyped_config_value_exits_one(workdir, data_path, tmp_path, capsys, s
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("model", [
+    {"preset": "shiftcnn", "num_classes": "4"},
+    {"preset": "shiftcnn", "num_input_layers": True},
+    {"preset": "shiftcnn", "width": 16.0},
+    {"preset": "shiftcnn", "width": None},
+    {"preset": ["shiftcnn"]},
+    5,
+])
+@pytest.mark.parametrize("command", ["count", "train"])
+def test_mistyped_preset_section_exits_one(workdir, data_path, tmp_path, capsys, model, command):
+    cfg = write_config(tmp_path / "cfg.json", model=model, train=TRAIN_CFG)
+    argv = ["count", "--config", cfg] if command == "count" else \
+        ["train", data_path, "--config", cfg, "--out", str(tmp_path / "run")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not os.path.exists(tmp_path / "run")
+
+
 def test_malformed_json(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")

@@ -10,6 +10,7 @@ import pytest
 import shiftseq.data
 from shiftseq.blocks import build_model, preset_config, save_checkpoint
 from shiftseq.data import (
+    ByteReader,
     FeatureSequence,
     FseqMagicError,
     FseqNonFiniteError,
@@ -151,6 +152,22 @@ def test_trailing_bytes(tmp_path):
     path.write_bytes(bytes(raw) + b"\x01")
     with pytest.raises(FseqTruncatedError):
         read_fseq(path)
+
+
+def test_byte_reader_bounds_and_trailing_bytes():
+    class Corrupt(ValueError):
+        pass
+
+    reader = ByteReader(b"\x01\x00\x00\x00ab", Corrupt, "test file")
+    assert reader.u32("header") == 1
+    with pytest.raises(Corrupt, match="truncated inside payload"):
+        reader.take(3, "payload")
+    with pytest.raises(Corrupt, match="truncated"):
+        reader.take(-1, "payload")
+    with pytest.raises(Corrupt, match="2 trailing bytes"):
+        reader.finish("header")
+    assert reader.take(2, "payload") == b"ab"
+    reader.finish("payload")
 
 
 def test_label_out_of_range(tmp_path):

@@ -16,11 +16,9 @@ from shiftseq.errors import (
 )
 from shiftseq.tensor_autograd import Tensor
 from shiftseq.train import (
-    AdamHyper,
     Metrics,
     Optimizer,
     TrainConfig,
-    adam_step,
     collate,
     compute_metrics,
     cosine_warmup_lr,
@@ -28,7 +26,6 @@ from shiftseq.train import (
     evaluate,
     format_curves,
     format_metrics,
-    init_adam_state,
     pair_recall_average,
     predict_logits,
     train_config_from_dict,
@@ -99,37 +96,49 @@ def test_train_config_from_dict_takes_integers_for_floats():
 # adam / adamw
 # ---------------------------------------------------------------------------
 
+class OneParam:
+    """The smallest model an Optimizer binds to: one float64 parameter named w."""
+
+    def __init__(self, values):
+        self.w = Tensor(np.array(values, dtype=np.float64), requires_grad=True)
+
+    def named_parameters(self):
+        return {"w": self.w}
+
+
+def adam_on(values, optimizer="adam", weight_decay=0.0):
+    model = OneParam(values)
+    return model.w, Optimizer(model, TrainConfig(optimizer=optimizer, weight_decay=weight_decay))
+
+
 def test_adam_zero_gradients_never_move_parameters():
-    params = {"w": np.array([1.0, -2.0, 3.0])}
-    state = init_adam_state(params)
-    hyper = AdamHyper(lr=0.1)
-    for t in range(1, 6):
-        params, state = adam_step(params, {"w": np.zeros(3)}, state, t, hyper)
-    np.testing.assert_array_equal(params["w"], [1.0, -2.0, 3.0])
+    w, opt = adam_on([1.0, -2.0, 3.0])
+    for _ in range(5):
+        w.grad = np.zeros(3)
+        opt.step(lr=0.1)
+    np.testing.assert_array_equal(w.data, [1.0, -2.0, 3.0])
 
 
 def test_adam_first_step_hand_value():
-    params = {"w": np.array([1.0])}
-    state = init_adam_state(params)
-    new, _ = adam_step(params, {"w": np.array([0.5])}, state, t=1, hyper=AdamHyper(lr=0.1))
+    w, opt = adam_on([1.0])
+    w.grad = np.array([0.5])
+    opt.step(lr=0.1)
     # bias correction makes m_hat = g and v_hat = g^2, so the step is lr
-    np.testing.assert_allclose(new["w"], [0.9], atol=1e-7)
+    np.testing.assert_allclose(w.data, [0.9], atol=1e-7)
 
 
 def test_adamw_pure_decay_step():
-    params = {"w": np.array([1.0])}
-    state = init_adam_state(params)
-    hyper = AdamHyper(lr=0.1, weight_decay=0.1, decoupled=True)
-    new, _ = adam_step(params, {"w": np.array([0.0])}, state, t=1, hyper=hyper)
-    np.testing.assert_allclose(new["w"], [0.99], rtol=1e-12)
+    w, opt = adam_on([1.0], optimizer="adamw", weight_decay=0.1)
+    w.grad = np.array([0.0])
+    opt.step(lr=0.1)
+    np.testing.assert_allclose(w.data, [0.99], rtol=1e-12)
 
 
 def test_adam_ignores_weight_decay_without_decoupling():
-    params = {"w": np.array([1.0])}
-    state = init_adam_state(params)
-    hyper = AdamHyper(lr=0.1, weight_decay=0.5, decoupled=False)
-    new, _ = adam_step(params, {"w": np.array([0.0])}, state, t=1, hyper=hyper)
-    np.testing.assert_array_equal(new["w"], [1.0])
+    w, opt = adam_on([1.0], optimizer="adam", weight_decay=0.5)
+    w.grad = np.array([0.0])
+    opt.step(lr=0.1)
+    np.testing.assert_array_equal(w.data, [1.0])
 
 
 def adam_reference(theta, grads_by_step, lr, wd=0.0, decoupled=False,
@@ -153,24 +162,40 @@ def test_adam_trajectory_matches_reference(decoupled):
     rng = np.random.default_rng(0)
     theta0 = rng.standard_normal(7)
     grads = [rng.standard_normal(7) for _ in range(12)]
-    params = {"w": theta0.copy()}
-    state = init_adam_state(params)
-    hyper = AdamHyper(lr=0.05, weight_decay=0.1, decoupled=decoupled)
-    for t, g in enumerate(grads, start=1):
-        params, state = adam_step(params, {"w": g}, state, t, hyper)
+    w, opt = adam_on(theta0, optimizer="adamw" if decoupled else "adam", weight_decay=0.1)
+    for g in grads:
+        w.grad = g
+        opt.step(lr=0.05)
+    assert opt.t == len(grads)
     expected = adam_reference(theta0, grads, lr=0.05, wd=0.1, decoupled=decoupled)
-    np.testing.assert_allclose(params["w"], expected, rtol=1e-12)
+    np.testing.assert_allclose(w.data, expected, rtol=1e-12)
+
+
+def test_adam_steps_a_parameter_without_gradient_as_zero_gradient():
+    rng = np.random.default_rng(1)
+    theta0 = rng.standard_normal(5)
+    grads = [rng.standard_normal(5), None, None]
+    w, opt = adam_on(theta0)
+    for g in grads:
+        w.grad = g
+        opt.step(lr=0.05)
+    # the first moment carries the momentum on, so the parameter keeps moving
+    expected = adam_reference(theta0, [grads[0], np.zeros(5), np.zeros(5)], lr=0.05)
+    np.testing.assert_allclose(w.data, expected, rtol=1e-12)
+    assert not np.allclose(w.data, adam_reference(theta0, grads[:1], lr=0.05))
 
 
 def test_adam_step_input_validation():
-    params = {"w": np.zeros(3)}
-    state = init_adam_state(params)
-    with pytest.raises(UsageError):
-        adam_step(params, {"w": np.zeros(3)}, state, t=0, hyper=AdamHyper(lr=0.1))
-    with pytest.raises(UsageError):
-        adam_step(params, {"v": np.zeros(3)}, state, t=1, hyper=AdamHyper(lr=0.1))
-    with pytest.raises(DimensionError):
-        adam_step(params, {"w": np.zeros(4)}, state, t=1, hyper=AdamHyper(lr=0.1))
+    w, opt = adam_on(np.zeros(3))
+    w.grad = np.ones(4)
+    with pytest.raises(DimensionError, match="'w'"):
+        opt.step(lr=0.1)
+    # a rejected gradient steps nothing: parameter, moments and step count unchanged
+    np.testing.assert_array_equal(w.data, np.zeros(3))
+    assert opt.t == 0
+    w.grad = np.ones(3)
+    opt.step(lr=0.1)
+    np.testing.assert_allclose(w.data, [-0.1] * 3, atol=1e-7)
 
 
 def test_zero_lr_leaves_parameters_untouched():
