@@ -15,7 +15,10 @@ Layout (all integers little-endian u32 unless noted):
 
 Loading validates every length against the remaining byte count before
 allocating, so a truncated or corrupted file raises CheckpointError rather
-than producing a half-filled model.
+than producing a half-filled model. Each payload is copied out of the file
+buffer once; the rebuilt model takes those arrays as its parameters. The
+model is built without drawing an init, which is safe because the name and
+shape checks require the file to supply every parameter and buffer.
 """
 
 from __future__ import annotations
@@ -117,7 +120,7 @@ def load_checkpoint(path) -> tuple[ModelConfig, "dict[str, np.ndarray]", "dict[s
 def build_from_checkpoint(path) -> tuple[SequenceClassifier, dict]:
     """Rebuild a model from a checkpoint; returns (model, extra)."""
     cfg, params, buffers, extra = load_checkpoint(path)
-    model = build_model(cfg, seed=0)
+    model = build_model(cfg, seed=None)
     own = model.named_parameters()
     missing = sorted(set(own) - set(params))
     surplus = sorted(set(params) - set(own))
@@ -128,7 +131,7 @@ def build_from_checkpoint(path) -> tuple[SequenceClassifier, dict]:
         if params[name].shape != tensor.shape:
             raise CheckpointError(
                 f"parameter {name!r} has shape {params[name].shape}, model expects {tensor.shape}")
-        tensor.data = params[name].astype(tensor.dtype)
+        tensor.data = params[name].astype(tensor.dtype, copy=False)
     own_buffers = model.named_buffers()
     if sorted(buffers) != sorted(own_buffers):
         raise CheckpointError(

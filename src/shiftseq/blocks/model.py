@@ -11,7 +11,10 @@ preset).
 Parameter initialization is deterministic given the init RNG: weights are
 normal with std 1/sqrt(fan_in), biases and norm shifts zero, norm scales
 one, position-bias tables zero, and the LSTM forget-gate bias one so early
-training keeps its memory open.
+training keeps its memory open. Built with no init RNG (``seed=None``),
+every weight is zero instead and nothing is drawn: the form for a model
+whose values are all overwritten (checkpoint load) or never read (cost
+counting).
 """
 
 from __future__ import annotations
@@ -170,11 +173,16 @@ def config_from_dict(raw: dict) -> ModelConfig:
 # parameterized layers
 # ---------------------------------------------------------------------------
 
+def _normal(rng, std: float, shape: tuple[int, ...], dtype) -> Tensor:
+    """A weight drawn from N(0, std^2), or zeros drawing nothing when `rng` is None."""
+    data = np.zeros(shape, dtype) if rng is None else rng.normal(0.0, std, shape)
+    return Tensor(data, requires_grad=True, dtype=dtype)
+
+
 class LinearLayer:
     def __init__(self, rng, c_in: int, c_out: int, dtype):
-        std = 1.0 / math.sqrt(c_in)
-        self.weight = Tensor(rng.normal(0.0, std, (c_in, c_out)), requires_grad=True, dtype=dtype)
-        self.bias = Tensor(np.zeros(c_out), requires_grad=True, dtype=dtype)
+        self.weight = _normal(rng, 1.0 / math.sqrt(c_in), (c_in, c_out), dtype)
+        self.bias = Tensor(np.zeros(c_out, dtype), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
@@ -185,8 +193,8 @@ class LinearLayer:
 
 class LayerNormLayer:
     def __init__(self, width: int, dtype):
-        self.gamma = Tensor(np.ones(width), requires_grad=True, dtype=dtype)
-        self.beta = Tensor(np.zeros(width), requires_grad=True, dtype=dtype)
+        self.gamma = Tensor(np.ones(width, dtype), requires_grad=True)
+        self.beta = Tensor(np.zeros(width, dtype), requires_grad=True)
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
         return layer_norm(x, self.gamma, self.beta)
@@ -200,8 +208,8 @@ class LayerNormLayer:
 
 class BatchNormLayer:
     def __init__(self, width: int, dtype):
-        self.gamma = Tensor(np.ones(width), requires_grad=True, dtype=dtype)
-        self.beta = Tensor(np.zeros(width), requires_grad=True, dtype=dtype)
+        self.gamma = Tensor(np.ones(width, dtype), requires_grad=True)
+        self.beta = Tensor(np.zeros(width, dtype), requires_grad=True)
         self.running_mean = np.zeros(width, dtype=dtype)
         self.running_var = np.ones(width, dtype=dtype)
 
@@ -226,9 +234,8 @@ def _make_norm(kind: str, width: int, dtype):
 
 class DepthwiseConvLayer:
     def __init__(self, rng, kernel: int, width: int, dtype):
-        std = 1.0 / math.sqrt(kernel)
-        self.kernel = Tensor(rng.normal(0.0, std, (kernel, width)), requires_grad=True, dtype=dtype)
-        self.bias = Tensor(np.zeros(width), requires_grad=True, dtype=dtype)
+        self.kernel = _normal(rng, 1.0 / math.sqrt(kernel), (kernel, width), dtype)
+        self.bias = Tensor(np.zeros(width, dtype), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
         return depthwise_conv1d(x, self.kernel, self.bias)
@@ -244,16 +251,16 @@ class AttentionLayer:
         std = 1.0 / math.sqrt(width)
 
         def w():
-            return Tensor(rng.normal(0.0, std, (width, width)), requires_grad=True, dtype=dtype)
+            return _normal(rng, std, (width, width), dtype)
 
         def b():
-            return Tensor(np.zeros(width), requires_grad=True, dtype=dtype)
+            return Tensor(np.zeros(width, dtype), requires_grad=True)
 
         rel = abs_t = None
         if pos == "relative":
-            rel = Tensor(np.zeros((heads, 2 * clip_dist + 1)), requires_grad=True, dtype=dtype)
+            rel = Tensor(np.zeros((heads, 2 * clip_dist + 1), dtype), requires_grad=True)
         elif pos == "absolute":
-            abs_t = Tensor(np.zeros((max_len, width)), requires_grad=True, dtype=dtype)
+            abs_t = Tensor(np.zeros((max_len, width), dtype), requires_grad=True)
         self.params = AttentionParams(wq=w(), bq=b(), wk=w(), bk=b(), wv=w(), bv=b(),
                                       wo=w(), bo=b(), rel_table=rel, abs_table=abs_t)
 
@@ -280,14 +287,12 @@ class BiLstmLayer:
 
     @staticmethod
     def _direction(rng, c_in, hidden, dtype):
-        b = np.zeros(4 * hidden)
+        b = np.zeros(4 * hidden, dtype)
         b[hidden:2 * hidden] = 1.0
         return LstmDirection(
-            w_ih=Tensor(rng.normal(0.0, 1.0 / math.sqrt(c_in), (c_in, 4 * hidden)),
-                        requires_grad=True, dtype=dtype),
-            w_hh=Tensor(rng.normal(0.0, 1.0 / math.sqrt(hidden), (hidden, 4 * hidden)),
-                        requires_grad=True, dtype=dtype),
-            b=Tensor(b, requires_grad=True, dtype=dtype),
+            w_ih=_normal(rng, 1.0 / math.sqrt(c_in), (c_in, 4 * hidden), dtype),
+            w_hh=_normal(rng, 1.0 / math.sqrt(hidden), (hidden, 4 * hidden), dtype),
+            b=Tensor(b, requires_grad=True),
         )
 
     def forward(self, x: Tensor, lengths=None) -> Tensor:
@@ -447,7 +452,7 @@ class SequenceClassifier:
         cfg.validate()
         self.cfg = cfg
         self.dtype = np.dtype(dtype)
-        self.layer_weights = Tensor(np.zeros(cfg.num_input_layers), requires_grad=True, dtype=dtype)
+        self.layer_weights = Tensor(np.zeros(cfg.num_input_layers, dtype), requires_grad=True)
         self.blocks = []
         for i in range(cfg.blocks):
             mode = _block_shift_mode(cfg, i)
@@ -568,6 +573,10 @@ def preset_config(name: str, width: int = 768, num_classes: int = 4,
     return cfg
 
 
-def build_model(cfg: ModelConfig, seed: int, dtype=np.float32) -> SequenceClassifier:
-    """Deterministically initialize a classifier from the named init stream."""
-    return SequenceClassifier(cfg, substream(seed, "init"), dtype=dtype)
+def build_model(cfg: ModelConfig, seed: int | None, dtype=np.float32) -> SequenceClassifier:
+    """Deterministically initialize a classifier from the named init stream.
+
+    `seed=None` draws nothing and leaves every weight zero, for callers that
+    overwrite all values or read only shapes.
+    """
+    return SequenceClassifier(cfg, None if seed is None else substream(seed, "init"), dtype=dtype)

@@ -236,7 +236,7 @@ def cmd_count(args) -> int:
     else:
         raise ConfigError("count needs --preset or a config file with a model section")
     cfg = _apply_shift_flags(cfg, args)
-    model = build_model(cfg, seed=0)
+    model = build_model(cfg, seed=None)
     report = count_flops(model, args.frames)
     print(f"costs at {args.frames} frames:")
     print(report.format_table())
@@ -244,7 +244,7 @@ def cmd_count(args) -> int:
     if baseline_cfg == cfg:
         print("model has no shift; no baseline to compare against")
         return 0
-    baseline_model = build_model(baseline_cfg, seed=0)
+    baseline_model = build_model(baseline_cfg, seed=None)
     baseline = count_flops(baseline_model, args.frames)
     print(f"vs no-shift baseline ({baseline_cfg.family}):")
     print(f"  params {report.total_params} vs {baseline.total_params} "

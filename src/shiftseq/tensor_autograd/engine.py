@@ -5,6 +5,9 @@ operations record their parents and a backward closure on the tensor they
 produce; :func:`backward` replays that record once in reverse topological
 order (the tape), accumulating gradients into every tensor that requires
 them, then severs the graph so intermediate buffers can be collected.
+Inside :func:`no_grad` nothing is recorded: ops return plain tensors with
+no parents, so a forward-only pass (evaluation, finite differences) keeps
+no closures or saved buffers alive and its values are unchanged.
 
 This module holds the primitive ops plus the finite-difference checker;
 fused network operations (convolutions, normalizations, attention, ...)
@@ -13,6 +16,8 @@ live in :mod:`shiftseq.tensor_autograd.ops`.
 
 from __future__ import annotations
 
+import contextlib
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +26,13 @@ from ..errors import DimensionError, UsageError
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 _MAX_RANK = 4
+
+
+class _GradMode(threading.local):
+    enabled = True  # per thread, so a no_grad block in one thread leaves the others recording
+
+
+_grad_mode = _GradMode()
 
 
 def _as_array(data, dtype) -> np.ndarray:
@@ -105,18 +117,33 @@ def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
         t.grad = t.grad + g
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Record no graph inside the block; the previous mode returns on exit.
+
+    Blocks nest, the mode is restored when the block raises, and it holds
+    for the calling thread only.
+    """
+    previous, _grad_mode.enabled = _grad_mode.enabled, False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
+
+
 def track(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     """Wrap `out_data` as the result of an op over `parents`.
 
     This is the extension point for fused ops: `backward_fn(g)` receives the
     output gradient and must call :func:`accumulate_grad` on each parent.
-    The closure is only recorded when some parent requires grad. Model
-    parameters always do, so every forward pass through a model, eval mode
-    (``training=False``) included, records each node and keeps its saved
-    buffers alive until the output is dropped.
+    The closure is only recorded when some parent requires grad and grad
+    mode is on. Model parameters always require grad, so a forward pass
+    outside :func:`no_grad`, eval mode (``training=False``) included,
+    records each node and keeps its saved buffers alive until the output
+    is dropped.
     """
     out = Tensor(out_data)
-    if any(p.requires_grad for p in parents):
+    if _grad_mode.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward_fn
@@ -407,7 +434,8 @@ def grad_check(f, inputs: list[Tensor], tol: float = 1e-5, step: float = 1e-3,
     output coordinate participates. The check passes iff the max relative
     error, with denominator max(|analytic|, |numeric|, 1e-8), stays below
     `tol` for every input. `f` must be a pure function of its tensor
-    arguments; run it at float64 for meaningful tolerances.
+    arguments; run it at float64 for meaningful tolerances. The finite
+    differences run under :func:`no_grad`.
     """
     probes = [Tensor(inp.data.copy(), requires_grad=True, dtype=inp.data.dtype) for inp in inputs]
     out = f(*probes)
@@ -420,7 +448,8 @@ def grad_check(f, inputs: list[Tensor], tol: float = 1e-5, step: float = 1e-3,
     fd_inputs = [Tensor(inp.data.copy(), dtype=inp.data.dtype) for inp in inputs]
 
     def objective() -> float:
-        return float(np.sum(f(*fd_inputs).data * r))
+        with no_grad():
+            return float(np.sum(f(*fd_inputs).data * r))
 
     report = GradCheckReport(tol=tol, step=step)
     for i, probe in enumerate(fd_inputs):

@@ -18,7 +18,7 @@ from .blocks import SequenceClassifier, build_model
 from .data import assign_folds, write_atomic
 from .errors import ConfigError, DimensionError, EmptyInputError, TrainingDiverged, UsageError, check_config_dict
 from .seeding import substream
-from .tensor_autograd import Tensor, backward
+from .tensor_autograd import Tensor, backward, no_grad
 
 OPTIMIZERS = ("adam", "adamw")
 
@@ -224,13 +224,14 @@ def _batches(n: int, batch_size: int):
 
 
 def predict_logits(model: SequenceClassifier, records, batch_size: int = 32) -> tuple:
-    """Eval-mode logits for every record, in input order."""
+    """Eval-mode logits for every record, in input order; records no graph."""
     if not records:
         raise EmptyInputError("cannot evaluate an empty record list")
     chunks, labels = [], []
     for idx in _batches(len(records), batch_size):
         feats, lengths, batch_labels = collate([records[i] for i in idx])
-        logits = model.forward(Tensor(feats), lengths=lengths, training=False)
+        with no_grad():
+            logits = model.forward(Tensor(feats), lengths=lengths, training=False)
         chunks.append(logits.data)
         labels.append(batch_labels)
     return np.concatenate(chunks, axis=0), np.concatenate(labels)

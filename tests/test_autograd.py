@@ -1,5 +1,7 @@
 """Engine-level tests: primitives, accumulation, the tape, and grad_check."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from shiftseq.tensor_autograd import (
     grad_check,
     matmul,
     mul,
+    no_grad,
     reduce_sum,
     reshape,
     scale,
@@ -181,6 +184,61 @@ class TestBackward:
     def test_no_graph_without_requires_grad(self):
         y = mul(Tensor([1.0]), Tensor([2.0]))
         assert y._parents == () and not y.requires_grad
+
+
+class TestNoGrad:
+    def test_records_nothing_inside_and_resumes_after(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with no_grad():
+            y = mul(x, x)
+        assert not y.requires_grad
+        assert y._parents == () and y._backward is None
+        np.testing.assert_array_equal(y.data, [1.0, 4.0])
+        z = mul(x, x)
+        assert z.requires_grad and z._parents == (x, x)
+
+    def test_nests_and_restores_the_outer_mode(self):
+        x = Tensor([3.0], requires_grad=True)
+        with no_grad():
+            with no_grad():
+                assert not mul(x, x).requires_grad
+            assert not mul(x, x).requires_grad
+        assert mul(x, x).requires_grad
+
+    def test_restores_after_an_exception(self):
+        x = Tensor([3.0], requires_grad=True)
+        with pytest.raises(DimensionError):
+            with no_grad():
+                add(x, Tensor(np.zeros(1, dtype=np.float32)))  # mixed dtypes
+        loss = sum_all(mul(x, x))
+        assert loss.requires_grad
+        backward(loss)
+        np.testing.assert_array_equal(x.grad, [6.0])
+
+    def test_holds_for_the_calling_thread_only(self):
+        x = Tensor([3.0], requires_grad=True)
+        seen = []
+        worker = threading.Thread(target=lambda: seen.append(mul(x, x).requires_grad))
+        with no_grad():
+            worker.start()
+            worker.join(timeout=10)
+            assert not mul(x, x).requires_grad
+        assert not worker.is_alive()
+        assert seen == [True]
+
+    def test_grad_check_differences_build_no_graph(self):
+        w = Tensor(np.random.default_rng(4).standard_normal((3, 3)), requires_grad=True)
+        recorded = []
+
+        def f(x):
+            out = matmul(x, w)  # w requires grad, so only the grad mode decides
+            recorded.append(out.requires_grad)
+            return out
+
+        report = grad_check(f, [rand((2, 3), 9)], tol=1e-5)
+        assert report.passed, str(report)
+        assert recorded[0] and len(recorded) == 1 + 2 * 6
+        assert not any(recorded[1:])
 
 
 class TestGradCheck:

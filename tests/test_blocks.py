@@ -1,5 +1,6 @@
 """Model construction, wiring, parameter counts, and checkpoints."""
 
+import dataclasses
 import json
 import struct
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from shiftseq.blocks import (
+    PRESETS,
     CheckpointError,
     ModelConfig,
     build_from_checkpoint,
@@ -18,11 +20,13 @@ from shiftseq.blocks import (
     save_checkpoint,
     weighted_layer_sum,
 )
+from shiftseq.data import FeatureSequence
 from shiftseq.errors import ConfigError, DimensionError, UsageError
 from shiftseq.seeding import substream
 from shiftseq.shift import ShiftConfig, temporal_shift
-from shiftseq.tensor_autograd import Tensor, add, bilstm, gelu, layer_norm, linear
+from shiftseq.tensor_autograd import Tensor, add, bilstm, gelu, layer_norm, linear, no_grad
 from shiftseq.tensor_autograd.engine import backward
+from shiftseq.train import Optimizer, TrainConfig, collate, evaluate, predict_logits
 
 
 # the shiftformer preset's block, spelled as the transformer family it belongs to
@@ -632,3 +636,92 @@ def test_checkpoint_with_invalid_config_is_rejected(tmp_path, edits):
     rewrite_model_config(path, **edits)
     with pytest.raises(CheckpointError, match="invalid model config"):
         load_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# graph-free inference and draw-free checkpoint loads
+# ---------------------------------------------------------------------------
+
+def small_preset(name, seed=0, **kw):
+    cfg = preset_config(name, width=16, num_classes=3, num_input_layers=2)
+    return build_model(dataclasses.replace(cfg, **kw), seed=seed)
+
+
+def mixed_records(seed, lengths=(9, 5, 12, 7, 3)):
+    """Records of unequal length, so batches of two carry padding."""
+    rng = np.random.default_rng(seed)
+    return [FeatureSequence(i % 3, 0, features(rng, b=1, t=t, c=16)[0])
+            for i, t in enumerate(lengths)]
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_eval_logits_under_no_grad_match_graph_building_forward(preset):
+    model = small_preset(preset)
+    records = mixed_records(20)
+    logits, _ = predict_logits(model, records, batch_size=2)
+    graph = []
+    for start in range(0, len(records), 2):
+        feats, lengths, _ = collate(records[start:start + 2])
+        out = model.forward(Tensor(feats), lengths=lengths, training=False)
+        assert out.requires_grad and out._parents
+        with no_grad():
+            bare = model.forward(Tensor(feats), lengths=lengths, training=False)
+        assert not bare.requires_grad and bare._parents == ()
+        graph.append(out.data)
+    assert logits.dtype == np.float32
+    np.testing.assert_array_equal(logits, np.concatenate(graph))
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_training_after_evaluate_reaches_every_parameter(preset):
+    model = small_preset(preset)
+    evaluate(model, mixed_records(21), batch_size=2)
+    loss, _ = model.loss(Tensor(features(np.random.default_rng(22), c=16)), np.array([0, 2]))
+    backward(loss)
+    for name, p in model.named_parameters().items():
+        assert p.grad is not None, name
+        assert np.all(np.isfinite(p.grad)), name
+
+
+@pytest.mark.parametrize("preset,norm", [(p, "layer") for p in PRESETS]
+                         + [("shiftcnn", "batch"), ("transformer", "batch"), ("shiftformer", "batch")])
+def test_checkpoint_load_draws_no_init(tmp_path, monkeypatch, preset, norm):
+    model = small_preset(preset, seed=3, norm=norm)
+    model.forward(Tensor(features(np.random.default_rng(23), t=11, c=16)), training=True)
+    if norm == "batch":
+        assert any(np.any(buf != 0) and np.any(buf != 1) for buf in model.named_buffers().values())
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model)
+
+    def no_draw(*args):
+        raise AssertionError("checkpoint load drew from the init stream")
+
+    monkeypatch.setattr("shiftseq.blocks.model.substream", no_draw)
+    loaded, _ = build_from_checkpoint(path)
+    for name, buf in model.named_buffers().items():
+        np.testing.assert_array_equal(loaded.named_buffers()[name], buf)
+    records = mixed_records(24)
+    np.testing.assert_array_equal(predict_logits(loaded, records, 2)[0],
+                                  predict_logits(model, records, 2)[0])
+
+
+@pytest.mark.parametrize("preset", ["shiftcnn", "transformer", "shiftlstm"])
+def test_loaded_parameters_are_private_and_step_like_the_saved_model(tmp_path, preset):
+    model = small_preset(preset, seed=6)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model)
+    loaded, _ = build_from_checkpoint(path)
+    for name, p in loaded.named_parameters().items():
+        flags = p.data.flags
+        assert p.dtype == np.float32, name
+        assert flags.writeable and flags.c_contiguous, name
+        assert flags.owndata, f"{name} is a view, possibly of the file buffer"
+    x = Tensor(features(np.random.default_rng(25), c=16))
+    for m in (model, loaded):
+        optimizer = Optimizer(m, TrainConfig())
+        loss, _ = m.loss(x, np.array([1, 2]))
+        backward(loss)
+        optimizer.step(1e-3)
+    stepped = loaded.named_parameters()
+    for name, p in model.named_parameters().items():
+        np.testing.assert_array_equal(stepped[name].data, p.data, err_msg=name)

@@ -211,6 +211,16 @@ def test_count_shift_preset_with_attention_mixer(capsys):
     assert "differing rows: blocks.0.shift, blocks.1.shift" in out
 
 
+def test_count_draws_no_init(monkeypatch, capsys):
+    """count reads shapes only, so neither model draws its weights."""
+    def no_draw(*args):
+        raise AssertionError("count drew from the init stream")
+
+    monkeypatch.setattr("shiftseq.blocks.model.substream", no_draw)
+    assert main(["count", "--preset", "shiftlstm", "--frames", "10"]) == 0
+    assert "vs no-shift baseline (lstm)" in capsys.readouterr().out
+
+
 def test_count_plain_preset_has_no_baseline(capsys):
     assert main(["count", "--preset", "cnn"]) == 0
     assert "no baseline" in capsys.readouterr().out
