@@ -94,7 +94,7 @@ def temporal_shift(x: Tensor, cfg: ShiftConfig) -> Tensor:
         if bwd_count:
             gx[:, 1:, fwd:split] = g[:, :-1, fwd:split]
             gx[:, 0, fwd:split] = 0.0
-        accumulate_grad(x, gx)
+        accumulate_grad(x, gx, owned=True)
 
     return track(out, (x,), bwd)
 

@@ -4,7 +4,17 @@ Tensors wrap numpy arrays of rank <= 4 in float32 or float64. Differentiable
 operations record their parents and a backward closure on the tensor they
 produce; :func:`backward` replays that record once in reverse topological
 order (the tape), accumulating gradients into every tensor that requires
-them, then severs the graph so intermediate buffers can be collected.
+them. It severs each node as the walk reaches it, and the rest if a
+closure raises, so intermediate buffers are freed early and every
+backward closure runs at most once: a closure may overwrite the buffers
+it saved.
+
+Gradient buffers are owned. An op that hands :func:`accumulate_grad` an
+array it has just allocated, and that nothing else references, marks it
+`owned` and it becomes `.grad` as is; any other array is copied on first
+use. Later uses add in place, so `.grad` keeps its identity across
+accumulations, and across backward calls until `zero_grad`.
+
 Inside :func:`no_grad` nothing is recorded: ops return plain tensors with
 no parents, so a forward-only pass (evaluation, finite differences) keeps
 no closures or saved buffers alive and its values are unchanged.
@@ -106,15 +116,24 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
 
-def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
-    """Add `g` into `t.grad`, allocating on first use. No-op without requires_grad."""
+def accumulate_grad(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add `g` (shaped like `t`) into `t.grad`. No-op without requires_grad.
+
+    On first use `t.grad` becomes a private copy of `g`, or `g` itself when
+    the caller passes ``owned=True``. That promises `g` is a buffer the
+    caller has just allocated and nothing else references: not a view of
+    the output gradient, not a saved buffer still in use, not a broadcast.
+    Later uses add in place into the buffer `t` owns.
+    """
     if not t.requires_grad:
         return
-    g = np.asarray(g, dtype=t.data.dtype)
+    arr = np.asarray(g, dtype=t.data.dtype)
+    if arr.shape != t.data.shape:
+        raise DimensionError(f"gradient of shape {arr.shape} for a tensor of shape {t.shape}")
     if t.grad is None:
-        t.grad = g.copy()
+        t.grad = arr if owned or arr is not g else arr.copy()  # a cast already copied
     else:
-        t.grad = t.grad + g
+        t.grad += arr
 
 
 @contextlib.contextmanager
@@ -136,6 +155,11 @@ def track(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Ten
 
     This is the extension point for fused ops: `backward_fn(g)` receives the
     output gradient and must call :func:`accumulate_grad` on each parent.
+    It runs at most once, so it may overwrite buffers it saved in the
+    forward pass; it must not write to `g`, which `out.grad` still holds.
+    A buffer it allocates for a parent's gradient can be handed over with
+    ``owned=True`` instead of being copied.
+
     The closure is only recorded when some parent requires grad and grad
     mode is on. Model parameters always require grad, so a forward pass
     outside :func:`no_grad`, eval mode (``training=False``) included,
@@ -160,9 +184,10 @@ def backward(loss: Tensor) -> None:
     """Run reverse-mode accumulation from a scalar loss, then drop the tape.
 
     Gradients sum over every use of a tensor. The walk is iterative so deep
-    recurrent graphs do not hit the interpreter recursion limit. After the
-    walk the recorded graph is severed; a second call on the same loss does
-    nothing beyond reseeding `loss.grad`.
+    recurrent graphs do not hit the interpreter recursion limit. Each node
+    is severed when the walk reaches it, and every node left is severed if
+    a closure raises, so no closure ever runs twice; a second call on the
+    same loss does nothing beyond reseeding `loss.grad`.
     """
     if loss.data.size != 1:
         raise UsageError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -184,12 +209,19 @@ def backward(loss: Tensor) -> None:
                 stack.append((parent, False))
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
-    for node in topo:
-        node._parents = ()
-        node._backward = None
+    try:
+        while topo:
+            # sever each node as it is reached: its closure and saved buffers,
+            # and (unless the caller holds it) the node itself, are freed for
+            # the allocations still to come
+            node = topo.pop()
+            fn, node._backward, node._parents = node._backward, None, ()
+            if fn is not None and node.grad is not None:
+                fn(node.grad)
+    finally:
+        for node in topo:
+            node._parents = ()
+            node._backward = None
 
 
 def unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -211,8 +243,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def bwd(g):
-        accumulate_grad(a, unbroadcast(g, a.shape))
-        accumulate_grad(b, unbroadcast(g, b.shape))
+        if a.requires_grad:
+            accumulate_grad(a, unbroadcast(g, a.shape))
+        if b.requires_grad:
+            accumulate_grad(b, unbroadcast(g, b.shape))
 
     return track(out, (a, b), bwd)
 
@@ -222,8 +256,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
 
     def bwd(g):
-        accumulate_grad(a, unbroadcast(g * b.data, a.shape))
-        accumulate_grad(b, unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            accumulate_grad(a, unbroadcast(g * b.data, a.shape), owned=True)
+        if b.requires_grad:
+            accumulate_grad(b, unbroadcast(g * a.data, b.shape), owned=True)
 
     return track(out, (a, b), bwd)
 
@@ -233,7 +269,7 @@ def scale(t: Tensor, s: float) -> Tensor:
     out = t.data * s
 
     def bwd(g):
-        accumulate_grad(t, g * s)
+        accumulate_grad(t, g * s, owned=True)
 
     return track(out, (t,), bwd)
 
@@ -323,12 +359,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = np.matmul(a.data, b.data)
 
     def bwd(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        if b.ndim == 2 and gb.ndim > 2:
-            gb = gb.sum(axis=tuple(range(gb.ndim - 2)))
-        accumulate_grad(a, ga)
-        accumulate_grad(b, gb)
+        if a.requires_grad:
+            accumulate_grad(a, np.matmul(g, np.swapaxes(b.data, -1, -2)), owned=True)
+        if b.requires_grad:
+            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+            if b.ndim == 2 and gb.ndim > 2:
+                gb = gb.sum(axis=tuple(range(gb.ndim - 2)))
+            accumulate_grad(b, gb, owned=True)
 
     return track(out, (a, b), bwd)
 
@@ -394,7 +431,7 @@ def slice_rows(x: Tensor, n: int) -> Tensor:
     def bwd(g):
         full = np.zeros_like(x.data)
         full[:n] = g
-        accumulate_grad(x, full)
+        accumulate_grad(x, full, owned=True)
 
     return track(out, (x,), bwd)
 

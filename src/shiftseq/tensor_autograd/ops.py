@@ -49,14 +49,16 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"linear weight {w.shape} does not fit input {x.shape}")
     if b.ndim != 1 or b.shape[0] != w.shape[1]:
         raise DimensionError(f"linear bias {b.shape} does not fit weight {w.shape}")
-    out = np.matmul(x.data, w.data) + b.data
+    out = np.matmul(x.data, w.data)
+    out += b.data
 
     def bwd(g):
-        accumulate_grad(x, np.matmul(g, w.data.T))
+        if x.requires_grad:
+            accumulate_grad(x, np.matmul(g, w.data.T), owned=True)
         g2 = g.reshape(-1, g.shape[-1])
         x2 = x.data.reshape(-1, x.shape[-1])
-        accumulate_grad(w, x2.T @ g2)
-        accumulate_grad(b, g2.sum(axis=0))
+        accumulate_grad(w, x2.T @ g2, owned=True)
+        accumulate_grad(b, g2.sum(axis=0), owned=True)
 
     return track(out, (x, w, b), bwd)
 
@@ -86,19 +88,30 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     halo = (k - 1) // 2
     xp = _same_pad(x.data, halo)
     out = np.zeros_like(x.data)
+    tmp = np.empty_like(x.data)
     for j in range(k):
-        out += xp[:, j:j + t, :] * kernel.data[j]
+        out += np.multiply(xp[:, j:j + t, :], kernel.data[j], out=tmp)
     out += bias.data
 
     def bwd(g):
-        gxp = np.zeros_like(xp)
+        tmp = np.empty_like(g)
         gk = np.zeros_like(kernel.data)
         for j in range(k):
-            gxp[:, j:j + t, :] += g * kernel.data[j]
-            gk[j] = (xp[:, j:j + t, :] * g).sum(axis=(0, 1))
-        accumulate_grad(x, gxp[:, halo:halo + t, :])
-        accumulate_grad(kernel, gk)
-        accumulate_grad(bias, g.sum(axis=(0, 1)))
+            gk[j] = np.multiply(xp[:, j:j + t, :], g, out=tmp).sum(axis=(0, 1))
+        if x.requires_grad:
+            # the same sums, in the same tap order, as accumulating into a
+            # padded buffer and keeping its interior: tap j moves g by j - halo
+            gx = np.zeros_like(x.data)
+            for j in range(k):
+                d = j - halo
+                if abs(d) >= t:
+                    continue
+                n = t - abs(d)
+                prod = np.multiply(g[:, max(-d, 0):max(-d, 0) + n, :], kernel.data[j], out=tmp[:, :n])
+                gx[:, max(d, 0):max(d, 0) + n, :] += prod
+            accumulate_grad(x, gx, owned=True)
+        accumulate_grad(kernel, gk, owned=True)
+        accumulate_grad(bias, g.sum(axis=(0, 1)), owned=True)
 
     return track(out, (x, kernel, bias), bwd)
 
@@ -138,27 +151,47 @@ def conv1d_full(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     return track(out, (x, kernel, bias), bwd)
 
 
+def _affine(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray, out=None) -> np.ndarray:
+    """gamma * xhat + beta, written into `out` when one is given."""
+    out = np.multiply(xhat, gamma, out=out)
+    out += beta
+    return out
+
+
+def _norm_input_grad(g, gamma, xhat, inv, axis, tmp) -> np.ndarray:
+    """inv * (gx - mean(gx) - xhat * mean(gx * xhat)) with gx = g * gamma.
+
+    The input gradient of a batch-statistics normalization over `axis`, in
+    a fresh buffer; `tmp` (shaped like `g`) is overwritten.
+    """
+    gx = np.multiply(g, gamma)
+    m1 = gx.mean(axis=axis, keepdims=True)
+    m2 = np.multiply(gx, xhat, out=tmp).mean(axis=axis, keepdims=True)
+    gx -= m1
+    gx -= np.multiply(xhat, m2, out=tmp)
+    gx *= inv
+    return gx
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize each (batch, time) slice over channels, then scale and shift."""
     if x.shape[-1] != gamma.shape[-1] or gamma.shape != beta.shape or gamma.ndim != 1:
         raise DimensionError(f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not fit {x.shape}")
     if eps <= 0:
         raise ConfigError(f"layer_norm eps must be positive, got {eps}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.data.dtype))
-    xhat = centered * inv
-    out = gamma.data * xhat + beta.data
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)  # centred, then scaled in place
+    out = np.multiply(xhat, xhat)  # the squares for the variance, then the output
+    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + np.asarray(eps, dtype=x.data.dtype))
+    xhat *= inv
+    _affine(xhat, gamma.data, beta.data, out=out)
 
     def bwd(g):
         lead = _lead_axes(x)
-        accumulate_grad(gamma, (g * xhat).sum(axis=lead))
-        accumulate_grad(beta, g.sum(axis=lead))
-        gx = g * gamma.data
-        gx = inv * (gx - gx.mean(axis=-1, keepdims=True)
-                    - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
-        accumulate_grad(x, gx)
+        tmp = np.multiply(g, xhat)
+        accumulate_grad(gamma, tmp.sum(axis=lead), owned=True)
+        accumulate_grad(beta, g.sum(axis=lead), owned=True)
+        if x.requires_grad:
+            accumulate_grad(x, _norm_input_grad(g, gamma.data, xhat, inv, -1, tmp), owned=True)
 
     return track(out, (x, gamma, beta), bwd)
 
@@ -186,28 +219,33 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
         if n < 2:
             raise DimensionError("batch_norm1d training mode needs more than one (batch, time) sample")
         mu = x.data.mean(axis=(0, 1))
-        centered = x.data - mu
-        var = (centered * centered).mean(axis=(0, 1))
+        xhat = x.data - mu  # centred, then scaled in place
+        out = np.multiply(xhat, xhat)  # the squares for the variance, then the output
+        var = out.mean(axis=(0, 1))
         inv = 1.0 / np.sqrt(var + eps)
-        xhat = centered * inv
+        xhat *= inv
         new_mean = (1.0 - momentum) * running_mean + momentum * mu
         new_var = (1.0 - momentum) * running_var + momentum * var * (n / (n - 1))
     else:
         inv = 1.0 / np.sqrt(running_var + eps)
-        xhat = (x.data - running_mean) * inv
+        xhat = x.data - running_mean
+        xhat *= inv
+        out = None
         new_mean, new_var = running_mean, running_var
-    out = gamma.data * xhat + beta.data
+    out = _affine(xhat, gamma.data, beta.data, out=out)
 
     def bwd(g):
-        accumulate_grad(gamma, (g * xhat).sum(axis=(0, 1)))
-        accumulate_grad(beta, g.sum(axis=(0, 1)))
-        gx = g * gamma.data
+        tmp = np.multiply(g, xhat)
+        accumulate_grad(gamma, tmp.sum(axis=(0, 1)), owned=True)
+        accumulate_grad(beta, g.sum(axis=(0, 1)), owned=True)
+        if not x.requires_grad:
+            return
         if training:
-            gx = inv * (gx - gx.mean(axis=(0, 1))
-                        - xhat * (gx * xhat).mean(axis=(0, 1)))
+            gx = _norm_input_grad(g, gamma.data, xhat, inv, (0, 1), tmp)
         else:
-            gx = gx * inv
-        accumulate_grad(x, gx)
+            gx = np.multiply(g, gamma.data)
+            gx *= inv
+        accumulate_grad(x, gx, owned=True)
 
     return track(out, (x, gamma, beta), bwd), new_mean, new_var
 
@@ -220,15 +258,38 @@ def gelu(x: Tensor) -> Tensor:
     """Tanh-approximation GELU: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))."""
     c = np.asarray(_GELU_C, dtype=x.data.dtype)
     a = np.asarray(_GELU_A, dtype=x.data.dtype)
-    # x*x instead of x**2: float32 integer-power takes a slow generic path
-    sq = x.data * x.data
-    u = c * (x.data + a * (sq * x.data))
-    th = np.tanh(u)
-    out = 0.5 * x.data * (1.0 + th)
+    xd = x.data
+    # In-place ufuncs over the textbook expression's operations, in its
+    # order (a product may swap operands): each full-size temporary would
+    # otherwise cost fresh pages. x*x, not x**2: float32 integer-power
+    # takes a slow generic path.
+    sq = xd * xd
+    th = np.multiply(sq, xd)
+    th *= a
+    th += xd
+    th *= c
+    np.tanh(th, out=th)  # th = tanh(c * (x + a * x^3))
+    out = np.multiply(xd, 0.5)
+    out *= np.add(th, 1.0)  # 0.5 * x * (1 + th)
 
     def bwd(g):
-        du = c * (1.0 + 3.0 * a * sq)
-        accumulate_grad(x, g * (0.5 * (1.0 + th) + 0.5 * x.data * (1.0 - th * th) * du))
+        # g * (0.5 * (1 + th) + 0.5 * x * (1 - th^2) * du) with
+        # du = c * (1 + 3a * x^2), overwriting the saved sq and th
+        du = sq
+        du *= 3.0 * a
+        du += 1.0
+        du *= c
+        one_minus_th2 = np.multiply(th, th)
+        np.subtract(1.0, one_minus_th2, out=one_minus_th2)
+        rest = np.multiply(xd, 0.5)
+        rest *= one_minus_th2
+        rest *= du
+        gx = th
+        gx += 1.0
+        gx *= 0.5
+        gx += rest
+        gx *= g
+        accumulate_grad(x, gx, owned=True)
 
     return track(out, (x,), bwd)
 
@@ -240,8 +301,11 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     out = e / e.sum(axis=axis, keepdims=True)
 
     def bwd(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        accumulate_grad(x, out * (g - dot))
+        gx = g * out
+        dot = gx.sum(axis=axis, keepdims=True)
+        np.subtract(g, dot, out=gx)
+        gx *= out
+        accumulate_grad(x, gx, owned=True)
 
     return track(out, (x,), bwd)
 
@@ -264,7 +328,7 @@ def rel_position_bias(table: Tensor, t: int) -> Tensor:
         heads = table.shape[0]
         hidx = np.arange(heads)[:, None, None]
         np.add.at(gt, (hidx, idx[None, :, :]), g)
-        accumulate_grad(table, gt)
+        accumulate_grad(table, gt, owned=True)
 
     return track(out, (table,), bwd)
 
@@ -346,7 +410,9 @@ def avg_pool_mixer(x: Tensor, window: int = 3) -> Tensor:
             sums[:, :t - off, :] += x.data[:, off:, :]
         else:
             sums[:, -off:, :] += x.data[:, :t + off, :]
-    out = sums / counts - x.data
+    out = sums
+    out /= counts
+    out -= x.data
 
     def bwd(g):
         gavg = g / counts
@@ -356,7 +422,8 @@ def avg_pool_mixer(x: Tensor, window: int = 3) -> Tensor:
                 gx[:, off:, :] += gavg[:, :t - off, :]
             else:
                 gx[:, :t + off, :] += gavg[:, -off:, :]
-        accumulate_grad(x, gx - g)
+        gx -= g
+        accumulate_grad(x, gx, owned=True)
 
     return track(out, (x,), bwd)
 
@@ -511,14 +578,17 @@ def bilstm(x: Tensor, forward: LstmDirection, backward: LstmDirection,
                 halves, saved, (g[:, :, :hidden], g[:, :, hidden:])):
             dpre = _lstm_backward(g_half, buffers, p.w_hh.data, mask, reverse)
             dpre2 = dpre.reshape(b * t, 4 * hidden)
-            accumulate_grad(p.w_ih, x2.T @ dpre2)
-            accumulate_grad(p.w_hh, _previous_hidden(h_out, reverse).T @ dpre2)
-            accumulate_grad(p.b, dpre2.sum(axis=0))
+            accumulate_grad(p.w_ih, x2.T @ dpre2, owned=True)
+            accumulate_grad(p.w_hh, _previous_hidden(h_out, reverse).T @ dpre2, owned=True)
+            accumulate_grad(p.b, dpre2.sum(axis=0), owned=True)
             if x.requires_grad:
                 dx = dpre2 @ p.w_ih.data.T
-                gx = dx if gx is None else gx + dx
+                if gx is None:
+                    gx = dx
+                else:
+                    gx += dx
         if gx is not None:
-            accumulate_grad(x, gx.reshape(b, t, c))
+            accumulate_grad(x, gx.reshape(b, t, c), owned=True)
 
     return track(out, (x, forward.w_ih, forward.w_hh, forward.b,
                        backward.w_ih, backward.w_hh, backward.b), bwd)
@@ -535,7 +605,7 @@ def mean_pool_time(x: Tensor, lengths) -> Tensor:
     out = (x.data * mask[:, :, None]).sum(axis=1) / denom
 
     def bwd(g):
-        accumulate_grad(x, mask[:, :, None] * (g / denom)[:, None, :])
+        accumulate_grad(x, mask[:, :, None] * (g / denom)[:, None, :], owned=True)
 
     return track(out, (x,), bwd)
 
@@ -558,8 +628,9 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     out = np.asarray(nll.mean(), dtype=logits.data.dtype)
 
     def bwd(g):
-        glogits = probs.copy()
+        glogits = probs  # saved for this closure only, which runs at most once
         glogits[rows, labels] -= 1.0
-        accumulate_grad(logits, glogits * (g / b))
+        glogits *= g / b
+        accumulate_grad(logits, glogits, owned=True)
 
     return track(out, (logits,), bwd)

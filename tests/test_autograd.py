@@ -181,9 +181,128 @@ class TestBackward:
         assert loss._parents == () and loss._backward is None
         assert mid._parents == () and mid._backward is None
 
+    def test_graph_severed_when_a_closure_raises(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+
+        def failing(t):
+            def bwd(g):
+                raise RuntimeError("backward failed")
+            return track(t.data * 2.0, (t,), bwd)
+
+        mid = mul(x, x)
+        bad = failing(mid)
+        top = scale(bad, 3.0)
+        loss = sum_all(top)
+        with pytest.raises(RuntimeError):
+            backward(loss)
+        for node in (loss, top, bad, mid, x):
+            assert node._parents == () and node._backward is None
+        assert x.grad is None
+        backward(loss)  # nothing left to replay
+        assert x.grad is None
+
     def test_no_graph_without_requires_grad(self):
         y = mul(Tensor([1.0]), Tensor([2.0]))
         assert y._parents == () and not y.requires_grad
+
+
+class TestAccumulateGrad:
+    def test_owned_buffer_is_stored_as_is(self):
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        g = np.ones((2, 3))
+        accumulate_grad(x, g, owned=True)
+        assert x.grad is g
+
+    def test_unowned_buffer_is_copied(self):
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        g = np.ones((2, 3))
+        accumulate_grad(x, g)
+        assert x.grad is not g and not np.shares_memory(x.grad, g)
+        g[0, 0] = 5.0
+        np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
+
+    def test_broadcast_view_is_copied_into_a_writable_buffer(self):
+        x = Tensor(np.zeros((2, 3), np.float32), requires_grad=True)
+        accumulate_grad(x, np.broadcast_to(np.float32(2.0), (2, 3)))
+        assert x.grad.flags.writeable and x.grad.flags.c_contiguous
+        accumulate_grad(x, np.ones((2, 3), np.float32))
+        np.testing.assert_array_equal(x.grad, np.full((2, 3), 3.0))
+
+    def test_cast_gradient_takes_the_tensor_dtype(self):
+        x = Tensor(np.zeros(3, np.float32), requires_grad=True)
+        g = np.full(3, 1.0 + 2.0 ** -40)  # rounds to 1 in float32
+        accumulate_grad(x, g)
+        accumulate_grad(x, g, owned=True)
+        assert x.grad.dtype == np.float32
+        np.testing.assert_array_equal(x.grad, np.full(3, 2.0, np.float32))
+
+    def test_second_accumulation_adds_in_place(self):
+        x = Tensor(np.zeros(4), requires_grad=True)
+        first = np.arange(4.0)
+        second = np.full(4, 0.5)
+        accumulate_grad(x, first, owned=True)
+        accumulate_grad(x, second)
+        assert x.grad is first
+        np.testing.assert_array_equal(x.grad, np.arange(4.0) + 0.5)
+        np.testing.assert_array_equal(second, np.full(4, 0.5))
+
+    def test_no_op_without_requires_grad(self):
+        x = Tensor(np.zeros(2))
+        accumulate_grad(x, np.ones(2), owned=True)
+        assert x.grad is None
+
+    def test_wrong_shape_rejected_on_first_use(self):
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        with pytest.raises(DimensionError):
+            accumulate_grad(x, np.ones(3))
+        assert x.grad is None
+
+    def test_wrong_shape_rejected_on_later_use(self):
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        accumulate_grad(x, np.ones((2, 3)))
+        with pytest.raises(DimensionError):
+            accumulate_grad(x, np.ones((4, 2, 3)), owned=True)
+        np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
+
+    def test_add_of_a_tensor_with_itself(self):
+        x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        backward(sum_all(mul(add(x, x), Tensor([1.0, 2.0, 3.0]))))
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0, 6.0])
+
+    def test_residual_sum(self):
+        # loss = sum(r * (x + x*x)): d/dx = r * (1 + 2x), summed over the skip and the branch
+        x = Tensor([0.5, -1.0, 2.0], requires_grad=True)
+        r = Tensor([1.0, 3.0, -2.0])
+        backward(sum_all(mul(add(x, mul(x, x)), r)))
+        np.testing.assert_array_equal(x.grad, r.data * (1.0 + 2.0 * x.data))
+
+    def test_grad_persists_across_backward_calls_in_place(self):
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        backward(sum_all(mul(w, Tensor([3.0, 4.0]))))
+        held = w.grad
+        backward(sum_all(mul(w, Tensor([1.0, 1.0]))))
+        assert w.grad is held
+        np.testing.assert_array_equal(held, [4.0, 5.0])
+
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("op", ["add", "mul", "matmul"])
+    def test_parent_without_requires_grad_gets_nothing(self, op, swap):
+        tracked = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        free = Tensor(np.full((2, 3), 2.0))
+        if op == "matmul":
+            free = Tensor(np.arange(6.0).reshape(3, 2)) if not swap else Tensor(np.ones((4, 2)))
+        fn = {"add": add, "mul": mul, "matmul": matmul}[op]
+        out = fn(free, tracked) if swap else fn(tracked, free)
+        g = np.random.default_rng(0).standard_normal(out.shape)
+        backward(sum_all(mul(out, Tensor(g))))
+        assert free.grad is None
+        if op == "add":
+            expected = g
+        elif op == "mul":
+            expected = g * free.data
+        else:
+            expected = free.data.T @ g if swap else g @ free.data.T
+        np.testing.assert_array_equal(tracked.grad, expected)
 
 
 class TestNoGrad:

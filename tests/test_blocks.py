@@ -501,6 +501,28 @@ def test_loss_backward_reaches_every_parameter(family, kw):
         assert np.all(np.isfinite(p.grad)), name
 
 
+@pytest.mark.parametrize("preset", PRESETS)
+def test_train_step_gradients_own_their_buffers(preset):
+    model = build_model(preset_config(preset, width=16, num_classes=3, num_input_layers=2), seed=0)
+    opt = Optimizer(model, TrainConfig())
+    x = Tensor(features(np.random.default_rng(5), b=3, t=9, c=16))
+    loss, _ = model.loss(x, np.array([0, 2, 1]), lengths=np.array([9, 6, 9]), training=True,
+                         augment_prob=1.0, rng=np.random.default_rng(0))
+    backward(loss)
+    opt.step(1e-3)
+    params = model.named_parameters()
+    grads = list(params.items())
+    for i, (name, p) in enumerate(grads):
+        g = p.grad
+        assert g is not None, name
+        assert g.flags.writeable and g.flags.c_contiguous, name
+        assert g.dtype == p.dtype and g.shape == p.shape, name
+        for other, q in grads[i + 1:]:
+            assert not np.shares_memory(g, q.grad), (name, other)
+        for other, q in grads:
+            assert not np.shares_memory(g, q.data), (name, other)
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
