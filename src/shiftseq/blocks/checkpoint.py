@@ -16,8 +16,9 @@ Layout (all integers little-endian u32 unless noted):
 Loading validates every length against the remaining byte count before
 allocating, so a truncated or corrupted file raises CheckpointError rather
 than producing a half-filled model. Each payload is copied out of the file
-buffer once; the rebuilt model takes those arrays as its parameters. The
-model is built without drawing an init, which is safe because the name and
+buffer once; the rebuilt model takes those arrays as its parameters and
+copies the buffer records into its own running-stat arrays. The model is
+built without drawing an init, which is safe because the name and
 shape checks require the file to supply every parameter and buffer.
 """
 
@@ -117,26 +118,29 @@ def load_checkpoint(path) -> tuple[ModelConfig, "dict[str, np.ndarray]", "dict[s
     return cfg, params, buffers, payload.get("extra", {})
 
 
+def _check_records(kind: str, own: dict, records: dict) -> None:
+    """Require `records` to hold exactly the names of `own`, each at its shape."""
+    missing = sorted(set(own) - set(records))
+    surplus = sorted(set(records) - set(own))
+    if missing or surplus:
+        raise CheckpointError(
+            f"{kind} names do not match the config: missing {missing}, surplus {surplus}")
+    for name, value in own.items():
+        if records[name].shape != value.shape:
+            raise CheckpointError(
+                f"{kind} {name!r} has shape {records[name].shape}, model expects {value.shape}")
+
+
 def build_from_checkpoint(path) -> tuple[SequenceClassifier, dict]:
     """Rebuild a model from a checkpoint; returns (model, extra)."""
     cfg, params, buffers, extra = load_checkpoint(path)
     model = build_model(cfg, seed=None)
     own = model.named_parameters()
-    missing = sorted(set(own) - set(params))
-    surplus = sorted(set(params) - set(own))
-    if missing or surplus:
-        raise CheckpointError(
-            f"parameter names do not match the config: missing {missing}, surplus {surplus}")
+    _check_records("parameter", own, params)
     for name, tensor in own.items():
-        if params[name].shape != tensor.shape:
-            raise CheckpointError(
-                f"parameter {name!r} has shape {params[name].shape}, model expects {tensor.shape}")
         tensor.data = params[name].astype(tensor.dtype, copy=False)
     own_buffers = model.named_buffers()
-    if sorted(buffers) != sorted(own_buffers):
-        raise CheckpointError(
-            f"buffer names do not match the config: file has {sorted(buffers)}, "
-            f"model expects {sorted(own_buffers)}")
-    for name, arr in buffers.items():
-        model.set_buffer(name, arr)
+    _check_records("buffer", own_buffers, buffers)
+    for name, buf in own_buffers.items():
+        buf[...] = buffers[name]
     return model, extra

@@ -45,6 +45,7 @@ from ..tensor_autograd import (
     mean_pool_time,
     mhsa,
     mul,
+    named_tensors,
     reduce_sum,
     reshape,
     softmax,
@@ -63,8 +64,9 @@ class ModelConfig:
     channels is (in, mid, out) for the cnn/transformer families with
     out == in, and (in, 2*hidden) for the lstm family. `mixer` selects the
     transformer token mixer; "none" drops the mixing sub-layer entirely,
-    leaving a per-frame pointwise MLP. `kernel` applies to the cnn family
-    and `heads`/`pos`/`clip_dist`/`max_len` to the attention mixer.
+    leaving a per-frame pointwise MLP; the cnn and lstm families take only
+    the default. `kernel` applies to the cnn family and
+    `heads`/`pos`/`clip_dist`/`max_len` to the attention mixer.
     """
 
     family: str
@@ -109,9 +111,12 @@ class ModelConfig:
             raise ConfigError(f"norm must be one of {NORMS}, got {self.norm!r}")
         if self.mixer not in MIXERS:
             raise ConfigError(f"mixer must be one of {MIXERS}, got {self.mixer!r}")
+        # every saved config carries the default mixer, whatever its family
+        if self.family != "transformer" and self.mixer != "attention":
+            raise ConfigError(f"mixer {self.mixer!r} needs the transformer family, got {self.family!r}")
+        if self.mixer == "none" and self.shift is not None and self.shift.placement == "residual":
+            raise ConfigError("a residual shift needs a token mixer branch to run on; mixer is 'none'")
         if self.mixer == "shift":
-            if self.family != "transformer":
-                raise ConfigError(f"mixer 'shift' needs the transformer family, got {self.family!r}")
             if self.shift is None:
                 raise ConfigError("mixer 'shift' needs a shift config")
             if self.shift.placement != "residual":
@@ -202,9 +207,6 @@ class LayerNormLayer:
     def named_parameters(self):
         return [("gamma", self.gamma), ("beta", self.beta)]
 
-    def named_buffers(self):
-        return []
-
 
 class BatchNormLayer:
     def __init__(self, width: int, dtype):
@@ -247,7 +249,6 @@ class DepthwiseConvLayer:
 class AttentionLayer:
     def __init__(self, rng, width: int, heads: int, pos: str, clip_dist: int, max_len: int, dtype):
         self.heads = heads
-        self.pos = pos
         std = 1.0 / math.sqrt(width)
 
         def w():
@@ -265,18 +266,10 @@ class AttentionLayer:
                                       wo=w(), bo=b(), rel_table=rel, abs_table=abs_t)
 
     def forward(self, x: Tensor) -> Tensor:
-        return mhsa(x, self.params, self.heads, self.pos)
+        return mhsa(x, self.params, self.heads)
 
     def named_parameters(self):
-        names = [("wq", self.params.wq), ("bq", self.params.bq),
-                 ("wk", self.params.wk), ("bk", self.params.bk),
-                 ("wv", self.params.wv), ("bv", self.params.bv),
-                 ("wo", self.params.wo), ("bo", self.params.bo)]
-        if self.params.rel_table is not None:
-            names.append(("rel_table", self.params.rel_table))
-        if self.params.abs_table is not None:
-            names.append(("abs_table", self.params.abs_table))
-        return names
+        return named_tensors(self.params)
 
 
 class BiLstmLayer:
@@ -299,8 +292,8 @@ class BiLstmLayer:
         return bilstm(x, self.fw, self.bw, lengths)
 
     def named_parameters(self):
-        return [("fw.w_ih", self.fw.w_ih), ("fw.w_hh", self.fw.w_hh), ("fw.b", self.fw.b),
-                ("bw.w_ih", self.bw.w_ih), ("bw.w_hh", self.bw.w_hh), ("bw.b", self.bw.b)]
+        return [(f"{prefix}.{name}", p) for prefix, direction in (("fw", self.fw), ("bw", self.bw))
+                for name, p in named_tensors(direction)]
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +478,7 @@ class SequenceClassifier:
         self._check_features(features)
         x = weighted_layer_sum(features, self.layer_weights)
         if training and augment_prob > 0.0:
-            x = shift_augment(x, self.augment_config(), augment_prob, rng, training=True)
+            x = shift_augment(x, self.augment_config(), augment_prob, rng)
         for block in self.blocks:
             x = block.forward(x, training, lengths)
         return x
@@ -516,22 +509,13 @@ class SequenceClassifier:
         return out
 
     def named_buffers(self) -> "OrderedDict[str, np.ndarray]":
+        """The running-stat arrays themselves, for layers that keep any."""
         out: OrderedDict[str, np.ndarray] = OrderedDict()
         for i, block in enumerate(self.blocks):
             for sub_name, layer in block.sublayers():
                 for b_name, buf in getattr(layer, "named_buffers", list)():
                     out[f"blocks.{i}.{sub_name}.{b_name}"] = buf
         return out
-
-    def set_buffer(self, name: str, value: np.ndarray) -> None:
-        parts = name.split(".")
-        if parts[0] != "blocks":
-            raise KeyError(name)
-        layer = dict(self.blocks[int(parts[1])].sublayers())[parts[2]]
-        current = getattr(layer, parts[3])
-        if current.shape != value.shape:
-            raise DimensionError(f"buffer {name} has shape {current.shape}, got {value.shape}")
-        setattr(layer, parts[3], value.astype(current.dtype))
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.named_parameters().values())

@@ -113,8 +113,11 @@ def write_atomic(path, chunks) -> None:
         raise
 
 
-def write_fseq(path, records, k_cls: int, class_names=None, gen_config=None) -> None:
-    """Write records plus a JSON manifest sidecar at `<path>.manifest.json`."""
+def write_fseq(path, records, k_cls: int, gen_config=None) -> None:
+    """Write records plus a JSON manifest sidecar at `<path>.manifest.json`.
+
+    The manifest names the classes `class_0` ... `class_<k_cls-1>`.
+    """
     if k_cls < 1:
         raise FseqRecordError(f"k_cls must be at least 1, got {k_cls}")
     chunks = [FSEQ_MAGIC, struct.pack("<III", FSEQ_VERSION, k_cls, len(records))]
@@ -140,8 +143,7 @@ def write_fseq(path, records, k_cls: int, class_names=None, gen_config=None) -> 
     groups = sorted({rec.group for rec in records})
     manifest = {
         "k_cls": k_cls,
-        "class_names": list(class_names) if class_names else
-                       [f"class_{i}" for i in range(k_cls)],
+        "class_names": [f"class_{i}" for i in range(k_cls)],
         "num_groups": len(groups),
         "groups": groups,
         "record_count": len(records),
@@ -182,10 +184,8 @@ class ByteReader:
             raise self.error(f"{len(self.buf) - self.pos} trailing bytes after {after}")
 
 
-def read_fseq(path, max_frames: int | None = None) -> FseqFile:
-    """Parse an FSEQ file; optionally truncate every record to `max_frames`."""
-    if max_frames is not None and max_frames < 1:
-        raise ConfigError(f"max_frames must be at least 1, got {max_frames}")
+def read_fseq(path) -> FseqFile:
+    """Parse an FSEQ file; every record keeps all of its frames."""
     with open(path, "rb") as f:
         cur = ByteReader(f.read(), FseqTruncatedError, "FSEQ file")
     if cur.take(4, "magic") != FSEQ_MAGIC:
@@ -209,8 +209,6 @@ def read_fseq(path, max_frames: int | None = None) -> FseqFile:
         data = np.frombuffer(payload, dtype="<f4").reshape(length, t, c).astype(np.float32)
         if not np.all(np.isfinite(data)):
             raise FseqNonFiniteError(f"record {i} contains nonfinite values")
-        if max_frames is not None and t > max_frames:
-            data = data[:, :max_frames, :]
         records.append(FeatureSequence(label=int(label), group=int(group), data=data))
     cur.finish("last record")
     return FseqFile(k_cls=k_cls, records=records)
@@ -344,17 +342,12 @@ class FoldPlan:
     test_indices: tuple
 
 
-def assign_folds(records, n_folds: int | None = None) -> list:
-    """One fold per group: fold i holds out the i-th smallest group id."""
+def assign_folds(records) -> list:
+    """Leave-one-group-out: one fold per distinct group id, so the fold
+    count is the group count. Fold i holds out the i-th smallest group id."""
     if not records:
         raise ConfigError("cannot assign folds over an empty record list")
     groups = sorted({rec.group for rec in records})
-    if n_folds is None:
-        n_folds = len(groups)
-    if n_folds != len(groups):
-        raise ConfigError(
-            f"n_folds={n_folds} but the records contain {len(groups)} groups; "
-            f"leave-one-group-out needs one fold per group")
     plans = []
     for fold, test_group in enumerate(groups):
         test = tuple(i for i, rec in enumerate(records) if rec.group == test_group)

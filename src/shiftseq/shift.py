@@ -100,20 +100,17 @@ def temporal_shift(x: Tensor, cfg: ShiftConfig) -> Tensor:
 
 
 def shift_augment(x: Tensor, cfg: ShiftConfig, prob: float = 0.5,
-                  rng: np.random.Generator | None = None,
-                  training: bool = True) -> Tensor:
+                  rng: np.random.Generator | None = None) -> Tensor:
     """Apply temporal_shift to the whole batch with probability `prob`.
 
-    Training mode draws exactly one uniform sample per call (even for prob 0
-    or 1) so downstream random streams stay aligned across configurations.
-    Evaluation mode is always the identity.
+    A training-time augmentation: callers skip it outside training. Each
+    call draws exactly one uniform sample (even for prob 0 or 1) so
+    downstream random streams stay aligned across configurations.
     """
     if not 0.0 <= prob <= 1.0:
         raise ConfigError(f"augmentation probability must lie in [0, 1], got {prob}")
-    if not training:
-        return x
     if rng is None:
-        raise UsageError("shift_augment in training mode needs an explicit rng")
+        raise UsageError("shift_augment needs an explicit rng")
     if rng.random() < prob:
         return temporal_shift(x, cfg)
     return x

@@ -8,6 +8,7 @@ at float64 for gradient checking and float32 for training.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -173,15 +174,18 @@ def _norm_input_grad(g, gamma, xhat, inv, axis, tmp) -> np.ndarray:
     return gx
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each (batch, time) slice over channels, then scale and shift."""
+NORM_EPS = 1e-5
+BN_MOMENTUM = 0.1
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize each (batch, time) slice over channels (NORM_EPS added to
+    the variance), then scale and shift."""
     if x.shape[-1] != gamma.shape[-1] or gamma.shape != beta.shape or gamma.ndim != 1:
         raise DimensionError(f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not fit {x.shape}")
-    if eps <= 0:
-        raise ConfigError(f"layer_norm eps must be positive, got {eps}")
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)  # centred, then scaled in place
     out = np.multiply(xhat, xhat)  # the squares for the variance, then the output
-    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + np.asarray(eps, dtype=x.data.dtype))
+    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + np.asarray(NORM_EPS, dtype=x.data.dtype))
     xhat *= inv
     _affine(xhat, gamma.data, beta.data, out=out)
 
@@ -198,13 +202,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
                  running_mean: np.ndarray, running_var: np.ndarray,
-                 eps: float = 1e-5, momentum: float = 0.1,
                  training: bool = False) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Normalize per channel over the (batch, time) axes.
 
     Training mode normalizes by batch statistics and returns running stats
-    blended with momentum (variance stored unbiased, as is conventional);
-    eval mode normalizes by the running stats and returns them unchanged.
+    blended with momentum BN_MOMENTUM (variance stored unbiased, as is
+    conventional); eval mode normalizes by the running stats and returns
+    them unchanged. Both add NORM_EPS to the variance.
     """
     if x.ndim != 3:
         raise DimensionError(f"batch_norm1d expects rank-3 input, got {x.shape}")
@@ -213,7 +217,7 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
                       ("running_mean", running_mean), ("running_var", running_var)):
         if arr.shape != (c,):
             raise DimensionError(f"batch_norm1d {name} shape {arr.shape} does not fit input {x.shape}")
-    eps = np.asarray(eps, dtype=x.data.dtype)
+    eps = np.asarray(NORM_EPS, dtype=x.data.dtype)
     if training:
         n = x.shape[0] * x.shape[1]
         if n < 2:
@@ -224,8 +228,8 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
         var = out.mean(axis=(0, 1))
         inv = 1.0 / np.sqrt(var + eps)
         xhat *= inv
-        new_mean = (1.0 - momentum) * running_mean + momentum * mu
-        new_var = (1.0 - momentum) * running_var + momentum * var * (n / (n - 1))
+        new_mean = (1.0 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mu
+        new_var = (1.0 - BN_MOMENTUM) * running_var + BN_MOMENTUM * var * (n / (n - 1))
     else:
         inv = 1.0 / np.sqrt(running_var + eps)
         xhat = x.data - running_mean
@@ -337,8 +341,10 @@ def rel_position_bias(table: Tensor, t: int) -> Tensor:
 class AttentionParams:
     """Projection weights for multi-head self-attention.
 
-    `rel_table` (heads, 2*D+1) serves relative position mode; `abs_table`
-    (max_len, C) serves absolute mode; both None for position mode "none".
+    The position tables are optional and each one present is used:
+    `rel_table` (heads, 2*D+1) adds a learned bias per head and clipped
+    query-key distance to the attention logits; `abs_table` (max_len, C)
+    adds a learned embedding to each frame before the projections.
     """
 
     wq: Tensor
@@ -353,20 +359,28 @@ class AttentionParams:
     abs_table: Tensor | None = None
 
 
-def mhsa(x: Tensor, params: AttentionParams, heads: int, pos_mode: str = "relative") -> Tensor:
-    """Multi-head scaled dot-product self-attention with optional position bias."""
+def named_tensors(params) -> list:
+    """(field name, tensor) for each field of a parameter dataclass that is
+    not None, in declaration order: the order parameters are saved in."""
+    return [(f.name, getattr(params, f.name)) for f in dataclasses.fields(params)
+            if getattr(params, f.name) is not None]
+
+
+def mhsa(x: Tensor, params: AttentionParams, heads: int) -> Tensor:
+    """Multi-head scaled dot-product self-attention.
+
+    Positions enter through whichever tables `params` holds (see
+    :class:`AttentionParams`); with neither, attention is order-blind.
+    """
     if x.ndim != 3:
         raise DimensionError(f"mhsa expects rank-3 input, got {x.shape}")
     b, t, c = x.shape
     if heads < 1 or c % heads != 0:
         raise ConfigError(f"channel count {c} is not divisible by heads {heads}")
-    if pos_mode not in ("relative", "absolute", "none"):
-        raise ConfigError(f"unknown position mode {pos_mode!r}")
-    if pos_mode == "relative" and params.rel_table is None:
-        raise ConfigError("relative position mode needs a rel_table")
-    if pos_mode == "absolute":
-        if params.abs_table is None:
-            raise ConfigError("absolute position mode needs an abs_table")
+    if params.rel_table is not None and params.rel_table.shape[0] != heads:
+        raise DimensionError(
+            f"relative bias table {params.rel_table.shape} needs one row per head ({heads})")
+    if params.abs_table is not None:
         if params.abs_table.shape[0] < t:
             raise DimensionError(
                 f"sequence length {t} exceeds the absolute position table ({params.abs_table.shape[0]})")
@@ -380,7 +394,7 @@ def mhsa(x: Tensor, params: AttentionParams, heads: int, pos_mode: str = "relati
     k = split(linear(x, params.wk, params.bk))
     v = split(linear(x, params.wv, params.bv))
     logits = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(head_dim))
-    if pos_mode == "relative":
+    if params.rel_table is not None:
         logits = add(logits, rel_position_bias(params.rel_table, t))
     attn = softmax(logits, axis=-1)
     mixed = matmul(attn, v)
@@ -450,7 +464,7 @@ def _gate_views(gates: np.ndarray, hidden: int):
 
 
 def _lstm_forward(xw: np.ndarray, w_hh: np.ndarray, out: np.ndarray,
-                  mask: np.ndarray | None, reverse: bool):
+                  mask: np.ndarray, reverse: bool):
     """Run one direction's recurrence over the hoisted input projection `xw`.
 
     Writes the hidden states into `out` (a (B, T, H) view) and returns the
@@ -479,9 +493,8 @@ def _lstm_forward(xw: np.ndarray, w_hh: np.ndarray, out: np.ndarray,
         c = gf * c + gi * gg
         tanh_c = np.tanh(c)
         h = go * tanh_c
-        if mask is not None:
-            c *= mask[:, step]
-            h *= mask[:, step]
+        c *= mask[:, step]
+        h *= mask[:, step]
         cells[:, step] = c
         tanh_cells[:, step] = tanh_c
         out[:, step] = h
@@ -489,7 +502,7 @@ def _lstm_forward(xw: np.ndarray, w_hh: np.ndarray, out: np.ndarray,
 
 
 def _lstm_backward(g: np.ndarray, saved, w_hh: np.ndarray,
-                   mask: np.ndarray | None, reverse: bool) -> np.ndarray:
+                   mask: np.ndarray, reverse: bool) -> np.ndarray:
     """BPTT for one direction; returns d(pre-activation) for every frame, (B, T, 4H).
 
     `g` is the gradient of this direction's hidden outputs and `saved` the
@@ -507,9 +520,8 @@ def _lstm_backward(g: np.ndarray, saved, w_hh: np.ndarray,
         gi, gf, gg, go = _gate_views(gates_all[:, step], hidden)
         tanh_c = tanh_cells[:, step]
         dh = g[:, step] + dh_next
-        if mask is not None:
-            dh *= mask[:, step]
-            dc_next *= mask[:, step]
+        dh *= mask[:, step]
+        dc_next *= mask[:, step]
         dc = dc_next + dh * go * (1.0 - tanh_c * tanh_c)
         d = dpre[:, step]
         d[:, :hidden] = dc * gg * gi * (1.0 - gi)
@@ -536,10 +548,11 @@ def bilstm(x: Tensor, forward: LstmDirection, backward: LstmDirection,
     """Bidirectional LSTM over time; per-direction outputs concatenated on channels.
 
     Standard gates (sigmoid input/forget/output, tanh cell) with zero initial
-    states; output shape (B, T, 2H). With `lengths`, frames at or past
-    lengths[b] are padding: the reverse direction starts from zero state at
-    each record's last real frame, and both directions output zero on
-    padded frames. Without it every frame is real.
+    states; output shape (B, T, 2H). Frames at or past lengths[b] are
+    padding: the reverse direction starts from zero state at each record's
+    last real frame, and both directions output zero on padded frames.
+    `lengths=None` means every frame is real; the all-ones mask it builds
+    leaves every value unchanged.
 
     One fused graph node: each direction's input projection is a single
     (B*T, C) @ (C, 4H) GEMM hoisted out of the recurrence; only h @ w_hh runs
@@ -557,11 +570,8 @@ def bilstm(x: Tensor, forward: LstmDirection, backward: LstmDirection,
                 or p.b.shape != (4 * hidden,):
             raise DimensionError(
                 f"lstm parameter shapes {p.w_ih.shape}/{p.w_hh.shape}/{p.b.shape} do not fit input {x.shape}")
-    mask = None  # every frame is real
-    if lengths is not None:
-        lengths = _check_lengths(lengths, b, t)
-        if lengths.min() < t:
-            mask = (np.arange(t)[None, :] < lengths[:, None]).astype(x.data.dtype)[:, :, None]
+    lengths = np.full(b, t) if lengths is None else _check_lengths(lengths, b, t)
+    mask = (np.arange(t)[None, :] < lengths[:, None]).astype(x.data.dtype)[:, :, None]
     x2 = x.data.reshape(b * t, c)
     out = np.empty((b, t, 2 * hidden), dtype=x.data.dtype)
     halves = ((forward, False, out[:, :, :hidden]), (backward, True, out[:, :, hidden:]))

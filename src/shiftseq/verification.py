@@ -38,6 +38,7 @@ from .tensor_autograd import (
     mean_pool_time,
     mhsa,
     mul,
+    named_tensors,
     reduce_sum,
     rel_position_bias,
     sigmoid,
@@ -79,9 +80,9 @@ def _mhsa_case(pos: str):
         x = _t(rng, 2, 5, 6)
 
         def f(x_in, *_):
-            return mhsa(x_in, params, 2, pos)
+            return mhsa(x_in, params, 2)
 
-        return f, [x] + _params_list(params)
+        return f, [x] + _tensors(params)
     return build
 
 
@@ -94,7 +95,7 @@ def _bilstm_case(lengths=None):
         def f(x_in, *_):
             return bilstm(x_in, fw, bw, lengths)
 
-        return f, [x] + _direction_list(fw) + _direction_list(bw)
+        return f, [x] + _tensors(fw) + _tensors(bw)
     return build
 
 
@@ -208,17 +209,8 @@ def _suite_cases():
     return cases
 
 
-def _params_list(p: AttentionParams):
-    out = [p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo]
-    if p.rel_table is not None:
-        out.append(p.rel_table)
-    if p.abs_table is not None:
-        out.append(p.abs_table)
-    return out
-
-
-def _direction_list(d: LstmDirection):
-    return [d.w_ih, d.w_hh, d.b]
+def _tensors(params) -> list:
+    return [t for _, t in named_tensors(params)]
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,16 @@
 """Cost reports: parameter totals, FLOP formulas, and zero-cost shift rows."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from shiftseq.accounting import CostEntry, CostReport, count_flops, count_params
 from shiftseq.blocks import ModelConfig, build_model, preset_config
-from shiftseq.errors import UsageError
-from shiftseq.shift import ShiftConfig
+from shiftseq.blocks.model import FAMILIES, MIXERS
+from shiftseq.errors import ConfigError, UsageError
+from shiftseq.shift import DIRECTIONS, PLACEMENTS, ShiftConfig, temporal_shift
+from shiftseq.tensor_autograd import Tensor
 
 
 def small(family="cnn", **kw):
@@ -185,3 +189,35 @@ def test_count_flops_rejects_bad_frames():
 def test_entry_lookup_raises_on_missing_name():
     with pytest.raises(KeyError):
         count_params(small("cnn")).entry("blocks.9.dw")
+
+
+# ---------------------------------------------------------------------------
+# every counted shift row is a shift that runs
+# ---------------------------------------------------------------------------
+
+def test_shift_rows_match_shifts_run(monkeypatch):
+    """One eval forward calls temporal_shift once per *.shift / *.mixer_shift row."""
+    calls = []
+
+    def counting_shift(x, cfg):
+        calls.append(cfg)
+        return temporal_shift(x, cfg)
+
+    monkeypatch.setattr("shiftseq.blocks.model.temporal_shift", counting_shift)
+    checked = 0
+    for family, mixer, placement, direction in itertools.product(FAMILIES, MIXERS, PLACEMENTS, DIRECTIONS):
+        try:
+            model = small(family, mixer=mixer,
+                          shift=ShiftConfig(alpha=0.25, direction=direction, placement=placement))
+        except ConfigError:
+            continue
+        rows = [e.name for e in count_flops(model, 6).entries
+                if e.name.endswith((".shift", ".mixer_shift"))]
+        calls.clear()
+        x = np.random.default_rng(0).standard_normal((2, 2, 6, model.cfg.channels[0]))
+        model.forward(Tensor(x.astype(np.float32)))
+        assert len(calls) == len(rows), (family, mixer, placement, direction, rows)
+        checked += 1
+    # 4 placement x direction pairs: cnn and lstm take the default mixer only;
+    # the transformer takes all 4 mixers but neither shift + in_place nor none + residual
+    assert checked == 4 + 4 + (4 * 4 - 2 - 2)

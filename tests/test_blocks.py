@@ -122,6 +122,22 @@ def test_validate_shift_mixer_only_on_transformer_families():
         cfg.validate()
 
 
+@pytest.mark.parametrize("family,mixer", [("cnn", "pooling"), ("cnn", "none"),
+                                          ("lstm", "pooling"), ("lstm", "none")])
+def test_validate_mixer_only_on_transformer_family(family, mixer):
+    """cnn and lstm blocks have no token mixer; only the default every saved config carries passes."""
+    small_cfg(family, mixer="attention").validate()
+    with pytest.raises(ConfigError, match="mixer"):
+        small_cfg(family, mixer=mixer).validate()
+
+
+def test_validate_residual_shift_needs_a_mixer_branch():
+    residual = ShiftConfig(alpha=0.25, placement="residual")
+    with pytest.raises(ConfigError, match="mixer"):
+        small_cfg("transformer", mixer="none", shift=residual).validate()
+    small_cfg("transformer", mixer="none", shift=ShiftConfig(alpha=0.25, placement="in_place")).validate()
+
+
 def test_validate_alpha_must_reach_one_channel():
     cfg = small_cfg(shift=ShiftConfig(alpha=0.01))
     with pytest.raises(ConfigError):
@@ -620,6 +636,26 @@ def test_checkpoint_rejects_missing_parameters(tmp_path):
         build_from_checkpoint(path)
 
 
+def test_checkpoint_rejects_buffer_of_wrong_shape(tmp_path):
+    model = build_model(small_cfg("cnn", norm="batch"), seed=0)
+
+    class Misshapen:
+        cfg = model.cfg
+
+        def named_parameters(self):
+            return model.named_parameters()
+
+        def named_buffers(self):
+            buffers = model.named_buffers()
+            buffers["blocks.0.norm.running_mean"] = np.zeros(3, np.float32)
+            return buffers
+
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, Misshapen())
+    with pytest.raises(CheckpointError, match="running_mean"):
+        build_from_checkpoint(path)
+
+
 def rewrite_model_config(path, boundary=None, **fields):
     """Edit the model config in a checkpoint's JSON header, fixing its length field."""
     raw = path.read_bytes()
@@ -650,6 +686,8 @@ def test_legacy_shiftformer_checkpoint_loads_bit_exactly(tmp_path):
     dict(family="shiftformer", boundary="replicate"),
     dict(family="transformer", boundary="replicate"),
     dict(blocks="2"),
+    dict(mixer="none"),                   # a residual shift with no branch to run on
+    dict(family="cnn", mixer="pooling"),  # cnn blocks have no token mixer
 ])
 def test_checkpoint_with_invalid_config_is_rejected(tmp_path, edits):
     model = build_model(preset_config("shiftformer", width=16, num_input_layers=2), seed=5)

@@ -211,6 +211,13 @@ def test_count_shift_preset_with_attention_mixer(capsys):
     assert "differing rows: blocks.0.shift, blocks.1.shift" in out
 
 
+@pytest.mark.parametrize("preset,mixer", [("shiftformer", "none"), ("shiftcnn", "pooling")])
+def test_count_rejects_a_mixer_the_model_would_ignore(capsys, preset, mixer):
+    """A residual shift with no mixer branch never runs; cnn and lstm blocks have no mixer."""
+    assert main(["count", "--preset", preset, "--mixer", mixer]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_count_draws_no_init(monkeypatch, capsys):
     """count reads shapes only, so neither model draws its weights."""
     def no_draw(*args):

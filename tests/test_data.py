@@ -84,11 +84,10 @@ def test_manifest_sidecar(tmp_path):
     rng = np.random.default_rng(1)
     records = random_records(rng, n=5)
     path = tmp_path / "set.fseq"
-    write_fseq(path, records, k_cls=3, class_names=["a", "b", "c"],
-               gen_config={"frames": 30})
+    write_fseq(path, records, k_cls=3, gen_config={"frames": 30})
     manifest = json.loads((tmp_path / "set.fseq.manifest.json").read_text())
     assert manifest["k_cls"] == 3
-    assert manifest["class_names"] == ["a", "b", "c"]
+    assert manifest["class_names"] == ["class_0", "class_1", "class_2"]
     assert manifest["record_count"] == 5
     assert manifest["gen_config"] == {"frames": 30}
     offsets = manifest["offsets"]
@@ -98,20 +97,6 @@ def test_manifest_sidecar(tmp_path):
     for rec, off in zip(records, offsets):
         label = int.from_bytes(raw[off:off + 4], "little")
         assert label == rec.label
-
-
-def test_max_frames_truncates_at_read(tmp_path):
-    rng = np.random.default_rng(2)
-    rec = FeatureSequence(0, 0, rng.standard_normal((2, 10, 3)).astype(np.float32))
-    path = tmp_path / "long.fseq"
-    write_fseq(path, [rec], k_cls=1)
-    full = read_fseq(path).records[0]
-    assert full.data.shape == (2, 10, 3)
-    clipped = read_fseq(path, max_frames=4).records[0]
-    assert clipped.data.shape == (2, 4, 3)
-    np.testing.assert_array_equal(clipped.data, rec.data[:, :4])
-    with pytest.raises(ConfigError):
-        read_fseq(path, max_frames=0)
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +388,6 @@ def test_per_fold_class_counts_match_generation():
 
 
 def test_assign_folds_rejects_bad_inputs():
-    out = gen_synthetic(tiny_gen_cfg(), seed=0)
-    with pytest.raises(ConfigError):
-        assign_folds(out.records, n_folds=4)
     with pytest.raises(ConfigError):
         assign_folds([])
 

@@ -1,5 +1,6 @@
 """Network-op tests against hand-rolled loop oracles and closed-form cases."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -360,7 +361,7 @@ class TestAttention:
     def test_single_frame_weight_is_one(self):
         p = make_attention(4, 2, seed=39)
         x = rnd((2, 1, 4), 40)
-        out = mhsa(Tensor(x), p, heads=2, pos_mode="none")
+        out = mhsa(Tensor(x), p, heads=2)
         v = x @ p.wv.data + p.bv.data
         assert np.allclose(out.data, v @ p.wo.data + p.bo.data, atol=1e-10)
 
@@ -370,39 +371,39 @@ class TestAttention:
         p.bv.data[:] = 0.0
         p.wo.data[:] = p.wo.data
         p.bo.data[:] = 0.0
-        out = mhsa(Tensor(rnd((1, 3, 4), 42)), p, heads=1, pos_mode="none")
+        out = mhsa(Tensor(rnd((1, 3, 4), 42)), p, heads=1)
         assert np.allclose(out.data, 0.0)
 
     def test_matches_hand_rolled_oracle(self):
         p = make_attention(4, 1, seed=43)
         x = rnd((1, 3, 4), 44)
-        out = mhsa(Tensor(x), p, heads=1, pos_mode="none")
+        out = mhsa(Tensor(x), p, heads=1)
         assert np.allclose(out.data, attention_oracle(x, p, 1), atol=1e-10)
 
     def test_multihead_matches_oracle_up_to_2x8x8(self):
         p = make_attention(8, 4, seed=45)
         x = rnd((2, 8, 8), 46)
-        out = mhsa(Tensor(x), p, heads=4, pos_mode="none")
+        out = mhsa(Tensor(x), p, heads=4)
         assert np.allclose(out.data, attention_oracle(x, p, 4), atol=1e-6)
 
     def test_heads_must_divide_channels(self):
         p = make_attention(4, 1, seed=47)
         with pytest.raises(ConfigError):
-            mhsa(Tensor(rnd((1, 2, 4), 48)), p, heads=3, pos_mode="none")
+            mhsa(Tensor(rnd((1, 2, 4), 48)), p, heads=3)
 
     def test_absolute_mode_adds_positions_before_projection(self):
         p = make_attention(4, 2, seed=49, abs_len=6)
         x = rnd((1, 3, 4), 50)
-        with_abs = mhsa(Tensor(x), p, heads=2, pos_mode="absolute")
+        with_abs = mhsa(Tensor(x), p, heads=2)
         shifted_in = x + p.abs_table.data[:3]
-        manual = mhsa(Tensor(shifted_in), p, heads=2, pos_mode="none")
+        manual = mhsa(Tensor(shifted_in), dataclasses.replace(p, abs_table=None), heads=2)
         assert np.allclose(with_abs.data, manual.data, atol=1e-12)
 
     def test_relative_mode_biases_logits(self):
         heads, c, t = 2, 4, 3
         p = make_attention(c, heads, seed=51, rel_d=2)
         x = rnd((1, t, c), 52)
-        out = mhsa(Tensor(x), p, heads=heads, pos_mode="relative").data
+        out = mhsa(Tensor(x), p, heads=heads).data
         # oracle with bias folded into the logits
         d = c // heads
         q = x @ p.wq.data + p.bq.data
@@ -422,7 +423,12 @@ class TestAttention:
     def test_sequence_longer_than_abs_table_rejected(self):
         p = make_attention(4, 2, seed=53, abs_len=2)
         with pytest.raises(DimensionError):
-            mhsa(Tensor(rnd((1, 3, 4), 54)), p, heads=2, pos_mode="absolute")
+            mhsa(Tensor(rnd((1, 3, 4), 54)), p, heads=2)
+
+    def test_rel_table_needs_one_row_per_head(self):
+        p = make_attention(4, 1, seed=57, rel_d=2)
+        with pytest.raises(DimensionError, match="one row per head"):
+            mhsa(Tensor(rnd((1, 3, 4), 58)), p, heads=2)
 
     def test_gradients_relative(self):
         p = make_attention(4, 2, seed=55, rel_d=2)
@@ -430,7 +436,7 @@ class TestAttention:
 
         def f(x, wq, bq, wk, bk, wv, bv, wo, bo, rel):
             params = AttentionParams(wq, bq, wk, bk, wv, bv, wo, bo, rel_table=rel)
-            return mhsa(x, params, heads=2, pos_mode="relative")
+            return mhsa(x, params, heads=2)
 
         report = grad_check(f, tensors, tol=1e-4)
         assert report.passed, str(report)

@@ -153,11 +153,6 @@ class TestShiftAugment:
             hits += out.data[0, 0, 0] == 0.0  # frame 0 of a shifted channel is zeroed
         assert abs(hits / 10_000 - 0.5) < 0.02
 
-    def test_eval_mode_is_identity(self):
-        x = Tensor(np.ones((1, 2, 2)))
-        out = shift_augment(x, self.CFG, prob=1.0, rng=None, training=False)
-        assert out is x
-
     def test_bad_prob_rejected(self):
         x = Tensor(np.ones((1, 2, 2)))
         for p in (-0.1, 1.1):
