@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 from .blocks.model import (
     AttentionLayer,
-    BatchNormLayer,
     BiLstmLayer,
     ConvBlock,
     DepthwiseConvLayer,
@@ -108,7 +107,7 @@ def _layer_costs(layer, t: int) -> tuple:
     if isinstance(layer, LinearLayer):
         c_in, c_out = layer.weight.shape
         return (c_in * c_out + c_out, 2 * c_in * c_out * t, c_out * t)
-    if isinstance(layer, (LayerNormLayer, BatchNormLayer)):
+    if isinstance(layer, LayerNormLayer):
         width = layer.gamma.size
         return (2 * width, 0, NORM_EW * width * t)
     if isinstance(layer, DepthwiseConvLayer):

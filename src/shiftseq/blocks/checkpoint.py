@@ -11,15 +11,15 @@ Layout (all integers little-endian u32 unless noted):
         nlen  u32, name bytes (UTF-8)
         ndim  u32, then ndim u32 dims
         data  prod(dims) float32 little-endian values
-    nbuffers u32, then the same record layout for running-stat buffers
+    nbuffers u32, always 0: no model keeps state beyond its parameters,
+             so a buffer record is rejected
 
 Loading validates every length against the remaining byte count before
 allocating, so a truncated or corrupted file raises CheckpointError rather
 than producing a half-filled model. Each payload is copied out of the file
-buffer once; the rebuilt model takes those arrays as its parameters and
-copies the buffer records into its own running-stat arrays. The model is
-built without drawing an init, which is safe because the name and
-shape checks require the file to supply every parameter and buffer.
+buffer once, and the rebuilt model takes those arrays as its parameters.
+The model is built without drawing an init, which is safe because the
+name and shape checks require the file to supply every parameter.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, model: SequenceClassifier, extra: dict | None = None) -> None:
-    """Write the model config and all parameters/buffers to `path`.
+    """Write the model config and all parameters to `path`.
 
     `extra` is merged into the config JSON under the key "extra" and round
     trips through :func:`load_checkpoint` untouched.
@@ -66,7 +66,7 @@ def save_checkpoint(path, model: SequenceClassifier, extra: dict | None = None) 
 
     parts = [MAGIC, struct.pack("<II", VERSION, len(blob)), blob]
     parts.extend(records([(n, p.data) for n, p in model.named_parameters().items()]))
-    parts.extend(records(list(model.named_buffers().items())))
+    parts.extend(records([]))  # the always-empty buffer section
     write_atomic(path, parts)
 
 
@@ -93,8 +93,11 @@ def _read_records(r: ByteReader) -> "dict[str, np.ndarray]":
     return out
 
 
-def load_checkpoint(path) -> tuple[ModelConfig, "dict[str, np.ndarray]", "dict[str, np.ndarray]", dict]:
-    """Parse a checkpoint; returns (config, params, buffers, extra)."""
+def load_checkpoint(path) -> tuple[ModelConfig, "dict[str, np.ndarray]", dict]:
+    """Parse a checkpoint; returns (config, params, extra).
+
+    Raises CheckpointError on any buffer record: the section must be empty.
+    """
     with open(path, "rb") as f:
         r = ByteReader(f.read(), CheckpointError, "checkpoint")
     if r.take(4, "magic") != MAGIC:
@@ -114,33 +117,25 @@ def load_checkpoint(path) -> tuple[ModelConfig, "dict[str, np.ndarray]", "dict[s
         raise CheckpointError(f"checkpoint carries an invalid model config: {e}") from e
     params = _read_records(r)
     buffers = _read_records(r)
+    if buffers:
+        raise CheckpointError(f"models keep no buffers; the checkpoint holds {sorted(buffers)}")
     r.finish("checkpoint payload")
-    return cfg, params, buffers, payload.get("extra", {})
-
-
-def _check_records(kind: str, own: dict, records: dict) -> None:
-    """Require `records` to hold exactly the names of `own`, each at its shape."""
-    missing = sorted(set(own) - set(records))
-    surplus = sorted(set(records) - set(own))
-    if missing or surplus:
-        raise CheckpointError(
-            f"{kind} names do not match the config: missing {missing}, surplus {surplus}")
-    for name, value in own.items():
-        if records[name].shape != value.shape:
-            raise CheckpointError(
-                f"{kind} {name!r} has shape {records[name].shape}, model expects {value.shape}")
+    return cfg, params, payload.get("extra", {})
 
 
 def build_from_checkpoint(path) -> tuple[SequenceClassifier, dict]:
     """Rebuild a model from a checkpoint; returns (model, extra)."""
-    cfg, params, buffers, extra = load_checkpoint(path)
+    cfg, params, extra = load_checkpoint(path)
     model = build_model(cfg, seed=None)
     own = model.named_parameters()
-    _check_records("parameter", own, params)
+    missing = sorted(set(own) - set(params))
+    surplus = sorted(set(params) - set(own))
+    if missing or surplus:
+        raise CheckpointError(
+            f"parameter names do not match the config: missing {missing}, surplus {surplus}")
     for name, tensor in own.items():
+        if params[name].shape != tensor.shape:
+            raise CheckpointError(
+                f"parameter {name!r} has shape {params[name].shape}, model expects {tensor.shape}")
         tensor.data = params[name].astype(tensor.dtype, copy=False)
-    own_buffers = model.named_buffers()
-    _check_records("buffer", own_buffers, buffers)
-    for name, buf in own_buffers.items():
-        buf[...] = buffers[name]
     return model, extra

@@ -6,7 +6,9 @@ time, and a linear head. The shift enters a block either in-place (on the
 trunk, so skip connections also carry shifted features), on a residual
 branch (skip path keeps the unshifted features), or as the token mixer
 itself (the transformer family with mixer="shift", as in the shiftformer
-preset).
+preset). Every normalization is a LayerNorm over channels, so a model holds
+nothing but its parameters and runs the same forward in training and eval;
+the `training` flag only gates shift augmentation.
 
 Parameter initialization is deterministic given the init RNG: weights are
 normal with std 1/sqrt(fan_in), biases and norm shifts zero, norm scales
@@ -35,7 +37,6 @@ from ..tensor_autograd import (
     Tensor,
     add,
     avg_pool_mixer,
-    batch_norm1d,
     bilstm,
     cross_entropy,
     depthwise_conv1d,
@@ -52,7 +53,6 @@ from ..tensor_autograd import (
 )
 
 FAMILIES = ("cnn", "transformer", "lstm")
-NORMS = ("layer", "batch")
 POS_MODES = ("relative", "absolute", "none")
 MIXERS = ("attention", "pooling", "shift", "none")
 
@@ -66,7 +66,8 @@ class ModelConfig:
     transformer token mixer; "none" drops the mixing sub-layer entirely,
     leaving a per-frame pointwise MLP; the cnn and lstm families take only
     the default. `kernel` applies to the cnn family and
-    `heads`/`pos`/`clip_dist`/`max_len` to the attention mixer.
+    `heads`/`pos`/`clip_dist`/`max_len` to the attention mixer. Every block
+    normalizes with LayerNorm.
     """
 
     family: str
@@ -74,7 +75,6 @@ class ModelConfig:
     blocks: int = 2
     kernel: int = 7
     heads: int = 8
-    norm: str = "layer"
     pos: str = "relative"
     mixer: str = "attention"
     shift: ShiftConfig | None = None
@@ -107,8 +107,6 @@ class ModelConfig:
             raise ConfigError(f"blocks must be at least 1, got {self.blocks}")
         if self.family == "cnn" and (self.kernel < 1 or self.kernel % 2 == 0):
             raise ConfigError(f"kernel must be odd and positive, got {self.kernel}")
-        if self.norm not in NORMS:
-            raise ConfigError(f"norm must be one of {NORMS}, got {self.norm!r}")
         if self.mixer not in MIXERS:
             raise ConfigError(f"mixer must be one of {MIXERS}, got {self.mixer!r}")
         # every saved config carries the default mixer, whatever its family
@@ -155,9 +153,12 @@ def config_to_dict(cfg: ModelConfig) -> dict:
 def config_from_dict(raw: dict) -> ModelConfig:
     """Strict inverse of :func:`config_to_dict`; unknown keys and mistyped
     values are errors. Older configs' `"family": "shiftformer"` (with mixer
-    "shift") loads as the transformer family; their `"boundary": "zero_fill"`
-    shift key, once the only allowed value, is dropped.
+    "shift") loads as the transformer family; their `"norm": "layer"` key
+    and `"boundary": "zero_fill"` shift key, each once the only value in
+    use, are dropped, and any other value of either is an unknown key.
     """
+    if isinstance(raw, dict):
+        raw = {k: v for k, v in raw.items() if (k, v) != ("norm", "layer")}
     check_config_dict(raw, ModelConfig, "model")
     if "family" not in raw or "channels" not in raw:
         raise ConfigError("model config needs at least 'family' and 'channels'")
@@ -201,37 +202,11 @@ class LayerNormLayer:
         self.gamma = Tensor(np.ones(width, dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(width, dtype), requires_grad=True)
 
-    def forward(self, x: Tensor, training: bool) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.gamma, self.beta)
 
     def named_parameters(self):
         return [("gamma", self.gamma), ("beta", self.beta)]
-
-
-class BatchNormLayer:
-    def __init__(self, width: int, dtype):
-        self.gamma = Tensor(np.ones(width, dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros(width, dtype), requires_grad=True)
-        self.running_mean = np.zeros(width, dtype=dtype)
-        self.running_var = np.ones(width, dtype=dtype)
-
-    def forward(self, x: Tensor, training: bool) -> Tensor:
-        out, mean, var = batch_norm1d(x, self.gamma, self.beta,
-                                      self.running_mean, self.running_var,
-                                      training=training)
-        if training:
-            self.running_mean, self.running_var = mean, var
-        return out
-
-    def named_parameters(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
-
-    def named_buffers(self):
-        return [("running_mean", self.running_mean), ("running_var", self.running_var)]
-
-
-def _make_norm(kind: str, width: int, dtype):
-    return LayerNormLayer(width, dtype) if kind == "layer" else BatchNormLayer(width, dtype)
 
 
 class DepthwiseConvLayer:
@@ -308,16 +283,16 @@ class ConvBlock:
         self.shift_mode = shift_mode  # "none" | "in_place" | "residual"
         self.shift_cfg = cfg.shift
         self.dw = DepthwiseConvLayer(rng, cfg.kernel, width, dtype)
-        self.norm = _make_norm(cfg.norm, width, dtype)
+        self.norm = LayerNormLayer(width, dtype)
         self.pw1 = LinearLayer(rng, width, mid, dtype)
         self.pw2 = LinearLayer(rng, mid, width, dtype)
 
-    def forward(self, x: Tensor, training: bool, lengths=None) -> Tensor:
+    def forward(self, x: Tensor, lengths=None) -> Tensor:
         if self.shift_mode == "in_place":
             x = temporal_shift(x, self.shift_cfg)
         branch = temporal_shift(x, self.shift_cfg) if self.shift_mode == "residual" else x
         h = self.dw.forward(branch)
-        h = self.norm.forward(h, training)
+        h = self.norm.forward(h)
         h = self.pw2.forward(gelu(self.pw1.forward(h)))
         return add(x, h)
 
@@ -340,19 +315,19 @@ class TransformerBlock:
         self.pool_window = cfg.pool_window
         self.shift_cfg = cfg.shift
         self.shift_mode = shift_mode
-        self.norm1 = _make_norm(cfg.norm, width, dtype) if cfg.mixer != "none" else None
+        self.norm1 = LayerNormLayer(width, dtype) if cfg.mixer != "none" else None
         self.attn = (AttentionLayer(rng, width, cfg.heads, cfg.pos, cfg.clip_dist, cfg.max_len, dtype)
                      if cfg.mixer == "attention" else None)
-        self.norm2 = _make_norm(cfg.norm, width, dtype)
+        self.norm2 = LayerNormLayer(width, dtype)
         self.pw1 = LinearLayer(rng, width, mid, dtype)
         self.pw2 = LinearLayer(rng, mid, width, dtype)
 
-    def forward(self, x: Tensor, training: bool, lengths=None) -> Tensor:
+    def forward(self, x: Tensor, lengths=None) -> Tensor:
         if self.shift_mode == "in_place":
             x = temporal_shift(x, self.shift_cfg)
         if self.mixer_kind != "none":
             u = temporal_shift(x, self.shift_cfg) if self.shift_mode == "residual" else x
-            u = self.norm1.forward(u, training)
+            u = self.norm1.forward(u)
             if self.mixer_kind == "attention":
                 m = self.attn.forward(u)
             elif self.mixer_kind == "pooling":
@@ -360,7 +335,7 @@ class TransformerBlock:
             else:  # the shift is the token mixer
                 m = temporal_shift(u, self.shift_cfg)
             x = add(x, m)
-        v = self.norm2.forward(x, training)
+        v = self.norm2.forward(x)
         v = self.pw2.forward(gelu(self.pw1.forward(v)))
         return add(x, v)
 
@@ -391,7 +366,7 @@ class LstmBlock:
         self.rnn = BiLstmLayer(rng, c_in, hidden, dtype)
         self.proj = LinearLayer(rng, c_in, cfg.channels[1], dtype) if shift_mode == "residual" else None
 
-    def forward(self, x: Tensor, training: bool, lengths=None) -> Tensor:
+    def forward(self, x: Tensor, lengths=None) -> Tensor:
         if self.shift_mode == "in_place":
             x = temporal_shift(x, self.shift_cfg)
         if self.shift_mode == "residual":
@@ -472,15 +447,17 @@ class SequenceClassifier:
                          augment_prob: float = 0.0, rng=None, lengths=None) -> Tensor:
         """Run everything up to (not including) pooling; returns (B, T, C_out).
 
-        `lengths` (per-record real frame counts, default all frames) reaches
-        every block; only the LSTM block honours it so far.
+        `training` only turns on shift augmentation (at `augment_prob`);
+        the blocks run the same either way. `lengths` (per-record real
+        frame counts, default all frames) reaches every block; only the
+        LSTM block honours it so far.
         """
         self._check_features(features)
         x = weighted_layer_sum(features, self.layer_weights)
         if training and augment_prob > 0.0:
             x = shift_augment(x, self.augment_config(), augment_prob, rng)
         for block in self.blocks:
-            x = block.forward(x, training, lengths)
+            x = block.forward(x, lengths)
         return x
 
     def forward(self, features: Tensor, lengths=None, training: bool = False,
@@ -506,15 +483,6 @@ class SequenceClassifier:
                     out[f"blocks.{i}.{sub_name}.{p_name}"] = p
         for p_name, p in self.head.named_parameters():
             out[f"head.{p_name}"] = p
-        return out
-
-    def named_buffers(self) -> "OrderedDict[str, np.ndarray]":
-        """The running-stat arrays themselves, for layers that keep any."""
-        out: OrderedDict[str, np.ndarray] = OrderedDict()
-        for i, block in enumerate(self.blocks):
-            for sub_name, layer in block.sublayers():
-                for b_name, buf in getattr(layer, "named_buffers", list)():
-                    out[f"blocks.{i}.{sub_name}.{b_name}"] = buf
         return out
 
     def num_parameters(self) -> int:

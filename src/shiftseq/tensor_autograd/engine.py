@@ -293,13 +293,11 @@ def mean_all(t: Tensor) -> Tensor:
     return track(out, (t,), bwd)
 
 
-def reduce_sum(t: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    out = t.data.sum(axis=axis, keepdims=keepdims)
+def reduce_sum(t: Tensor, axis: int) -> Tensor:
+    out = t.data.sum(axis=axis)
 
     def bwd(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        accumulate_grad(t, np.broadcast_to(g, t.shape))
+        accumulate_grad(t, np.broadcast_to(np.expand_dims(g, axis), t.shape))
 
     return track(out, (t,), bwd)
 

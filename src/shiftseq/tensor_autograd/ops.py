@@ -381,6 +381,9 @@ def mhsa(x: Tensor, params: AttentionParams, heads: int) -> Tensor:
         raise DimensionError(
             f"relative bias table {params.rel_table.shape} needs one row per head ({heads})")
     if params.abs_table is not None:
+        if params.abs_table.shape[1] != c:
+            raise DimensionError(
+                f"absolute position table {params.abs_table.shape} needs one column per channel ({c})")
         if params.abs_table.shape[0] < t:
             raise DimensionError(
                 f"sequence length {t} exceeds the absolute position table ({params.abs_table.shape[0]})")

@@ -227,6 +227,8 @@ def predict_logits(model: SequenceClassifier, records, batch_size: int = 32) -> 
     """Eval-mode logits for every record, in input order; records no graph."""
     if not records:
         raise EmptyInputError("cannot evaluate an empty record list")
+    if batch_size < 1:
+        raise UsageError(f"batch_size must be at least 1, got {batch_size}")
     chunks, labels = [], []
     for idx in _batches(len(records), batch_size):
         feats, lengths, batch_labels = collate([records[i] for i in idx])
@@ -238,8 +240,11 @@ def predict_logits(model: SequenceClassifier, records, batch_size: int = 32) -> 
 
 
 def evaluate(model: SequenceClassifier, records, batch_size: int = 32) -> Metrics:
-    logits, labels = predict_logits(model, records, batch_size)
     k = model.cfg.num_classes
+    bad = sorted({rec.label for rec in records if not 0 <= rec.label < k})
+    if bad:
+        raise DimensionError(f"labels {bad} fall outside the model's {k} classes")
+    logits, labels = predict_logits(model, records, batch_size)
     confusion = np.zeros((k, k), dtype=np.int64)
     predictions = np.argmax(logits, axis=1)
     for truth, pred in zip(labels, predictions):

@@ -110,7 +110,7 @@ def _block_case(family, **cfg_kw):
                   for _, p in layer.named_parameters()]
 
         def f(x_in, *_):
-            return block.forward(x_in, training=True)
+            return block.forward(x_in)
 
         return f, [x] + params
     return build

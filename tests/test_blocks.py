@@ -73,7 +73,7 @@ def test_unknown_preset_rejected():
     dict(channels=(8, 16)),           # three entries for conv family
     dict(blocks=0),
     dict(kernel=4),
-    dict(norm="group"),
+    dict(channels=(8, 0, 8)),
     dict(mixer="conv"),
     dict(num_classes=1),
     dict(num_input_layers=0),
@@ -163,6 +163,14 @@ def test_config_from_dict_rejects_unknown_shift_keys():
     raw["shift"]["stride"] = 2
     with pytest.raises(ConfigError, match="stride"):
         config_from_dict(raw)
+
+
+@pytest.mark.parametrize("norm", ["group", "batch"])
+def test_config_from_dict_drops_only_the_legacy_layer_norm_key(norm):
+    raw = config_to_dict(small_cfg())
+    assert config_from_dict(dict(raw, norm="layer")) == small_cfg()
+    with pytest.raises(ConfigError, match="norm"):
+        config_from_dict(dict(raw, norm=norm))
 
 
 def test_config_from_dict_requires_family_and_channels():
@@ -486,18 +494,15 @@ def test_augmentation_changes_training_forward_only():
         model.forward(x, training=True, augment_prob=1.0, rng=None)
 
 
-def test_batch_norm_buffers_update_in_training_and_freeze_in_eval():
-    cfg = small_cfg("cnn", norm="batch")
-    model = build_model(cfg, seed=0)
-    before = {k: v.copy() for k, v in model.named_buffers().items()}
-    x = Tensor(features(np.random.default_rng(12)))
-    model.forward(x, training=True)
-    after = model.named_buffers()
-    assert any(not np.array_equal(before[k], after[k]) for k in before)
-    frozen = {k: v.copy() for k, v in after.items()}
-    model.forward(x, training=False)
-    for k, v in model.named_buffers().items():
-        assert np.array_equal(frozen[k], v)
+@pytest.mark.parametrize("preset", PRESETS)
+def test_training_forward_without_augmentation_equals_eval(preset):
+    """A model is only its parameters: `training` changes nothing but augmentation."""
+    model = small_preset(preset, seed=2)
+    for start in (0, 2, 4):
+        feats, lengths, _ = collate(mixed_records(26)[start:start + 2])
+        train = model.forward(Tensor(feats), lengths, training=True, augment_prob=0.0)
+        evald = model.forward(Tensor(feats), lengths, training=False)
+        np.testing.assert_array_equal(train.data, evald.data)
 
 
 @pytest.mark.parametrize("family,kw", [
@@ -544,9 +549,8 @@ def test_train_step_gradients_own_their_buffers(preset):
 # ---------------------------------------------------------------------------
 
 def test_checkpoint_round_trip(tmp_path):
-    cfg = small_cfg("cnn", norm="batch", shift=ShiftConfig(alpha=0.25, placement="residual"))
+    cfg = small_cfg("cnn", shift=ShiftConfig(alpha=0.25, placement="residual"))
     model = build_model(cfg, seed=4)
-    model.forward(Tensor(features(np.random.default_rng(1))), training=True)  # move BN stats
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, model, extra={"epoch": 3, "ua": 0.5})
     loaded, extra = build_from_checkpoint(path)
@@ -556,8 +560,6 @@ def test_checkpoint_round_trip(tmp_path):
     assert list(ours) == list(theirs)
     for name in ours:
         np.testing.assert_array_equal(ours[name].data, theirs[name].data)
-    for name, buf in model.named_buffers().items():
-        np.testing.assert_array_equal(buf, loaded.named_buffers()[name])
     x = Tensor(features(np.random.default_rng(2)))
     np.testing.assert_array_equal(model.forward(x).data, loaded.forward(x).data)
 
@@ -566,10 +568,9 @@ def test_load_checkpoint_exposes_raw_records(tmp_path):
     model = build_model(small_cfg("transformer"), seed=0)
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, model)
-    cfg, params, buffers, extra = load_checkpoint(path)
+    cfg, params, extra = load_checkpoint(path)
     assert cfg == model.cfg
     assert set(params) == set(model.named_parameters())
-    assert buffers == {}
     assert extra == {}
 
 
@@ -627,31 +628,23 @@ def test_checkpoint_rejects_missing_parameters(tmp_path):
             params.popitem()
             return params
 
-        def named_buffers(self):
-            return model.named_buffers()
-
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, Stripped())
     with pytest.raises(CheckpointError, match="missing"):
         build_from_checkpoint(path)
 
 
-def test_checkpoint_rejects_buffer_of_wrong_shape(tmp_path):
-    model = build_model(small_cfg("cnn", norm="batch"), seed=0)
-
-    class Misshapen:
-        cfg = model.cfg
-
-        def named_parameters(self):
-            return model.named_parameters()
-
-        def named_buffers(self):
-            buffers = model.named_buffers()
-            buffers["blocks.0.norm.running_mean"] = np.zeros(3, np.float32)
-            return buffers
-
+def test_checkpoint_rejects_any_buffer_record(tmp_path):
+    """The buffer section is written empty; a record there has no model to go to."""
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, Misshapen())
+    save_checkpoint(path, build_model(small_cfg(), seed=0))
+    raw = path.read_bytes()
+    assert raw[-4:] == struct.pack("<I", 0)
+    name = b"blocks.0.norm.running_mean"
+    record = struct.pack("<I", len(name)) + name + struct.pack("<II", 1, 8) + np.zeros(8, "<f4").tobytes()
+    path.write_bytes(raw[:-4] + struct.pack("<I", 1) + record)
+    with pytest.raises(CheckpointError, match="running_mean"):
+        load_checkpoint(path)
     with pytest.raises(CheckpointError, match="running_mean"):
         build_from_checkpoint(path)
 
@@ -681,6 +674,20 @@ def test_legacy_shiftformer_checkpoint_loads_bit_exactly(tmp_path):
     np.testing.assert_array_equal(loaded.forward(x).data, model.forward(x).data)
 
 
+@pytest.mark.parametrize("preset", PRESETS)
+def test_legacy_layer_norm_key_loads_bit_exactly(tmp_path, preset):
+    """Older writers stored `"norm": "layer"`, once the choice every preset made."""
+    model = small_preset(preset, seed=8)
+    path = tmp_path / "legacy.ckpt"
+    save_checkpoint(path, model)
+    rewrite_model_config(path, norm="layer")
+    loaded, _ = build_from_checkpoint(path)
+    assert loaded.cfg == model.cfg
+    records = mixed_records(9)
+    np.testing.assert_array_equal(predict_logits(loaded, records, 2)[0],
+                                  predict_logits(model, records, 2)[0])
+
+
 @pytest.mark.parametrize("edits", [
     dict(family="shiftformer", mixer="attention", boundary="zero_fill"),
     dict(family="shiftformer", boundary="replicate"),
@@ -688,6 +695,7 @@ def test_legacy_shiftformer_checkpoint_loads_bit_exactly(tmp_path):
     dict(blocks="2"),
     dict(mixer="none"),                   # a residual shift with no branch to run on
     dict(family="cnn", mixer="pooling"),  # cnn blocks have no token mixer
+    dict(norm="batch"),                   # batch norm is no longer a model option
 ])
 def test_checkpoint_with_invalid_config_is_rejected(tmp_path, edits):
     model = build_model(preset_config("shiftformer", width=16, num_input_layers=2), seed=5)
@@ -743,13 +751,10 @@ def test_training_after_evaluate_reaches_every_parameter(preset):
         assert np.all(np.isfinite(p.grad)), name
 
 
-@pytest.mark.parametrize("preset,norm", [(p, "layer") for p in PRESETS]
-                         + [("shiftcnn", "batch"), ("transformer", "batch"), ("shiftformer", "batch")])
-def test_checkpoint_load_draws_no_init(tmp_path, monkeypatch, preset, norm):
-    model = small_preset(preset, seed=3, norm=norm)
-    model.forward(Tensor(features(np.random.default_rng(23), t=11, c=16)), training=True)
-    if norm == "batch":
-        assert any(np.any(buf != 0) and np.any(buf != 1) for buf in model.named_buffers().values())
+# the ids keep the "-layer" suffix from when the norm was a per-model choice
+@pytest.mark.parametrize("preset", PRESETS, ids=[f"{p}-layer" for p in PRESETS])
+def test_checkpoint_load_draws_no_init(tmp_path, monkeypatch, preset):
+    model = small_preset(preset, seed=3)
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, model)
 
@@ -758,8 +763,6 @@ def test_checkpoint_load_draws_no_init(tmp_path, monkeypatch, preset, norm):
 
     monkeypatch.setattr("shiftseq.blocks.model.substream", no_draw)
     loaded, _ = build_from_checkpoint(path)
-    for name, buf in model.named_buffers().items():
-        np.testing.assert_array_equal(loaded.named_buffers()[name], buf)
     records = mixed_records(24)
     np.testing.assert_array_equal(predict_logits(loaded, records, 2)[0],
                                   predict_logits(model, records, 2)[0])

@@ -12,7 +12,7 @@ import os
 import numpy as np
 import pytest
 
-from shiftseq.blocks import load_checkpoint
+from shiftseq.blocks import build_model, load_checkpoint, preset_config, save_checkpoint
 from shiftseq.cli import main
 from shiftseq.data import read_fseq
 from shiftseq.shift import ShiftConfig, temporal_shift
@@ -97,7 +97,7 @@ def test_train_outputs_and_determinism(workdir, config_path, data_path, capsys):
         assert 0.0 <= float(fields["ua"]) <= 1.0
 
     for fold in range(3):
-        cfg, params, buffers, extra = load_checkpoint(
+        cfg, params, extra = load_checkpoint(
             workdir / "run1" / f"fold{fold}.ckpt")
         assert extra["fold"] == fold
         assert 0.0 <= extra["ua"] <= 1.0
@@ -106,7 +106,7 @@ def test_train_outputs_and_determinism(workdir, config_path, data_path, capsys):
 
 
 def test_train_preset_sized_from_data(workdir):
-    cfg, _, _, _ = load_checkpoint(workdir / "run1" / "fold0.ckpt")
+    cfg, _, _ = load_checkpoint(workdir / "run1" / "fold0.ckpt")
     assert cfg.channels == (16, 64, 16)
     assert cfg.num_classes == 4
     assert cfg.num_input_layers == 1
@@ -117,7 +117,7 @@ def test_train_shift_flag_overlay(workdir, config_path, data_path):
                  "--preset", "shiftcnn", "--out", str(workdir / "overlay"),
                  "--alpha", "0.5", "--placement", "inplace",
                  "--direction", "bi"]) == 0
-    cfg, _, _, _ = load_checkpoint(workdir / "overlay" / "fold0.ckpt")
+    cfg, _, _ = load_checkpoint(workdir / "overlay" / "fold0.ckpt")
     assert cfg.shift == ShiftConfig(alpha=0.5, direction="bidirectional",
                                     placement="in_place")
 
@@ -126,7 +126,7 @@ def test_train_augment_and_curves(workdir, config_path, data_path):
     assert main(["train", data_path, "--config", config_path,
                  "--preset", "lstm", "--out", str(workdir / "curves"),
                  "--augment-prob", "0.5", "--curves"]) == 0
-    _, _, _, extra = load_checkpoint(workdir / "curves" / "fold0.ckpt")
+    _, _, extra = load_checkpoint(workdir / "curves" / "fold0.ckpt")
     assert extra["train"]["augment_prob"] == 0.5
     lines = open(workdir / "curves" / "curves.txt").read().splitlines()
     assert lines, "curves file is empty"
@@ -144,7 +144,7 @@ def test_train_model_section_with_preset(workdir, data_path, tmp_path, capsys):
     assert main(["train", data_path, "--config", cfg_path,
                  "--out", str(tmp_path / "run")]) == 0
     capsys.readouterr()
-    cfg, _, _, _ = load_checkpoint(tmp_path / "run" / "fold0.ckpt")
+    cfg, _, _ = load_checkpoint(tmp_path / "run" / "fold0.ckpt")
     assert cfg.family == "transformer" and cfg.channels[0] == 16
 
 
@@ -174,6 +174,16 @@ def test_eval_prints_metrics(workdir, data_path, capsys):
     assert 0.0 <= float(fields["ua"]) <= 1.0
     assert 0.0 <= float(fields["wa"]) <= 1.0
     assert "confusion" in out
+
+
+def test_eval_rejects_labels_beyond_the_model_classes(data_path, tmp_path, capsys):
+    """The data holds labels 0..3; a 3-class model cannot score label 3."""
+    ckpt = tmp_path / "three.ckpt"
+    save_checkpoint(ckpt, build_model(preset_config("cnn", width=16, num_classes=3,
+                                                    num_input_layers=1), seed=0))
+    assert main(["eval", str(ckpt), data_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "[3]" in err and "Traceback" not in err
 
 
 def test_eval_missing_checkpoint(workdir, data_path, capsys):

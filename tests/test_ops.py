@@ -425,6 +425,13 @@ class TestAttention:
         with pytest.raises(DimensionError):
             mhsa(Tensor(rnd((1, 3, 4), 54)), p, heads=2)
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_abs_table_needs_one_column_per_channel(self, width):
+        p = make_attention(4, 2, seed=59)
+        p.abs_table = Tensor(rnd((6, width), 60), requires_grad=True)
+        with pytest.raises(DimensionError, match="one column per channel"):
+            mhsa(Tensor(rnd((1, 3, 4), 61)), p, heads=2)
+
     def test_rel_table_needs_one_row_per_head(self):
         p = make_attention(4, 1, seed=57, rel_d=2)
         with pytest.raises(DimensionError, match="one row per head"):
@@ -589,7 +596,7 @@ class TestBiLstm:
         block = build_model(cfg, seed=0, dtype=np.float64).blocks[0]
 
         def reachable(t):
-            out = block.forward(Tensor(rnd((2, t, 8), 93), requires_grad=True), training=True)
+            out = block.forward(Tensor(rnd((2, t, 8), 93), requires_grad=True))
             seen, stack = set(), [out]
             while stack:
                 node = stack.pop()

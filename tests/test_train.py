@@ -387,6 +387,28 @@ def test_evaluate_counts_rows_as_true_classes():
         assert metrics.confusion[cls].sum() == np.sum(labels == cls)
 
 
+def test_evaluate_rejects_labels_beyond_the_model_classes(monkeypatch):
+    records = tiny_dataset()
+    model = build_model(tiny_model_cfg(num_classes=3), seed=0)
+    assert max(r.label for r in records) == 3
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("evaluate ran a forward before checking labels")
+
+    monkeypatch.setattr(model, "forward", no_forward)
+    with pytest.raises(DimensionError, match=r"\[3\]"):
+        evaluate(model, records)
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_predict_logits_rejects_batch_size_below_one(batch_size):
+    model, records = build_model(tiny_model_cfg(), seed=0), tiny_dataset()[:3]
+    with pytest.raises(UsageError, match="batch_size"):
+        predict_logits(model, records, batch_size)
+    with pytest.raises(UsageError, match="batch_size"):
+        evaluate(model, records, batch_size)
+
+
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
