@@ -43,25 +43,32 @@ def _check_lengths(lengths, b: int, t: int) -> np.ndarray:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b over the trailing channel axis; x may be (N, Cin) or (B, T, Cin)."""
+    """x @ w + b over the trailing channel axis; x may be (N, Cin) or (B, T, Cin).
+
+    Batch and time fold into the rows of one GEMM, (B·T, Cin) @ (Cin, Cout),
+    in the forward and in the input gradient, rather than B GEMMs of T rows.
+    Each output row is the same dot products, so the bits are those of the
+    batched `np.matmul`.
+    """
     if x.ndim not in (2, 3):
         raise DimensionError(f"linear expects rank-2 or rank-3 input, got {x.shape}")
     if w.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise DimensionError(f"linear weight {w.shape} does not fit input {x.shape}")
     if b.ndim != 1 or b.shape[0] != w.shape[1]:
         raise DimensionError(f"linear bias {b.shape} does not fit weight {w.shape}")
-    out = np.matmul(x.data, w.data)
+    out = x.data.reshape(-1, x.shape[-1]) @ w.data
     out += b.data
 
     def bwd(g):
-        if x.requires_grad:
-            accumulate_grad(x, np.matmul(g, w.data.T), owned=True)
         g2 = g.reshape(-1, g.shape[-1])
+        if x.requires_grad:
+            accumulate_grad(x, (g2 @ w.data.T).reshape(x.shape), owned=True)
+        # re-derived, not saved: a view of x.data, or a copy only while it is needed
         x2 = x.data.reshape(-1, x.shape[-1])
         accumulate_grad(w, x2.T @ g2, owned=True)
         accumulate_grad(b, g2.sum(axis=0), owned=True)
 
-    return track(out, (x, w, b), bwd)
+    return track(out.reshape(x.shape[:-1] + (w.shape[1],)), (x, w, b), bwd)
 
 
 def _same_pad(x: np.ndarray, halo: int) -> np.ndarray:

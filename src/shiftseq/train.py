@@ -75,6 +75,37 @@ def train_config_from_dict(raw: dict) -> TrainConfig:
 # ---------------------------------------------------------------------------
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+# elements per block of the update. At float32 the six arrays one block
+# touches (p, m, v, g and two scratch) take 1.5 MiB, within a 2 MiB L2.
+# At the paper shape 4K- and 256K-element blocks measured slower, 16K no faster
+_CHUNK = 65536
+
+
+def _adam_block(p, m, v, g, a, b, lr, c1, c2, decay) -> None:
+    """One block of the Adam/AdamW update, in place; `a` and `b` are scratch.
+
+    The ufuncs, and their float order, are those of the per-parameter
+    formula `lr*(m/c1) / (sqrt(v/c2) + eps) [+ decay*p]`, so every block
+    rounds exactly as a whole-parameter update would.
+    """
+    # a gradient of another dtype (only a directly set .grad has one) keeps
+    # its own precision in the moment terms, through chunk-sized temporaries
+    ga = a if g.dtype == a.dtype else None
+    m *= BETA1
+    m += np.multiply(g, 1.0 - BETA1, out=ga)
+    v *= BETA2
+    gg = np.multiply(g, 1.0 - BETA2, out=ga)
+    gg *= g
+    v += gg
+    np.divide(m, c1, out=a)
+    a *= lr
+    np.divide(v, c2, out=b)
+    np.sqrt(b, out=b)
+    b += EPS
+    a /= b
+    if decay is not None:
+        a += np.multiply(p, decay, out=b)
+    p -= a
 
 
 class Optimizer:
@@ -85,14 +116,25 @@ class Optimizer:
     lr*wd*theta alongside the moment step, both taken from the pre-step
     parameters; plain adam ignores `weight_decay`. A parameter without a
     gradient steps with g = 0: its moments decay, so it can still move.
+
+    The update walks each parameter in cache-sized blocks of `_CHUNK`
+    elements through two scratch buffers per dtype, allocated once, and is
+    bit-identical to the per-parameter formula.
     """
 
     def __init__(self, model: SequenceClassifier, cfg: TrainConfig):
         self.params = model.named_parameters()
         self.cfg = cfg
-        self.m = {n: np.zeros_like(p.data) for n, p in self.params.items()}
-        self.v = {n: np.zeros_like(p.data) for n, p in self.params.items()}
+        # C order, so that their flat views write through
+        self.m = {n: np.zeros(p.shape, p.dtype) for n, p in self.params.items()}
+        self.v = {n: np.zeros(p.shape, p.dtype) for n, p in self.params.items()}
         self.t = 0
+        sizes: dict = {}
+        for p in self.params.values():
+            sizes[p.dtype] = max(sizes.get(p.dtype, 0), min(p.size, _CHUNK))
+        # per dtype: scratch a, scratch b, and the zero gradient of a parameter without one
+        self._scratch = {dt: (np.empty(n, dt), np.empty(n, dt), np.zeros(n, dt))
+                         for dt, n in sizes.items()}
 
     def step(self, lr: float) -> None:
         # checked up front so that a bad gradient leaves every parameter unstepped
@@ -105,16 +147,19 @@ class Optimizer:
         c2 = 1.0 - BETA2 ** self.t
         decay = lr * self.cfg.weight_decay if self.cfg.optimizer == "adamw" else None
         for name, p in self.params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m, v = self.m[name], self.v[name]
-            m *= BETA1
-            m += (1.0 - BETA1) * g
-            v *= BETA2
-            v += (1.0 - BETA2) * g * g
-            update = lr * (m / c1) / (np.sqrt(v / c2) + EPS)
-            if decay is not None:
-                update += decay * p.data
-            p.data -= update
+            m, v = self.m[name].reshape(-1), self.v[name].reshape(-1)
+            a, b, zero = self._scratch[m.dtype]
+            # a strided parameter steps in a C-ordered copy, written back below
+            data = p.data if p.data.flags.c_contiguous else np.ascontiguousarray(p.data)
+            flat = data.reshape(-1)
+            g = None if p.grad is None else np.asarray(p.grad).reshape(-1)
+            for i in range(0, flat.size, _CHUNK):
+                j = min(i + _CHUNK, flat.size)
+                n = j - i
+                _adam_block(flat[i:j], m[i:j], v[i:j], zero[:n] if g is None else g[i:j],
+                            a[:n], b[:n], lr, c1, c2, decay)
+            if data is not p.data:
+                p.data[...] = data
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -231,14 +231,37 @@ def test_gelu_extremes(dtype):
     assert_bits(grads[0], want_grads[0])
 
 
+LINEAR_OUT = {6: 4, 64: 256, 768: 3072}  # c_in -> c_out
+
+
+# the last two are the benchmark's pointwise projections: synthetic and paper shape
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("shape", [(2, 5, 6), (7, 6)])
+@pytest.mark.parametrize("shape", [(2, 5, 6), (7, 6), (32, 50, 64), (8, 100, 768)])
 def test_linear(dtype, shape):
-    x, w, b = arr(shape, 1, dtype), arr((6, 4), 2, dtype), arr((4,), 3, dtype)
-    g = arr(shape[:-1] + (4,), 4, dtype)
+    c_out = LINEAR_OUT[shape[-1]]
+    x, w, b = arr(shape, 1, dtype), arr((shape[-1], c_out), 2, dtype), arr((c_out,), 3, dtype)
+    g = arr(shape[:-1] + (c_out,), 4, dtype)
     out, grads = run(linear, [x, w, b], g)
     want_out, want_grads = linear_ref(x, w, b, g)
     assert_bits(out, want_out)
+    for got, want in zip(grads, want_grads):
+        assert_bits(got, want)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("strided", [False, True])
+@pytest.mark.parametrize("x_requires_grad", [False, True])
+def test_linear_frozen_or_strided_input(dtype, strided, x_requires_grad):
+    # a strided x is copied into rows again in the backward, not saved from the forward
+    x = arr((50, 32, 64), 1, dtype).transpose(1, 0, 2) if strided else arr((32, 50, 64), 1, dtype)
+    w, b = arr((64, 256), 2, dtype), arr((256,), 3, dtype)
+    g = arr((32, 50, 256), 4, dtype)
+    out, grads = run(linear, [x, w, b], g, requires=[x_requires_grad, True, True])
+    want_out, want_grads = linear_ref(x, w, b, g)
+    assert_bits(out, want_out)
+    if not x_requires_grad:
+        assert grads[0] is None
+        grads, want_grads = grads[1:], want_grads[1:]
     for got, want in zip(grads, want_grads):
         assert_bits(got, want)
 

@@ -1,10 +1,15 @@
 """Optimizer math, schedule, metrics, and the fold-training loop."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import shiftseq
 from shiftseq.blocks import ModelConfig, build_model
 from shiftseq.data import FeatureSequence, GenConfig, gen_synthetic
 from shiftseq.errors import (
@@ -16,6 +21,10 @@ from shiftseq.errors import (
 )
 from shiftseq.tensor_autograd import Tensor
 from shiftseq.train import (
+    _CHUNK,
+    BETA1,
+    BETA2,
+    EPS,
     Metrics,
     Optimizer,
     TrainConfig,
@@ -209,6 +218,147 @@ def test_zero_lr_leaves_parameters_untouched():
         opt.step(lr=0.0)
         for name, p in model.named_parameters().items():
             np.testing.assert_array_equal(p.data, before[name])
+
+
+# ---------------------------------------------------------------------------
+# adam, bit for bit against the unblocked update
+# ---------------------------------------------------------------------------
+
+class Params:
+    """A model of the given arrays as parameters p0, p1, ..."""
+
+    def __init__(self, arrays):
+        self.tensors = {f"p{i}": Tensor(a, requires_grad=True) for i, a in enumerate(arrays)}
+
+    def named_parameters(self):
+        return self.tensors
+
+
+def adam_step_ref(p, g, m, v, t, lr, weight_decay, optimizer):
+    """The per-parameter update as it stood before the update was blocked, verbatim."""
+    c1 = 1.0 - BETA1 ** t
+    c2 = 1.0 - BETA2 ** t
+    decay = lr * weight_decay if optimizer == "adamw" else None
+    g = g if g is not None else np.zeros_like(p)
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * g * g
+    update = lr * (m / c1) / (np.sqrt(v / c2) + EPS)
+    if decay is not None:
+        update += decay * p
+    p -= update
+
+
+def step_against_ref(opt, ref, lr):
+    """One Optimizer.step and one reference step; p, m and v must agree bit for bit."""
+    opt.step(lr)
+    for name, p in opt.params.items():
+        rp, rm, rv = ref[name]
+        adam_step_ref(rp, p.grad, rm, rv, opt.t, lr, opt.cfg.weight_decay, opt.cfg.optimizer)
+        for got, want in ((p.data, rp), (opt.m[name], rm), (opt.v[name], rv)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (name, opt.t)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (name, opt.t)
+
+
+def ref_state(model):
+    return {n: [t.data.copy(), np.zeros_like(t.data), np.zeros_like(t.data)]
+            for n, t in model.named_parameters().items()}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("optimizer", ["adam", "adamw"])
+def test_adam_step_is_bit_identical_to_the_unblocked_update(dtype, optimizer):
+    rng = np.random.default_rng(3)
+    shapes = [(1,), (_CHUNK - 1,), (_CHUNK,), (5, (3 * _CHUNK + 7) // 5)]
+    arrays = [rng.standard_normal(s).astype(dtype) for s in shapes]
+    # a strided parameter is stepped in a C-ordered copy and written back; a 0-d one in place
+    arrays.append(np.asfortranarray(rng.standard_normal((7, 9)).astype(dtype)))
+    arrays.append(np.asarray(rng.standard_normal(), dtype=dtype))
+    model = Params(arrays)
+    opt = Optimizer(model, TrainConfig(optimizer=optimizer, weight_decay=0.1))
+    ref = ref_state(model)
+    # -0.0 moments: a step without gradient still adds +0.0, which clears the sign
+    for name, (_, rm, rv) in ref.items():
+        for state in (opt.m[name], opt.v[name], rm, rv):
+            state.reshape(-1)[::3] = -0.0
+    for step in range(6):
+        for i, p in enumerate(model.tensors.values()):
+            if step == 0 or (step == 3 and i % 2 == 0):
+                p.grad = None
+            else:
+                p.grad = rng.standard_normal(p.shape).astype(dtype)
+                p.grad.reshape(-1)[::5] = -0.0
+        step_against_ref(opt, ref, lr=1e-3 * (step + 1))
+
+
+@pytest.mark.parametrize("p_dtype,g_dtype", [(np.float32, np.float64), (np.float64, np.float32)])
+def test_adam_step_keeps_a_directly_set_gradient_in_its_own_dtype(p_dtype, g_dtype):
+    rng = np.random.default_rng(4)
+    model = Params([rng.standard_normal(s).astype(p_dtype) for s in [(3,), (_CHUNK + 3,)]])
+    opt = Optimizer(model, TrainConfig(optimizer="adamw", weight_decay=0.1))
+    ref = ref_state(model)
+    for _ in range(3):
+        for p in model.tensors.values():
+            p.grad = rng.standard_normal(p.shape).astype(g_dtype)
+        step_against_ref(opt, ref, lr=1e-3)
+
+
+def test_adam_step_allocates_under_a_quarter_of_a_parameter():
+    n = 1 << 20
+    model = Params([np.ones(n, np.float32), np.ones(n, np.float32)])
+    opt = Optimizer(model, TrainConfig(optimizer="adamw", weight_decay=0.1))
+    model.tensors["p0"].grad = np.full(n, 0.5, np.float32)  # p1 steps without a gradient
+    tracemalloc.start()
+    try:
+        opt.step(1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < model.tensors["p0"].data.nbytes / 4
+    assert opt.v["p1"].max() == 0.0 and opt.m["p0"].min() > 0.0
+
+
+# prints, per preset at paper width, hashes of the eval logits and of the
+# parameters after one train step
+BLAS_PROBE = """
+import hashlib
+import numpy as np
+import shiftseq as ss
+from shiftseq.tensor_autograd import Tensor, backward
+from shiftseq.train import Optimizer, TrainConfig, collate, predict_logits
+
+rng = np.random.default_rng(0)
+records = [ss.FeatureSequence(label=i % 4, group=0,
+                              data=rng.standard_normal((3, 40, 768), dtype=np.float32))
+           for i in range(4)]
+for preset in ("shiftcnn", "transformer", "shiftlstm"):
+    model = ss.build_model(ss.preset_config(preset, width=768, num_classes=4,
+                                            num_input_layers=3), seed=0)
+    logits, _ = predict_logits(model, records, 4)
+    feats, lengths, labels = collate(records)
+    loss, _ = model.loss(Tensor(feats), labels, lengths=lengths, training=True)
+    backward(loss)
+    Optimizer(model, TrainConfig()).step(5e-4)
+    params = hashlib.sha256()
+    for p in model.named_parameters().values():
+        params.update(p.data.tobytes())
+    print(preset, hashlib.sha256(logits.tobytes()).hexdigest(), params.hexdigest())
+"""
+
+
+def test_logits_and_a_train_step_do_not_depend_on_blas_threads():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(shiftseq.__file__)))
+    outputs = []
+    for threads in ("1", "2"):  # numpy's OpenBLAS reads this when it loads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 3
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------
