@@ -103,40 +103,34 @@ class CostReport:
 
 
 def _layer_costs(layer, t: int) -> tuple:
-    """(params, flops, ew_flops) for one parametric layer at length t."""
+    """(params, flops, ew_flops) for one parametric layer at length t.
+
+    Parameters are the layer's own tensor sizes, so the report cannot
+    disagree with the model; the work columns follow the rules above.
+    """
+    params = sum(p.size for _, p in layer.named_parameters())
     if isinstance(layer, LinearLayer):
         c_in, c_out = layer.weight.shape
-        return (c_in * c_out + c_out, 2 * c_in * c_out * t, c_out * t)
+        return (params, 2 * c_in * c_out * t, c_out * t)
     if isinstance(layer, LayerNormLayer):
-        width = layer.gamma.size
-        return (2 * width, 0, NORM_EW * width * t)
+        return (params, 0, NORM_EW * layer.gamma.size * t)
     if isinstance(layer, DepthwiseConvLayer):
         k, width = layer.kernel.shape
-        return (k * width + width, 2 * k * width * t, width * t)
+        return (params, 2 * k * width * t, width * t)
     if isinstance(layer, AttentionLayer):
         width = layer.params.wq.shape[0]
         heads = layer.heads
-        params = 4 * (width * width + width)
-        if layer.params.rel_table is not None:
-            params += layer.params.rel_table.size
-        if layer.params.abs_table is not None:
-            params += layer.params.abs_table.size
         flops = 8 * width * width * t + 4 * t * t * width
         ew = 4 * width * t                       # projection biases
         ew += SOFTMAX_EW * heads * t * t         # attention softmax
         ew += heads * t * t                      # logit scaling
-        if layer.params.rel_table is not None:
-            ew += heads * t * t                  # position bias add
-        if layer.params.abs_table is not None:
-            ew += width * t                      # position embedding add
+        ew += heads * t * t                      # position bias add
         return (params, flops, ew)
     if isinstance(layer, BiLstmLayer):
         c_in = layer.fw.w_ih.shape[0]
         hidden = layer.hidden
-        params = 2 * (c_in * 4 * hidden + hidden * 4 * hidden + 4 * hidden)
         flops = 2 * 2 * (c_in + hidden) * 4 * hidden * t
-        ew = 2 * LSTM_CELL_EW * hidden * t
-        return (params, flops, ew)
+        return (params, flops, 2 * LSTM_CELL_EW * hidden * t)
     raise UsageError(f"no cost rule for layer type {type(layer).__name__}")
 
 
@@ -176,11 +170,9 @@ def _build_report(model: SequenceClassifier, t: int) -> CostReport:
                              0, 2 * n_layers * width * t + SOFTMAX_EW * n_layers))
     for i, block in enumerate(model.blocks):
         entries.extend(_block_entries(f"blocks.{i}", block, t))
-    out_w = cfg.out_width
-    entries.append(CostEntry("mean_pool", 0, 0, out_w * (t + 1)))
-    head_params = out_w * cfg.num_classes + cfg.num_classes
-    entries.append(CostEntry("head", head_params,
-                             2 * out_w * cfg.num_classes, cfg.num_classes))
+    entries.append(CostEntry("mean_pool", 0, 0, cfg.out_width * (t + 1)))
+    # the head runs once on the pooled vector: a linear layer at length 1
+    entries.append(CostEntry("head", *_layer_costs(model.head, 1)))
     return CostReport(tuple(entries))
 
 

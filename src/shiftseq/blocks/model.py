@@ -53,7 +53,6 @@ from ..tensor_autograd import (
 )
 
 FAMILIES = ("cnn", "transformer", "lstm")
-POS_MODES = ("relative", "absolute", "none")
 MIXERS = ("attention", "pooling", "shift", "none")
 
 
@@ -65,8 +64,9 @@ class ModelConfig:
     out == in, and (in, 2*hidden) for the lstm family. `mixer` selects the
     transformer token mixer; "none" drops the mixing sub-layer entirely,
     leaving a per-frame pointwise MLP; the cnn and lstm families take only
-    the default. `kernel` applies to the cnn family and
-    `heads`/`pos`/`clip_dist`/`max_len` to the attention mixer. Every block
+    the default. `kernel` applies to the cnn family and `heads`/`clip_dist`
+    to the attention mixer, whose only position signal is a learned bias
+    per head and query-key distance clipped to `clip_dist`. Every block
     normalizes with LayerNorm.
     """
 
@@ -75,14 +75,12 @@ class ModelConfig:
     blocks: int = 2
     kernel: int = 7
     heads: int = 8
-    pos: str = "relative"
     mixer: str = "attention"
     shift: ShiftConfig | None = None
     num_classes: int = 4
     num_input_layers: int = 13
     pool_window: int = 3
     clip_dist: int = 64
-    max_len: int = 512
 
     def __post_init__(self):
         if isinstance(self.channels, list):
@@ -121,14 +119,10 @@ class ModelConfig:
                 raise ConfigError(
                     f"shift.placement must be 'residual' when the shift is the token mixer, got {self.shift.placement!r}")
         if self.mixer == "attention" and self.family == "transformer":
-            if self.pos not in POS_MODES:
-                raise ConfigError(f"pos must be one of {POS_MODES}, got {self.pos!r}")
             if self.heads < 1 or self.channels[0] % self.heads != 0:
                 raise ConfigError(f"heads must divide channels[0]={self.channels[0]}, got heads={self.heads}")
             if self.clip_dist < 1:
                 raise ConfigError(f"clip_dist must be at least 1, got {self.clip_dist}")
-            if self.max_len < 1:
-                raise ConfigError(f"max_len must be at least 1, got {self.max_len}")
         if self.mixer == "pooling" and (self.pool_window < 1 or self.pool_window % 2 == 0):
             raise ConfigError(f"pool_window must be odd and positive, got {self.pool_window}")
         if self.shift is not None:
@@ -153,12 +147,15 @@ def config_to_dict(cfg: ModelConfig) -> dict:
 def config_from_dict(raw: dict) -> ModelConfig:
     """Strict inverse of :func:`config_to_dict`; unknown keys and mistyped
     values are errors. Older configs' `"family": "shiftformer"` (with mixer
-    "shift") loads as the transformer family; their `"norm": "layer"` key
-    and `"boundary": "zero_fill"` shift key, each once the only value in
-    use, are dropped, and any other value of either is an unknown key.
+    "shift") loads as the transformer family. Their `"norm": "layer"`,
+    `"pos": "relative"` and shift `"boundary": "zero_fill"` keys, each once
+    the only value in use, are dropped, as is their `max_len`, which sized
+    only a position table no model has any more; any other value of `norm`,
+    `pos` or `boundary` is an unknown key.
     """
     if isinstance(raw, dict):
-        raw = {k: v for k, v in raw.items() if (k, v) != ("norm", "layer")}
+        raw = {k: v for k, v in raw.items()
+               if k != "max_len" and (k, v) not in (("norm", "layer"), ("pos", "relative"))}
     check_config_dict(raw, ModelConfig, "model")
     if "family" not in raw or "channels" not in raw:
         raise ConfigError("model config needs at least 'family' and 'channels'")
@@ -222,7 +219,7 @@ class DepthwiseConvLayer:
 
 
 class AttentionLayer:
-    def __init__(self, rng, width: int, heads: int, pos: str, clip_dist: int, max_len: int, dtype):
+    def __init__(self, rng, width: int, heads: int, clip_dist: int, dtype):
         self.heads = heads
         std = 1.0 / math.sqrt(width)
 
@@ -232,13 +229,9 @@ class AttentionLayer:
         def b():
             return Tensor(np.zeros(width, dtype), requires_grad=True)
 
-        rel = abs_t = None
-        if pos == "relative":
-            rel = Tensor(np.zeros((heads, 2 * clip_dist + 1), dtype), requires_grad=True)
-        elif pos == "absolute":
-            abs_t = Tensor(np.zeros((max_len, width), dtype), requires_grad=True)
+        rel = Tensor(np.zeros((heads, 2 * clip_dist + 1), dtype), requires_grad=True)
         self.params = AttentionParams(wq=w(), bq=b(), wk=w(), bk=b(), wv=w(), bv=b(),
-                                      wo=w(), bo=b(), rel_table=rel, abs_table=abs_t)
+                                      wo=w(), bo=b(), rel_table=rel)
 
     def forward(self, x: Tensor) -> Tensor:
         return mhsa(x, self.params, self.heads)
@@ -316,7 +309,7 @@ class TransformerBlock:
         self.shift_cfg = cfg.shift
         self.shift_mode = shift_mode
         self.norm1 = LayerNormLayer(width, dtype) if cfg.mixer != "none" else None
-        self.attn = (AttentionLayer(rng, width, cfg.heads, cfg.pos, cfg.clip_dist, cfg.max_len, dtype)
+        self.attn = (AttentionLayer(rng, width, cfg.heads, cfg.clip_dist, dtype)
                      if cfg.mixer == "attention" else None)
         self.norm2 = LayerNormLayer(width, dtype)
         self.pw1 = LinearLayer(rng, width, mid, dtype)

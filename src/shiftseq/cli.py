@@ -40,7 +40,6 @@ from .blocks import (
 )
 from .data import (
     FseqError,
-    GenConfig,
     gen_config_from_dict,
     gen_config_to_dict,
     gen_synthetic,
@@ -58,7 +57,6 @@ from .errors import (
 from .shift import ShiftConfig, temporal_shift
 from .tensor_autograd import Tensor
 from .train import (
-    TrainConfig,
     cross_validate,
     evaluate,
     format_curves,
@@ -139,8 +137,7 @@ def _strip_shift(cfg: ModelConfig) -> ModelConfig:
 
 def cmd_gen_data(args) -> int:
     sections = _load_config(args.config) if args.config else {}
-    gcfg = gen_config_from_dict(sections.get("data", {})) if sections.get("data") \
-        else GenConfig()
+    gcfg = gen_config_from_dict(sections.get("data", {}))
     out = gen_synthetic(gcfg, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "data.fseq")
@@ -176,8 +173,7 @@ def _resolve_train_configs(args, fseq):
         raise ConfigError(f"model has {model_cfg.num_classes} classes, "
                           f"data declares {fseq.k_cls}")
 
-    train_cfg = train_config_from_dict(sections.get("train", {})) \
-        if sections.get("train") else TrainConfig()
+    train_cfg = train_config_from_dict(sections.get("train", {}))
     if args.seed is not None:
         train_cfg = dataclasses.replace(train_cfg, seed=args.seed)
     if args.augment_prob is not None:

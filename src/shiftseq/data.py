@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -246,8 +247,11 @@ class GenConfig:
             raise ConfigError(f"num_layers must be at least 1, got {self.num_layers}")
         if self.groups < 1 or self.per_class_per_group < 0:
             raise ConfigError("groups must be positive and per_class_per_group non-negative")
-        if self.noise_sigma < 0 or self.bump_width <= 0:
-            raise ConfigError("noise_sigma must be non-negative and bump_width positive")
+        # chained comparisons are false for NaN, so this rejects it too
+        if not (0 <= self.noise_sigma < math.inf and 0 < self.bump_width < math.inf):
+            raise ConfigError("noise_sigma must be non-negative and bump_width positive, both finite")
+        if not math.isfinite(self.amplitude):
+            raise ConfigError(f"amplitude must be finite, got {self.amplitude}")
         if self.group_width < 1:
             raise ConfigError(f"group_width must be at least 1, got {self.group_width}")
         a = range(self.group_a_start, self.group_a_start + self.group_width)

@@ -22,7 +22,6 @@ from .engine import (
     matmul,
     reshape,
     scale,
-    slice_rows,
     track,
     transpose,
 )
@@ -348,10 +347,9 @@ def rel_position_bias(table: Tensor, t: int) -> Tensor:
 class AttentionParams:
     """Projection weights for multi-head self-attention.
 
-    The position tables are optional and each one present is used:
-    `rel_table` (heads, 2*D+1) adds a learned bias per head and clipped
-    query-key distance to the attention logits; `abs_table` (max_len, C)
-    adds a learned embedding to each frame before the projections.
+    `rel_table` (heads, 2*D+1), the only position signal, adds a learned
+    bias per head and clipped query-key distance to the attention logits.
+    Every model has one; without it (`None`) attention is order-blind.
     """
 
     wq: Tensor
@@ -363,7 +361,6 @@ class AttentionParams:
     wo: Tensor
     bo: Tensor
     rel_table: Tensor | None = None
-    abs_table: Tensor | None = None
 
 
 def named_tensors(params) -> list:
@@ -376,8 +373,8 @@ def named_tensors(params) -> list:
 def mhsa(x: Tensor, params: AttentionParams, heads: int) -> Tensor:
     """Multi-head scaled dot-product self-attention.
 
-    Positions enter through whichever tables `params` holds (see
-    :class:`AttentionParams`); with neither, attention is order-blind.
+    Positions enter only through `params.rel_table` (see
+    :class:`AttentionParams`); with no table, attention is order-blind.
     """
     if x.ndim != 3:
         raise DimensionError(f"mhsa expects rank-3 input, got {x.shape}")
@@ -387,14 +384,6 @@ def mhsa(x: Tensor, params: AttentionParams, heads: int) -> Tensor:
     if params.rel_table is not None and params.rel_table.shape[0] != heads:
         raise DimensionError(
             f"relative bias table {params.rel_table.shape} needs one row per head ({heads})")
-    if params.abs_table is not None:
-        if params.abs_table.shape[1] != c:
-            raise DimensionError(
-                f"absolute position table {params.abs_table.shape} needs one column per channel ({c})")
-        if params.abs_table.shape[0] < t:
-            raise DimensionError(
-                f"sequence length {t} exceeds the absolute position table ({params.abs_table.shape[0]})")
-        x = add(x, slice_rows(params.abs_table, t))
     head_dim = c // heads
 
     def split(p: Tensor) -> Tensor:

@@ -38,10 +38,11 @@ class TrainConfig:
     def validate(self) -> None:
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
-        if not self.peak_lr > 0:
-            raise ConfigError(f"peak_lr must be positive, got {self.peak_lr}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be non-negative, got {self.weight_decay}")
+        # chained comparisons are false for NaN, so these reject it too
+        if not 0 < self.peak_lr < math.inf:
+            raise ConfigError(f"peak_lr must be positive and finite, got {self.peak_lr}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be non-negative and finite, got {self.weight_decay}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.epochs < 0:

@@ -55,17 +55,16 @@ def _t(rng, *shape):
     return Tensor(rng.standard_normal(shape), requires_grad=True, dtype=np.float64)
 
 
-def _attention_params(rng, width, heads=2, pos="relative", clip=3, max_len=16):
+def _attention_params(rng, width, relative: bool, heads=2, clip=3):
     def w():
         return _t(rng, width, width)
 
     def b():
         return _t(rng, width)
 
-    rel = _t(rng, heads, 2 * clip + 1) if pos == "relative" else None
-    abs_t = _t(rng, max_len, width) if pos == "absolute" else None
+    rel = _t(rng, heads, 2 * clip + 1) if relative else None
     return AttentionParams(wq=w(), bq=b(), wk=w(), bk=b(), wv=w(), bv=b(),
-                           wo=w(), bo=b(), rel_table=rel, abs_table=abs_t)
+                           wo=w(), bo=b(), rel_table=rel)
 
 
 def _lstm_direction(rng, c_in, hidden):
@@ -74,9 +73,9 @@ def _lstm_direction(rng, c_in, hidden):
                          b=_t(rng, 4 * hidden))
 
 
-def _mhsa_case(pos: str):
+def _mhsa_case(relative: bool):
     def build(rng, _seed):
-        params = _attention_params(rng, 6, pos=pos)
+        params = _attention_params(rng, 6, relative)
         x = _t(rng, 2, 5, 6)
 
         def f(x_in, *_):
@@ -159,9 +158,8 @@ def _suite_cases():
              [_t(rng, 2, 5, 4), _t(rng, 4), _t(rng, 4)])),
         ("op.rel_position_bias", TOL_ELEMENTWISE,
          lambda rng, _: (lambda tbl: rel_position_bias(tbl, 5), [_t(rng, 2, 7)])),
-        ("op.mhsa_relative", TOL_COMPOSED, _mhsa_case("relative")),
-        ("op.mhsa_absolute", TOL_COMPOSED, _mhsa_case("absolute")),
-        ("op.mhsa_no_positions", TOL_COMPOSED, _mhsa_case("none")),
+        ("op.mhsa_relative", TOL_COMPOSED, _mhsa_case(relative=True)),
+        ("op.mhsa_no_positions", TOL_COMPOSED, _mhsa_case(relative=False)),
         ("op.avg_pool_mixer", TOL_ELEMENTWISE,
          lambda rng, _: (lambda x: avg_pool_mixer(x, 3), [_t(rng, 2, 6, 4)])),
         ("op.bilstm", TOL_COMPOSED, _bilstm_case()),

@@ -36,7 +36,7 @@ SHIFT_MIXER = dict(mixer="shift", shift=ShiftConfig(alpha=0.25, direction="bidir
 
 def small_cfg(family="cnn", **kw):
     base = dict(channels=(8, 16, 8), blocks=2, kernel=3, heads=2,
-                num_classes=3, num_input_layers=2, clip_dist=4, max_len=32)
+                num_classes=3, num_input_layers=2, clip_dist=4)
     if family == "lstm":
         base = dict(channels=(8, 12), blocks=1, num_classes=3, num_input_layers=2)
     base.update(kw)
@@ -167,10 +167,17 @@ def test_config_from_dict_rejects_unknown_shift_keys():
 
 @pytest.mark.parametrize("norm", ["group", "batch"])
 def test_config_from_dict_drops_only_the_legacy_layer_norm_key(norm):
+    """Older writers also stored `"pos": "relative"` and a `max_len`, which sized
+    only an absolute position table; any other position mode is gone."""
     raw = config_to_dict(small_cfg())
     assert config_from_dict(dict(raw, norm="layer")) == small_cfg()
+    assert config_from_dict(dict(raw, norm="layer", pos="relative", max_len=512)) == small_cfg()
+    assert config_from_dict(dict(raw, max_len=32)) == small_cfg()
     with pytest.raises(ConfigError, match="norm"):
         config_from_dict(dict(raw, norm=norm))
+    for pos in ("absolute", "none"):
+        with pytest.raises(ConfigError, match="pos"):
+            config_from_dict(dict(raw, pos=pos, max_len=512))
 
 
 def test_config_from_dict_requires_family_and_channels():
@@ -344,8 +351,8 @@ def test_parameter_names_are_unique_and_sized():
     ("transformer", {}),
     ("transformer", dict(mixer="pooling")),
     ("transformer", dict(mixer="none")),
-    ("transformer", dict(pos="absolute")),
-    ("transformer", dict(pos="none")),
+    ("transformer", dict(heads=1)),
+    ("transformer", dict(clip_dist=1)),  # every distance past one frame shares a bias
     pytest.param("transformer", SHIFT_MIXER, id="shiftformer-kw8"),
     ("lstm", {}),
     ("lstm", dict(shift=ShiftConfig(alpha=0.25, placement="in_place"))),
@@ -676,11 +683,12 @@ def test_legacy_shiftformer_checkpoint_loads_bit_exactly(tmp_path):
 
 @pytest.mark.parametrize("preset", PRESETS)
 def test_legacy_layer_norm_key_loads_bit_exactly(tmp_path, preset):
-    """Older writers stored `"norm": "layer"`, once the choice every preset made."""
+    """Older writers stored `"norm": "layer"`, `"pos": "relative"` and
+    `"max_len": 512`, once the choices every preset made."""
     model = small_preset(preset, seed=8)
     path = tmp_path / "legacy.ckpt"
     save_checkpoint(path, model)
-    rewrite_model_config(path, norm="layer")
+    rewrite_model_config(path, norm="layer", pos="relative", max_len=512)
     loaded, _ = build_from_checkpoint(path)
     assert loaded.cfg == model.cfg
     records = mixed_records(9)
@@ -696,6 +704,8 @@ def test_legacy_layer_norm_key_loads_bit_exactly(tmp_path, preset):
     dict(mixer="none"),                   # a residual shift with no branch to run on
     dict(family="cnn", mixer="pooling"),  # cnn blocks have no token mixer
     dict(norm="batch"),                   # batch norm is no longer a model option
+    dict(pos="absolute", max_len=512),    # relative bias is the one position scheme
+    dict(pos="none", max_len=512),
 ])
 def test_checkpoint_with_invalid_config_is_rejected(tmp_path, edits):
     model = build_model(preset_config("shiftformer", width=16, num_input_layers=2), seed=5)

@@ -7,6 +7,7 @@ bad input exits nonzero with a message instead of a traceback.
 """
 
 import json
+import math
 import os
 
 import numpy as np
@@ -278,6 +279,8 @@ def test_unknown_train_key(workdir, data_path, tmp_path, capsys):
     dict(train=dict(TRAIN_CFG, epochs="3")),
     dict(model={"family": "cnn", "channels": 16}),
     dict(model={"family": "cnn", "channels": [16, 32, 16], "blocks": "2"}),
+    dict(train=dict(TRAIN_CFG, peak_lr=math.inf)),    # written as JSON Infinity
+    dict(train=dict(TRAIN_CFG, weight_decay=math.nan)),
 ])
 def test_mistyped_config_value_exits_one(workdir, data_path, tmp_path, capsys, sections):
     cfg = write_config(tmp_path / "cfg.json", **sections)
@@ -285,6 +288,18 @@ def test_mistyped_config_value_exits_one(workdir, data_path, tmp_path, capsys, s
                  "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [[], 0, "", False, None])
+@pytest.mark.parametrize("section", ["train", "data"])
+def test_non_mapping_section_exits_one(data_path, tmp_path, capsys, section, value):
+    """Only a mapping configures a section; `{}` (or no section) means defaults."""
+    cfg = write_config(tmp_path / "cfg.json", **{section: value})
+    argv = ["train", data_path, "--preset", "cnn"] if section == "train" else ["gen-data"]
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {section} config must be a mapping")
+    assert not os.path.exists(tmp_path / "run")
 
 
 @pytest.mark.parametrize("model", [

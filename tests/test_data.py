@@ -213,6 +213,10 @@ def test_gen_config_rejects_impossible_placement():
 
 @pytest.mark.parametrize("raw", [
     {"frames": "50"}, {"channels": 16.0}, {"noise_sigma": "0.1"}, {"groups": False},
+    # JSON's NaN and Infinity parse to floats; the generator needs finite ones
+    *({key: value} for key in ("noise_sigma", "amplitude", "bump_width")
+      for value in (float("nan"), float("inf"))),
+    {"amplitude": float("-inf")},
 ])
 def test_gen_config_from_dict_rejects_mistyped_values(raw):
     with pytest.raises(ConfigError, match=next(iter(raw))):

@@ -1,6 +1,5 @@
 """Network-op tests against hand-rolled loop oracles and closed-form cases."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -141,7 +140,7 @@ def lstm_cell_oracle(x, w_ih, w_hh, b, reverse):
     return outs
 
 
-def make_attention(c, heads, seed, rel_d=None, abs_len=None):
+def make_attention(c, heads, seed, rel_d=None):
     rng = np.random.default_rng(seed)
 
     def t(shape, req=True):
@@ -151,7 +150,6 @@ def make_attention(c, heads, seed, rel_d=None, abs_len=None):
         wq=t((c, c)), bq=t((c,)), wk=t((c, c)), bk=t((c,)),
         wv=t((c, c)), bv=t((c,)), wo=t((c, c)), bo=t((c,)),
         rel_table=t((heads, 2 * rel_d + 1)) if rel_d is not None else None,
-        abs_table=t((abs_len, c)) if abs_len is not None else None,
     )
 
 
@@ -391,14 +389,6 @@ class TestAttention:
         with pytest.raises(ConfigError):
             mhsa(Tensor(rnd((1, 2, 4), 48)), p, heads=3)
 
-    def test_absolute_mode_adds_positions_before_projection(self):
-        p = make_attention(4, 2, seed=49, abs_len=6)
-        x = rnd((1, 3, 4), 50)
-        with_abs = mhsa(Tensor(x), p, heads=2)
-        shifted_in = x + p.abs_table.data[:3]
-        manual = mhsa(Tensor(shifted_in), dataclasses.replace(p, abs_table=None), heads=2)
-        assert np.allclose(with_abs.data, manual.data, atol=1e-12)
-
     def test_relative_mode_biases_logits(self):
         heads, c, t = 2, 4, 3
         p = make_attention(c, heads, seed=51, rel_d=2)
@@ -419,18 +409,6 @@ class TestAttention:
             expect[0][:, sl] = (e / e.sum(axis=1, keepdims=True)) @ v[0][:, sl]
         expect = expect @ p.wo.data + p.bo.data
         assert np.allclose(out, expect, atol=1e-10)
-
-    def test_sequence_longer_than_abs_table_rejected(self):
-        p = make_attention(4, 2, seed=53, abs_len=2)
-        with pytest.raises(DimensionError):
-            mhsa(Tensor(rnd((1, 3, 4), 54)), p, heads=2)
-
-    @pytest.mark.parametrize("width", [1, 3])
-    def test_abs_table_needs_one_column_per_channel(self, width):
-        p = make_attention(4, 2, seed=59)
-        p.abs_table = Tensor(rnd((6, width), 60), requires_grad=True)
-        with pytest.raises(DimensionError, match="one column per channel"):
-            mhsa(Tensor(rnd((1, 3, 4), 61)), p, heads=2)
 
     def test_rel_table_needs_one_row_per_head(self):
         p = make_attention(4, 1, seed=57, rel_d=2)

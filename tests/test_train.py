@@ -74,6 +74,10 @@ def tiny_dataset():
     dict(min_lr_ratio=1.5),
     dict(augment_prob=-0.2),
     dict(seed=-1),
+    dict(peak_lr=math.inf),
+    dict(peak_lr=math.nan),
+    dict(weight_decay=math.inf),
+    dict(weight_decay=math.nan),
 ])
 def test_train_config_validation(mutate):
     cfg = TrainConfig(**mutate)
@@ -84,6 +88,7 @@ def test_train_config_validation(mutate):
 def test_train_config_round_trip():
     cfg = TrainConfig(optimizer="adam", epochs=7, warmup_epochs=2, augment_prob=0.5)
     assert train_config_from_dict(train_config_to_dict(cfg)) == cfg
+    assert train_config_from_dict({}) == TrainConfig()
     with pytest.raises(ConfigError, match="momentum"):
         train_config_from_dict({"momentum": 0.9})
 
