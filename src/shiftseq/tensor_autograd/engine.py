@@ -13,7 +13,7 @@ Gradient buffers are owned. An op that hands :func:`accumulate_grad` an
 array it has just allocated, and that nothing else references, marks it
 `owned` and it becomes `.grad` as is; any other array is copied on first
 use. Later uses add in place, so `.grad` keeps its identity across
-accumulations, and across backward calls until `zero_grad`.
+accumulations, and across backward calls until `train.Optimizer.zero_grad`.
 
 Inside :func:`no_grad` nothing is recorded: ops return plain tensors with
 no parents, so a forward-only pass (evaluation, finite differences) keeps
@@ -89,16 +89,10 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def item(self) -> float:
         if self.data.size != 1:
             raise UsageError(f"item() on a tensor of shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def backward(self) -> None:
-        backward(self)
 
     def __add__(self, other: "Tensor") -> "Tensor":
         return add(self, other)
@@ -464,31 +458,35 @@ def grad_check(f, inputs: list[Tensor], tol: float = 1e-5, step: float = 1e-3,
                seed: int = 0) -> GradCheckReport:
     """Compare analytic gradients of `f` against central finite differences.
 
-    `f` maps the given tensors to a tensor of any shape; the output is
-    reduced to a scalar through a fixed random linear functional so every
-    output coordinate participates. The check passes iff the max relative
-    error, with denominator max(|analytic|, |numeric|, 1e-8), stays below
-    `tol` for every input. `f` must be a pure function of its tensor
-    arguments; run it at float64 for meaningful tolerances. The finite
-    differences run under :func:`no_grad`.
+    `f` is called as ``f(*inputs)`` and may also read inputs through a
+    closure: the check differentiates and perturbs the given tensors, not
+    copies. It sets `requires_grad` and clears `.grad` on each, leaving its
+    analytic gradient there, and restores each element bit for bit after
+    its difference. The output is reduced to a scalar through a fixed
+    random linear functional so every output coordinate participates. The
+    check passes iff the max relative error, with denominator
+    max(|analytic|, |numeric|, 1e-8), stays below `tol` for every input.
+    Run `f` at float64 for meaningful tolerances. The finite differences
+    run under :func:`no_grad`.
     """
-    probes = [Tensor(inp.data.copy(), requires_grad=True, dtype=inp.data.dtype) for inp in inputs]
-    out = f(*probes)
+    for inp in inputs:
+        if not inp.data.flags.c_contiguous:  # reshape(-1) would copy, and perturb the copy
+            raise UsageError(f"grad_check perturbs inputs in place; got non-contiguous "
+                             f"data of shape {inp.shape}, strides {inp.data.strides}")
+    for inp in inputs:
+        inp.requires_grad, inp.grad = True, None
+    out = f(*inputs)
     rng = np.random.default_rng(seed)
     r = rng.standard_normal(out.shape).astype(out.data.dtype)
-    loss = sum_all(mul(out, Tensor(r)))
-    backward(loss)
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad for p in probes]
-
-    fd_inputs = [Tensor(inp.data.copy(), dtype=inp.data.dtype) for inp in inputs]
+    backward(sum_all(mul(out, Tensor(r))))
 
     def objective() -> float:
         with no_grad():
-            return float(np.sum(f(*fd_inputs).data * r))
+            return float(np.sum(f(*inputs).data * r))
 
     report = GradCheckReport(tol=tol, step=step)
-    for i, probe in enumerate(fd_inputs):
-        flat = probe.data.reshape(-1)
+    for inp in inputs:
+        flat = inp.data.reshape(-1)
         numeric = np.zeros_like(flat)
         for j in range(flat.size):
             orig = flat[j]
@@ -498,7 +496,7 @@ def grad_check(f, inputs: list[Tensor], tol: float = 1e-5, step: float = 1e-3,
             lo = objective()
             flat[j] = orig
             numeric[j] = (hi - lo) / (2.0 * step)
-        a = analytic[i].reshape(-1)
+        a = np.zeros_like(flat) if inp.grad is None else inp.grad.reshape(-1)
         denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-8)
         rel = np.abs(a - numeric) / denom
         report.per_input.append(float(rel.max()) if rel.size else 0.0)

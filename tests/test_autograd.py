@@ -384,6 +384,41 @@ class TestGradCheck:
         report = grad_check(broken_double, [rand((3,), 5)], tol=1e-5)
         assert not report.passed
 
+    def test_closure_tensor_with_wrong_backward_fails(self):
+        w = rand((3,), 6)
+
+        def broken_scale(x, _w):
+            # reads w through the closure, not through its argument
+            def bwd(g):
+                accumulate_grad(x, g * w.data)
+                accumulate_grad(w, g * x.data * 3.0)  # wrong on purpose
+
+            return track(x.data * w.data, (x, w), bwd)
+
+        report = grad_check(broken_scale, [rand((3,), 5), w], tol=1e-5)
+        assert not report.passed
+        assert report.per_input[0] < 1e-7 and report.per_input[1] > 0.5
+
+    def test_inputs_are_restored_bit_for_bit(self):
+        x = rand((2, 4), 12)
+        x.data[0, :2] = [-0.0, 0.0]
+        w = rand((4, 3), 13)
+        w.data[1, 1] = -0.0
+        before = [t.data.copy() for t in (x, w)]
+
+        report = grad_check(lambda xx, _w: matmul(xx, w), [x, w], tol=1e-5)
+        assert report.passed, str(report)
+        for t, old in zip((x, w), before):
+            np.testing.assert_array_equal(t.data.view(np.uint64), old.view(np.uint64))
+            assert t.requires_grad and t.grad is not None
+
+    def test_non_contiguous_input_is_rejected(self):
+        x = Tensor(np.arange(12.0).reshape(3, 4).T)
+        assert not x.data.flags.c_contiguous
+        with pytest.raises(UsageError, match="contiguous"):
+            grad_check(lambda t: mul(t, t), [x])
+        assert not x.requires_grad and x.grad is None
+
     def test_report_formatting(self):
         report = GradCheckReport(tol=1e-5, step=1e-3, per_input=[1e-9])
         assert "pass" in str(report)

@@ -419,11 +419,7 @@ class TestAttention:
         p = make_attention(4, 2, seed=55, rel_d=2)
         tensors = [Tensor(rnd((1, 3, 4), 56)), p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo, p.rel_table]
 
-        def f(x, wq, bq, wk, bk, wv, bv, wo, bo, rel):
-            params = AttentionParams(wq, bq, wk, bk, wv, bv, wo, bo, rel_table=rel)
-            return mhsa(x, params, heads=2)
-
-        report = grad_check(f, tensors, tol=1e-4)
+        report = grad_check(lambda x, *_: mhsa(x, p, heads=2), tensors, tol=1e-4)
         assert report.passed, str(report)
 
 
@@ -514,11 +510,8 @@ class TestBiLstm:
         fwd = make_lstm_direction(2, 2, 69)
         bwd = make_lstm_direction(2, 2, 70)
 
-        def f(x, a, b, c, d, e, g):
-            return bilstm(x, LstmDirection(a, b, c), LstmDirection(d, e, g))
-
         report = grad_check(
-            f,
+            lambda x, *_: bilstm(x, fwd, bwd),
             [Tensor(rnd((1, 3, 2), 71)), fwd.w_ih, fwd.w_hh, fwd.b, bwd.w_ih, bwd.w_hh, bwd.b],
             tol=1e-4)
         assert report.passed, str(report)
