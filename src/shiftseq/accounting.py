@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blocks.model import (
+    POOL_WINDOW,
     AttentionLayer,
     BiLstmLayer,
     ConvBlock,
@@ -150,8 +151,7 @@ def _block_entries(prefix: str, block, t: int) -> list:
     residuals = 1
     if isinstance(block, TransformerBlock):
         if block.mixer_kind == "pooling":
-            entries.append(CostEntry(f"{prefix}.pool",
-                                     0, 0, (block.pool_window + 1) * width * t))
+            entries.append(CostEntry(f"{prefix}.pool", 0, 0, (POOL_WINDOW + 1) * width * t))
         elif block.mixer_kind == "shift":
             entries.append(CostEntry(f"{prefix}.mixer_shift", 0, 0, 0))
         if block.mixer_kind != "none":

@@ -54,9 +54,10 @@ from ..tensor_autograd import (
 
 FAMILIES = ("cnn", "transformer", "lstm")
 MIXERS = ("attention", "pooling", "shift", "none")
+POOL_WINDOW = 3  # frames averaged by the pooling token mixer
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     """Architecture description for :func:`build_model`.
 
@@ -68,6 +69,10 @@ class ModelConfig:
     to the attention mixer, whose only position signal is a learned bias
     per head and query-key distance clipped to `clip_dist`. Every block
     normalizes with LayerNorm.
+
+    A config is checked when it is built, so every instance is valid: a bad
+    or inconsistent field raises ConfigError from the constructor (and from
+    ``dataclasses.replace``). It is frozen and cannot be changed afterwards.
     """
 
     family: str
@@ -79,14 +84,11 @@ class ModelConfig:
     shift: ShiftConfig | None = None
     num_classes: int = 4
     num_input_layers: int = 13
-    pool_window: int = 3
     clip_dist: int = 64
 
     def __post_init__(self):
         if isinstance(self.channels, list):
-            self.channels = tuple(self.channels)
-
-    def validate(self) -> None:
+            object.__setattr__(self, "channels", tuple(self.channels))
         if self.family not in FAMILIES:
             raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if not all(isinstance(c, int) and not isinstance(c, bool) and c >= 1 for c in self.channels):
@@ -123,8 +125,6 @@ class ModelConfig:
                 raise ConfigError(f"heads must divide channels[0]={self.channels[0]}, got heads={self.heads}")
             if self.clip_dist < 1:
                 raise ConfigError(f"clip_dist must be at least 1, got {self.clip_dist}")
-        if self.mixer == "pooling" and (self.pool_window < 1 or self.pool_window % 2 == 0):
-            raise ConfigError(f"pool_window must be odd and positive, got {self.pool_window}")
         if self.shift is not None:
             shifted_channels(self.shift, self.channels[0])
         if self.num_classes < 2:
@@ -140,7 +140,6 @@ class ModelConfig:
 def config_to_dict(cfg: ModelConfig) -> dict:
     out = dataclasses.asdict(cfg)
     out["channels"] = list(cfg.channels)
-    out["shift"] = dataclasses.asdict(cfg.shift) if cfg.shift is not None else None
     return out
 
 
@@ -148,14 +147,15 @@ def config_from_dict(raw: dict) -> ModelConfig:
     """Strict inverse of :func:`config_to_dict`; unknown keys and mistyped
     values are errors. Older configs' `"family": "shiftformer"` (with mixer
     "shift") loads as the transformer family. Their `"norm": "layer"`,
-    `"pos": "relative"` and shift `"boundary": "zero_fill"` keys, each once
-    the only value in use, are dropped, as is their `max_len`, which sized
-    only a position table no model has any more; any other value of `norm`,
-    `pos` or `boundary` is an unknown key.
+    `"pos": "relative"`, `"pool_window": 3` and shift `"boundary":
+    "zero_fill"` keys, each once the only value in use, are dropped, as is
+    their `max_len`, which sized only a position table no model has any
+    more; any other value of `norm`, `pos`, `pool_window` or `boundary` is
+    an unknown key.
     """
     if isinstance(raw, dict):
-        raw = {k: v for k, v in raw.items()
-               if k != "max_len" and (k, v) not in (("norm", "layer"), ("pos", "relative"))}
+        raw = {k: v for k, v in raw.items() if k != "max_len" and (k, v) not in (
+            ("norm", "layer"), ("pos", "relative"), ("pool_window", POOL_WINDOW))}
     check_config_dict(raw, ModelConfig, "model")
     if "family" not in raw or "channels" not in raw:
         raise ConfigError("model config needs at least 'family' and 'channels'")
@@ -167,9 +167,7 @@ def config_from_dict(raw: dict) -> ModelConfig:
         shift_raw = {k: v for k, v in shift_raw.items() if (k, v) != ("boundary", "zero_fill")}
         check_config_dict(shift_raw, ShiftConfig, "shift")
         shift_raw = ShiftConfig(**shift_raw)
-    cfg = ModelConfig(shift=shift_raw, **kwargs)
-    cfg.validate()
-    return cfg
+    return ModelConfig(shift=shift_raw, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +303,6 @@ class TransformerBlock:
     def __init__(self, rng, cfg: ModelConfig, dtype, shift_mode: str):
         width, mid = cfg.channels[0], cfg.channels[1]
         self.mixer_kind = cfg.mixer
-        self.pool_window = cfg.pool_window
         self.shift_cfg = cfg.shift
         self.shift_mode = shift_mode
         self.norm1 = LayerNormLayer(width, dtype) if cfg.mixer != "none" else None
@@ -324,7 +321,7 @@ class TransformerBlock:
             if self.mixer_kind == "attention":
                 m = self.attn.forward(u)
             elif self.mixer_kind == "pooling":
-                m = avg_pool_mixer(u, self.pool_window)
+                m = avg_pool_mixer(u, POOL_WINDOW)
             else:  # the shift is the token mixer
                 m = temporal_shift(u, self.shift_cfg)
             x = add(x, m)
@@ -410,7 +407,6 @@ class SequenceClassifier:
     """Weighted layer sum -> block stack -> masked mean pool -> linear head."""
 
     def __init__(self, cfg: ModelConfig, rng, dtype=np.float32):
-        cfg.validate()
         self.cfg = cfg
         self.dtype = np.dtype(dtype)
         self.layer_weights = Tensor(np.zeros(cfg.num_input_layers, dtype), requires_grad=True)
@@ -496,26 +492,23 @@ def preset_config(name: str, width: int = 768, num_classes: int = 4,
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {PRESETS}")
     if name in ("shiftcnn", "cnn"):
-        cfg = ModelConfig(
+        return ModelConfig(
             family="cnn", channels=(width, 4 * width, width), blocks=2, kernel=7,
             shift=ShiftConfig(alpha=1.0 / 16.0, direction="unidirectional", placement="residual")
             if name == "shiftcnn" else None,
             num_classes=num_classes, num_input_layers=num_input_layers)
-    elif name in ("shiftformer", "transformer"):
-        cfg = ModelConfig(
+    if name in ("shiftformer", "transformer"):
+        return ModelConfig(
             family="transformer", channels=(width, 4 * width, width), blocks=2,
             mixer="shift" if name == "shiftformer" else "attention",
             shift=ShiftConfig(alpha=0.25, direction="bidirectional", placement="residual")
             if name == "shiftformer" else None,
             num_classes=num_classes, num_input_layers=num_input_layers)
-    else:
-        cfg = ModelConfig(
-            family="lstm", channels=(width, 2 * width), blocks=1,
-            shift=ShiftConfig(alpha=0.25, direction="unidirectional", placement="in_place")
-            if name == "shiftlstm" else None,
-            num_classes=num_classes, num_input_layers=num_input_layers)
-    cfg.validate()
-    return cfg
+    return ModelConfig(
+        family="lstm", channels=(width, 2 * width), blocks=1,
+        shift=ShiftConfig(alpha=0.25, direction="unidirectional", placement="in_place")
+        if name == "shiftlstm" else None,
+        num_classes=num_classes, num_input_layers=num_input_layers)
 
 
 def build_model(cfg: ModelConfig, seed: int | None, dtype=np.float32) -> SequenceClassifier:

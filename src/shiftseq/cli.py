@@ -6,7 +6,7 @@ gradient verification suite, print cost reports, and apply the shift to a
 feature file for inspection. Every run is deterministic given its flags:
 all randomness flows from one seed through named substreams.
 
-Configs are JSON with up to three sections, each strictly validated
+Configs are JSON with up to three sections, each strictly checked
 (unknown keys are errors, never silently ignored):
 
     {"model": {...}, "train": {...}, "data": {...}}
@@ -40,8 +40,7 @@ from .blocks import (
 )
 from .data import (
     FseqError,
-    gen_config_from_dict,
-    gen_config_to_dict,
+    GenConfig,
     gen_synthetic,
     read_fseq,
     write_fseq,
@@ -57,11 +56,11 @@ from .errors import (
 from .shift import ShiftConfig, temporal_shift
 from .tensor_autograd import Tensor
 from .train import (
+    TrainConfig,
     cross_validate,
     evaluate,
     format_curves,
     format_metrics,
-    train_config_from_dict,
     write_text,
 )
 from .verification import run_grad_suite
@@ -107,22 +106,22 @@ def _model_from_section(section: dict, default_width=None, default_classes=None,
 
 
 def _apply_shift_flags(cfg: ModelConfig, args) -> ModelConfig:
-    """Fold --alpha/--placement/--direction/--mixer into a model config."""
-    if getattr(args, "mixer", None) is not None:
-        cfg = dataclasses.replace(cfg, mixer=args.mixer)
-    wants_shift = any(getattr(args, name, None) is not None
-                      for name in ("alpha", "placement", "direction"))
-    if wants_shift:
-        base = cfg.shift if cfg.shift is not None else ShiftConfig()
-        cfg = dataclasses.replace(cfg, shift=ShiftConfig(
+    """Fold --alpha/--placement/--direction/--mixer into a model config.
+
+    Mixer and shift change in one step: a shift token mixer is only valid
+    together with its shift, and a config is checked when it is built.
+    """
+    shift = cfg.shift
+    if any(getattr(args, name) is not None for name in ("alpha", "placement", "direction")):
+        base = shift if shift is not None else ShiftConfig()
+        shift = ShiftConfig(
             alpha=args.alpha if args.alpha is not None else base.alpha,
             direction=DIRECTION_FLAGS[args.direction] if args.direction is not None
             else base.direction,
             placement=PLACEMENT_FLAGS[args.placement] if args.placement is not None
             else base.placement,
-        ))
-    cfg.validate()
-    return cfg
+        )
+    return dataclasses.replace(cfg, mixer=args.mixer or cfg.mixer, shift=shift)
 
 
 def _strip_shift(cfg: ModelConfig) -> ModelConfig:
@@ -137,12 +136,11 @@ def _strip_shift(cfg: ModelConfig) -> ModelConfig:
 
 def cmd_gen_data(args) -> int:
     sections = _load_config(args.config) if args.config else {}
-    gcfg = gen_config_from_dict(sections.get("data", {}))
+    gcfg = GenConfig(**check_config_dict(sections.get("data", {}), GenConfig, "data"))
     out = gen_synthetic(gcfg, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "data.fseq")
-    write_fseq(path, out.records, out.k_cls,
-               gen_config=gen_config_to_dict(gcfg))
+    write_fseq(path, out.records, out.k_cls, gen_config=dataclasses.asdict(gcfg))
     groups = len({r.group for r in out.records})
     print(f"records={len(out.records)} k_cls={out.k_cls} groups={groups} path={path}")
     return 0
@@ -173,12 +171,11 @@ def _resolve_train_configs(args, fseq):
         raise ConfigError(f"model has {model_cfg.num_classes} classes, "
                           f"data declares {fseq.k_cls}")
 
-    train_cfg = train_config_from_dict(sections.get("train", {}))
+    train_cfg = TrainConfig(**check_config_dict(sections.get("train", {}), TrainConfig, "train"))
     if args.seed is not None:
         train_cfg = dataclasses.replace(train_cfg, seed=args.seed)
     if args.augment_prob is not None:
         train_cfg = dataclasses.replace(train_cfg, augment_prob=args.augment_prob)
-    train_cfg.validate()
     return model_cfg, train_cfg
 
 

@@ -34,7 +34,6 @@ stay easy for any model, anchoring training.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -43,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check_config_dict
+from .errors import ConfigError
 from .seeding import substream
 
 FSEQ_MAGIC = b"FSEQ"
@@ -268,15 +267,6 @@ class GenConfig:
             raise ConfigError(
                 f"no valid bump placements: frames={self.frames} cannot hold two bumps "
                 f"with margin {self.margin} and gap {self.min_gap}")
-
-
-def gen_config_to_dict(gcfg: GenConfig) -> dict:
-    return dataclasses.asdict(gcfg)
-
-
-def gen_config_from_dict(raw: dict) -> GenConfig:
-    check_config_dict(raw, GenConfig, "data")
-    return GenConfig(**raw)
 
 
 def valid_bump_pairs(gcfg: GenConfig) -> list:

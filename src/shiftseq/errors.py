@@ -33,9 +33,9 @@ _JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"
                "ShiftConfig | None": ((dict, type(None)), "a mapping or null")}
 
 
-def check_config_dict(raw, cls, section: str) -> None:
+def check_config_dict(raw, cls, section: str) -> dict:
     """Reject a non-mapping, keys that are not fields of the dataclass `cls`,
-    and values whose JSON type does not fit their field."""
+    and values whose JSON type does not fit their field; return `raw`."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{section} config must be a mapping, got {type(raw).__name__}")
     types = {f.name: f.type for f in dataclasses.fields(cls)}
@@ -47,3 +47,4 @@ def check_config_dict(raw, cls, section: str) -> None:
         if isinstance(value, bool) or not isinstance(value, accepted):
             raise ConfigError(
                 f"{section} config {name!r} must be {label}, got {type(value).__name__}")
+    return raw

@@ -94,18 +94,6 @@ class Tensor:
             raise UsageError(f"item() on a tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return add(self, scale(other, -1.0))
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 

@@ -8,7 +8,6 @@ parameter trajectories and metrics files.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -16,15 +15,22 @@ import numpy as np
 
 from .blocks import SequenceClassifier, build_model
 from .data import assign_folds, write_atomic
-from .errors import ConfigError, DimensionError, EmptyInputError, TrainingDiverged, UsageError, check_config_dict
+from .errors import ConfigError, DimensionError, EmptyInputError, TrainingDiverged, UsageError
 from .seeding import substream
 from .tensor_autograd import Tensor, backward, no_grad
 
 OPTIMIZERS = ("adam", "adamw")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Optimizer, schedule and run settings for :func:`train_fold`.
+
+    A config is checked when it is built, so every instance is valid: a bad
+    field raises ConfigError from the constructor (and from
+    ``dataclasses.replace``). It is frozen and cannot be changed afterwards.
+    """
+
     optimizer: str = "adamw"
     peak_lr: float = 5e-4
     weight_decay: float = 0.1
@@ -35,7 +41,7 @@ class TrainConfig:
     min_lr_ratio: float = 0.0
     augment_prob: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         # chained comparisons are false for NaN, so these reject it too
@@ -58,17 +64,6 @@ class TrainConfig:
             raise ConfigError(f"augment_prob must be in [0, 1], got {self.augment_prob}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-
-
-def train_config_to_dict(cfg: TrainConfig) -> dict:
-    return dataclasses.asdict(cfg)
-
-
-def train_config_from_dict(raw: dict) -> TrainConfig:
-    check_config_dict(raw, TrainConfig, "train")
-    cfg = TrainConfig(**raw)
-    cfg.validate()
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +309,6 @@ class FoldResult:
 def train_fold(model_cfg, train_cfg: TrainConfig, train_records, test_records,
                fold: int = 0, keep_curve: bool = False) -> FoldResult:
     """Train one fold to completion and evaluate on its held-out records."""
-    train_cfg.validate()
     if not train_records:
         raise EmptyInputError("train_fold needs at least one training record")
     model = build_model(model_cfg, seed=train_cfg.seed)

@@ -79,26 +79,24 @@ def test_unknown_preset_rejected():
     dict(num_input_layers=0),
 ])
 def test_validate_rejects_bad_fields(mutate):
-    cfg = small_cfg(**mutate)
     with pytest.raises(ConfigError):
-        cfg.validate()
+        small_cfg(**mutate)
 
 
 def test_validate_lstm_width_must_be_even():
     with pytest.raises(ConfigError):
-        small_cfg("lstm", channels=(8, 13)).validate()
+        small_cfg("lstm", channels=(8, 13))
 
 
 def test_validate_heads_must_divide_width():
-    cfg = small_cfg("transformer", heads=3)
     with pytest.raises(ConfigError):
-        cfg.validate()
+        small_cfg("transformer", heads=3)
 
 
 def test_validate_shiftformer_needs_shift_mixer():
     """The shiftformer is a preset, not a family; old configs map only with the shift mixer."""
     with pytest.raises(ConfigError, match="family"):
-        small_cfg("shiftformer", **SHIFT_MIXER).validate()
+        small_cfg("shiftformer", **SHIFT_MIXER)
     raw = config_to_dict(small_cfg("transformer", **SHIFT_MIXER))
     raw.update(family="shiftformer", mixer="attention")
     with pytest.raises(ConfigError, match="family"):
@@ -107,41 +105,37 @@ def test_validate_shiftformer_needs_shift_mixer():
 
 def test_validate_shift_mixer_needs_residual_placement():
     shift = ShiftConfig(alpha=0.25, placement="in_place")
-    cfg = small_cfg("transformer", mixer="shift", shift=shift)
     with pytest.raises(ConfigError):
-        cfg.validate()
-    cfg = small_cfg("transformer", mixer="shift", shift=None)
+        small_cfg("transformer", mixer="shift", shift=shift)
     with pytest.raises(ConfigError):
-        cfg.validate()
+        small_cfg("transformer", mixer="shift", shift=None)
 
 
 def test_validate_shift_mixer_only_on_transformer_families():
     shift = ShiftConfig(alpha=0.25, placement="residual")
-    cfg = small_cfg("cnn", mixer="shift", shift=shift)
     with pytest.raises(ConfigError):
-        cfg.validate()
+        small_cfg("cnn", mixer="shift", shift=shift)
 
 
 @pytest.mark.parametrize("family,mixer", [("cnn", "pooling"), ("cnn", "none"),
                                           ("lstm", "pooling"), ("lstm", "none")])
 def test_validate_mixer_only_on_transformer_family(family, mixer):
     """cnn and lstm blocks have no token mixer; only the default every saved config carries passes."""
-    small_cfg(family, mixer="attention").validate()
+    small_cfg(family, mixer="attention")
     with pytest.raises(ConfigError, match="mixer"):
-        small_cfg(family, mixer=mixer).validate()
+        small_cfg(family, mixer=mixer)
 
 
 def test_validate_residual_shift_needs_a_mixer_branch():
     residual = ShiftConfig(alpha=0.25, placement="residual")
     with pytest.raises(ConfigError, match="mixer"):
-        small_cfg("transformer", mixer="none", shift=residual).validate()
-    small_cfg("transformer", mixer="none", shift=ShiftConfig(alpha=0.25, placement="in_place")).validate()
+        small_cfg("transformer", mixer="none", shift=residual)
+    small_cfg("transformer", mixer="none", shift=ShiftConfig(alpha=0.25, placement="in_place"))
 
 
 def test_validate_alpha_must_reach_one_channel():
-    cfg = small_cfg(shift=ShiftConfig(alpha=0.01))
     with pytest.raises(ConfigError):
-        cfg.validate()
+        small_cfg(shift=ShiftConfig(alpha=0.01))
 
 
 def test_config_round_trip():
@@ -208,6 +202,41 @@ def test_config_from_dict_takes_an_integer_alpha():
     raw = config_to_dict(small_cfg(shift=ShiftConfig(alpha=0.25)))
     raw["shift"]["alpha"] = 1
     assert config_from_dict(raw).shift.alpha == 1
+
+
+def test_config_from_dict_drops_only_the_legacy_pool_window():
+    """Older writers stored `"pool_window": 3`, the one window any model used."""
+    cfg = small_cfg("transformer", mixer="pooling")
+    raw = config_to_dict(cfg)
+    assert "pool_window" not in raw
+    assert config_from_dict(dict(raw, pool_window=3)) == cfg
+    for window in (1, 5):
+        with pytest.raises(ConfigError, match="pool_window"):
+            config_from_dict(dict(raw, pool_window=window))
+
+
+def test_model_config_fields():
+    assert [f.name for f in dataclasses.fields(ModelConfig)] == [
+        "family", "channels", "blocks", "kernel", "heads", "mixer", "shift",
+        "num_classes", "num_input_layers", "clip_dist"]
+
+
+def test_model_config_is_checked_when_replaced():
+    """A shift token mixer without its shift is invalid however it is built."""
+    cfg = preset_config("transformer", width=8)
+    with pytest.raises(ConfigError, match="shift"):
+        dataclasses.replace(cfg, mixer="shift")
+    shift = ShiftConfig(alpha=0.25, direction="bidirectional", placement="residual")
+    assert dataclasses.replace(cfg, mixer="shift", shift=shift) == preset_config("shiftformer", width=8)
+
+
+def test_model_config_is_frozen():
+    cfg = small_cfg()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.blocks = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.shift = ShiftConfig()
+    assert cfg == small_cfg()
 
 
 # ---------------------------------------------------------------------------
@@ -696,6 +725,19 @@ def test_legacy_layer_norm_key_loads_bit_exactly(tmp_path, preset):
                                   predict_logits(model, records, 2)[0])
 
 
+def test_checkpoint_with_legacy_pool_window_loads_bit_exactly(tmp_path):
+    """Every config written before the window became a constant carries `"pool_window": 3`."""
+    model = small_preset("transformer", seed=8, mixer="pooling")
+    path = tmp_path / "legacy.ckpt"
+    save_checkpoint(path, model)
+    rewrite_model_config(path, pool_window=3)
+    loaded, _ = build_from_checkpoint(path)
+    assert loaded.cfg == model.cfg
+    records = mixed_records(9)
+    np.testing.assert_array_equal(predict_logits(loaded, records, 2)[0],
+                                  predict_logits(model, records, 2)[0])
+
+
 @pytest.mark.parametrize("edits", [
     dict(family="shiftformer", mixer="attention", boundary="zero_fill"),
     dict(family="shiftformer", boundary="replicate"),
@@ -706,6 +748,7 @@ def test_legacy_layer_norm_key_loads_bit_exactly(tmp_path, preset):
     dict(norm="batch"),                   # batch norm is no longer a model option
     dict(pos="absolute", max_len=512),    # relative bias is the one position scheme
     dict(pos="none", max_len=512),
+    dict(pool_window=5),                  # the pooling window is fixed at 3
 ])
 def test_checkpoint_with_invalid_config_is_rejected(tmp_path, edits):
     model = build_model(preset_config("shiftformer", width=16, num_input_layers=2), seed=5)

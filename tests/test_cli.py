@@ -222,6 +222,16 @@ def test_count_shift_preset_with_attention_mixer(capsys):
     assert "differing rows: blocks.0.shift, blocks.1.shift" in out
 
 
+def test_count_flags_turn_the_transformer_into_the_shiftformer(capsys):
+    """--mixer shift and the shift flags change the config together: the
+    shift mixer alone, with no shift yet, is not a valid config."""
+    assert main(["count", "--preset", "transformer", "--mixer", "shift", "--placement",
+                 "residual", "--direction", "bi", "--alpha", "0.25"]) == 0
+    flagged = capsys.readouterr().out
+    assert main(["count", "--preset", "shiftformer"]) == 0
+    assert flagged == capsys.readouterr().out
+
+
 @pytest.mark.parametrize("preset,mixer", [("shiftformer", "none"), ("shiftcnn", "pooling")])
 def test_count_rejects_a_mixer_the_model_would_ignore(capsys, preset, mixer):
     """A residual shift with no mixer branch never runs; cnn and lstm blocks have no mixer."""

@@ -19,7 +19,6 @@ from shiftseq.data import (
     FseqVersionError,
     GenConfig,
     assign_folds,
-    gen_config_from_dict,
     gen_synthetic,
     read_fseq,
     render_record,
@@ -27,7 +26,7 @@ from shiftseq.data import (
     write_atomic,
     write_fseq,
 )
-from shiftseq.errors import ConfigError
+from shiftseq.errors import ConfigError, check_config_dict
 from shiftseq.train import write_text
 
 
@@ -220,7 +219,7 @@ def test_gen_config_rejects_impossible_placement():
 ])
 def test_gen_config_from_dict_rejects_mistyped_values(raw):
     with pytest.raises(ConfigError, match=next(iter(raw))):
-        gen_config_from_dict(raw)
+        GenConfig(**check_config_dict(raw, GenConfig, "data"))
 
 
 def test_gen_config_rejects_wrong_class_count():

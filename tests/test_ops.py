@@ -25,6 +25,7 @@ from shiftseq.tensor_autograd import (
     linear,
     mean_pool_time,
     mhsa,
+    mul,
     rel_position_bias,
     softmax,
     sum_all,
@@ -530,7 +531,7 @@ class TestBiLstm:
         params = [fw.w_ih, fw.w_hh, fw.b, bw.w_ih, bw.w_hh, bw.b]
         r = rnd((b, t, 2 * hidden), 83)
         out = bilstm(x, fw, bw, lengths)
-        backward(sum_all(out * Tensor(r)))
+        backward(sum_all(mul(out, Tensor(r))))
 
         def reference(xa, *p):
             return bilstm_reference(xa, p[:3], p[3:], lengths or [t] * b)

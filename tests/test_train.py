@@ -1,5 +1,6 @@
 """Optimizer math, schedule, metrics, and the fold-training loop."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -18,6 +19,7 @@ from shiftseq.errors import (
     EmptyInputError,
     TrainingDiverged,
     UsageError,
+    check_config_dict,
 )
 from shiftseq.tensor_autograd import Tensor
 from shiftseq.train import (
@@ -37,8 +39,6 @@ from shiftseq.train import (
     format_metrics,
     pair_recall_average,
     predict_logits,
-    train_config_from_dict,
-    train_config_to_dict,
     train_fold,
 )
 
@@ -80,17 +80,32 @@ def tiny_dataset():
     dict(weight_decay=math.nan),
 ])
 def test_train_config_validation(mutate):
-    cfg = TrainConfig(**mutate)
     with pytest.raises(ConfigError):
-        cfg.validate()
+        TrainConfig(**mutate)
+
+
+def test_train_config_is_checked_when_replaced():
+    with pytest.raises(ConfigError, match="warmup_epochs"):
+        dataclasses.replace(TrainConfig(), epochs=5)
+
+
+def test_train_config_is_frozen():
+    cfg = TrainConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.optimizer = "sgd"
+    assert cfg == TrainConfig()
+
+
+def train_config_from_json(raw):
+    return TrainConfig(**check_config_dict(raw, TrainConfig, "train"))
 
 
 def test_train_config_round_trip():
     cfg = TrainConfig(optimizer="adam", epochs=7, warmup_epochs=2, augment_prob=0.5)
-    assert train_config_from_dict(train_config_to_dict(cfg)) == cfg
-    assert train_config_from_dict({}) == TrainConfig()
+    assert train_config_from_json(dataclasses.asdict(cfg)) == cfg
+    assert train_config_from_json({}) == TrainConfig()
     with pytest.raises(ConfigError, match="momentum"):
-        train_config_from_dict({"momentum": 0.9})
+        train_config_from_json({"momentum": 0.9})
 
 
 @pytest.mark.parametrize("raw", [
@@ -99,11 +114,11 @@ def test_train_config_round_trip():
 ])
 def test_train_config_from_dict_rejects_mistyped_values(raw):
     with pytest.raises(ConfigError, match=next(iter(raw))):
-        train_config_from_dict(raw)
+        train_config_from_json(raw)
 
 
 def test_train_config_from_dict_takes_integers_for_floats():
-    assert train_config_from_dict({"peak_lr": 1, "weight_decay": 0}).peak_lr == 1
+    assert train_config_from_json({"peak_lr": 1, "weight_decay": 0}).peak_lr == 1
 
 
 # ---------------------------------------------------------------------------
