@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, DimensionError, check_config_dict
+from ..errors import ConfigError, DimensionError, check_config_dict, check_field_types
 from ..seeding import substream
 from ..shift import ShiftConfig, shift_augment, shifted_channels, temporal_shift
 from ..tensor_autograd import (
@@ -89,6 +89,7 @@ class ModelConfig:
     def __post_init__(self):
         if isinstance(self.channels, list):
             object.__setattr__(self, "channels", tuple(self.channels))
+        check_field_types(self)
         if self.family not in FAMILIES:
             raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if not all(isinstance(c, int) and not isinstance(c, bool) and c >= 1 for c in self.channels):
@@ -267,21 +268,19 @@ class BiLstmLayer:
 # ---------------------------------------------------------------------------
 
 class ConvBlock:
-    """Residual block: x + PW2(GELU(PW1(Norm(DWConv(branch input)))))."""
+    """Residual block: x + PW2(GELU(PW1(Norm(DWConv(branch))))), where the
+    branch is x shifted by the residual-placement `shift`, or x when it is None."""
 
-    def __init__(self, rng, cfg: ModelConfig, dtype, shift_mode: str):
+    def __init__(self, rng, cfg: ModelConfig, dtype, shift: ShiftConfig | None):
         width, mid = cfg.channels[0], cfg.channels[1]
-        self.shift_mode = shift_mode  # "none" | "in_place" | "residual"
-        self.shift_cfg = cfg.shift
+        self.shift = shift
         self.dw = DepthwiseConvLayer(rng, cfg.kernel, width, dtype)
         self.norm = LayerNormLayer(width, dtype)
         self.pw1 = LinearLayer(rng, width, mid, dtype)
         self.pw2 = LinearLayer(rng, mid, width, dtype)
 
     def forward(self, x: Tensor, lengths=None) -> Tensor:
-        if self.shift_mode == "in_place":
-            x = temporal_shift(x, self.shift_cfg)
-        branch = temporal_shift(x, self.shift_cfg) if self.shift_mode == "residual" else x
+        branch = x if self.shift is None else temporal_shift(x, self.shift)
         h = self.dw.forward(branch)
         h = self.norm.forward(h)
         h = self.pw2.forward(gelu(self.pw1.forward(h)))
@@ -294,17 +293,16 @@ class ConvBlock:
 class TransformerBlock:
     """Pre-norm block: x + Mixer(Norm(x)), then + MLP(Norm(.)).
 
-    The mixer is attention, average pooling minus identity, a parameter-free
-    temporal shift, or absent ("none", leaving a pointwise MLP block). A
-    residual-placement shift enters at the mixer branch, before its norm;
-    an in-place shift rewrites the trunk before the block.
+    The mixer is attention, average pooling minus identity, the parameter-free
+    temporal shift `cfg.shift`, or absent ("none", leaving a pointwise MLP
+    block). A residual-placement `shift` enters the mixer branch before its norm.
     """
 
-    def __init__(self, rng, cfg: ModelConfig, dtype, shift_mode: str):
+    def __init__(self, rng, cfg: ModelConfig, dtype, shift: ShiftConfig | None):
         width, mid = cfg.channels[0], cfg.channels[1]
         self.mixer_kind = cfg.mixer
-        self.shift_cfg = cfg.shift
-        self.shift_mode = shift_mode
+        self.mixer_shift = cfg.shift
+        self.shift = shift
         self.norm1 = LayerNormLayer(width, dtype) if cfg.mixer != "none" else None
         self.attn = (AttentionLayer(rng, width, cfg.heads, cfg.clip_dist, dtype)
                      if cfg.mixer == "attention" else None)
@@ -313,17 +311,15 @@ class TransformerBlock:
         self.pw2 = LinearLayer(rng, mid, width, dtype)
 
     def forward(self, x: Tensor, lengths=None) -> Tensor:
-        if self.shift_mode == "in_place":
-            x = temporal_shift(x, self.shift_cfg)
         if self.mixer_kind != "none":
-            u = temporal_shift(x, self.shift_cfg) if self.shift_mode == "residual" else x
+            u = x if self.shift is None else temporal_shift(x, self.shift)
             u = self.norm1.forward(u)
             if self.mixer_kind == "attention":
                 m = self.attn.forward(u)
             elif self.mixer_kind == "pooling":
                 m = avg_pool_mixer(u, POOL_WINDOW)
             else:  # the shift is the token mixer
-                m = temporal_shift(u, self.shift_cfg)
+                m = temporal_shift(u, self.mixer_shift)
             x = add(x, m)
         v = self.norm2.forward(x)
         v = self.pw2.forward(gelu(self.pw1.forward(v)))
@@ -342,26 +338,23 @@ class TransformerBlock:
 class LstmBlock:
     """A bidirectional LSTM, optionally shift-fed.
 
-    In-place placement shifts the input sequence itself; residual placement
-    shifts only the recurrent branch and adds a learned projection shortcut
-    (the one shift variant that costs extra parameters). Frames at or past
-    `lengths` are padding to the LSTM (see :func:`bilstm`); with a causal
-    shift, outputs on real frames therefore do not depend on padding.
+    A residual-placement `shift` feeds the recurrent branch and adds a learned
+    projection shortcut of the unshifted input (the one shift variant that
+    costs extra parameters). Frames at or past `lengths` are padding to the
+    LSTM (see :func:`bilstm`); with a causal shift, outputs on real frames
+    therefore do not depend on padding.
     """
 
-    def __init__(self, rng, cfg: ModelConfig, c_in: int, dtype, shift_mode: str):
+    def __init__(self, rng, cfg: ModelConfig, c_in: int, dtype, shift: ShiftConfig | None):
         hidden = cfg.channels[1] // 2
-        self.shift_mode = shift_mode
-        self.shift_cfg = cfg.shift
+        self.shift = shift
         self.rnn = BiLstmLayer(rng, c_in, hidden, dtype)
-        self.proj = LinearLayer(rng, c_in, cfg.channels[1], dtype) if shift_mode == "residual" else None
+        self.proj = LinearLayer(rng, c_in, cfg.channels[1], dtype) if shift is not None else None
 
     def forward(self, x: Tensor, lengths=None) -> Tensor:
-        if self.shift_mode == "in_place":
-            x = temporal_shift(x, self.shift_cfg)
-        if self.shift_mode == "residual":
-            return add(self.proj.forward(x), self.rnn.forward(temporal_shift(x, self.shift_cfg), lengths))
-        return self.rnn.forward(x, lengths)
+        if self.shift is None:
+            return self.rnn.forward(x, lengths)
+        return add(self.proj.forward(x), self.rnn.forward(temporal_shift(x, self.shift), lengths))
 
     def sublayers(self):
         out = [("rnn", self.rnn)]
@@ -370,21 +363,16 @@ class LstmBlock:
         return out
 
 
-def _block_shift_mode(cfg: ModelConfig, index: int) -> str:
-    """Which shift a given block applies, honoring per-family placement rules.
+def _branch_shift(cfg: ModelConfig, index: int) -> ShiftConfig | None:
+    """The residual-placement shift block `index` applies to its branch, or None.
 
-    In-place placement shifts the trunk before every block. Residual
-    placement shifts every transformer mixer branch, but only the last
-    cnn block's branch (the lighter touch pairs with the small alpha there).
-    A shift that is the token mixer is the block's only shift.
+    It shifts every transformer mixer branch and the LSTM recurrent branch,
+    but only the last cnn block's branch (the lighter touch pairs with the
+    small alpha there). None also when the shift is in-place (the trunk's)
+    or is itself the token mixer.
     """
-    if cfg.shift is None or cfg.mixer == "shift":
-        return "none"
-    if cfg.shift.placement == "in_place":
-        return "in_place"
-    if cfg.family == "cnn" and index != cfg.blocks - 1:
-        return "none"
-    return "residual"
+    residual = cfg.shift is not None and cfg.shift.placement == "residual" and cfg.mixer != "shift"
+    return cfg.shift if residual and (cfg.family != "cnn" or index == cfg.blocks - 1) else None
 
 
 # ---------------------------------------------------------------------------
@@ -410,16 +398,17 @@ class SequenceClassifier:
         self.cfg = cfg
         self.dtype = np.dtype(dtype)
         self.layer_weights = Tensor(np.zeros(cfg.num_input_layers, dtype), requires_grad=True)
+        self.trunk_shift = cfg.shift if cfg.shift is not None and cfg.shift.placement == "in_place" else None
         self.blocks = []
         for i in range(cfg.blocks):
-            mode = _block_shift_mode(cfg, i)
+            shift = _branch_shift(cfg, i)
             if cfg.family == "cnn":
-                self.blocks.append(ConvBlock(rng, cfg, dtype, mode))
+                self.blocks.append(ConvBlock(rng, cfg, dtype, shift))
             elif cfg.family == "transformer":
-                self.blocks.append(TransformerBlock(rng, cfg, dtype, mode))
+                self.blocks.append(TransformerBlock(rng, cfg, dtype, shift))
             else:
                 c_in = cfg.channels[0] if i == 0 else cfg.channels[1]
-                self.blocks.append(LstmBlock(rng, cfg, c_in, dtype, mode))
+                self.blocks.append(LstmBlock(rng, cfg, c_in, dtype, shift))
         self.head = LinearLayer(rng, cfg.out_width, cfg.num_classes, dtype)
 
     def _check_features(self, features: Tensor) -> None:
@@ -437,15 +426,18 @@ class SequenceClassifier:
         """Run everything up to (not including) pooling; returns (B, T, C_out).
 
         `training` only turns on shift augmentation (at `augment_prob`);
-        the blocks run the same either way. `lengths` (per-record real
-        frame counts, default all frames) reaches every block; only the
-        LSTM block honours it so far.
+        the blocks run the same either way. An in-place shift, `trunk_shift`,
+        rewrites the trunk before every block, so skip paths see it too.
+        `lengths` (per-record real frame counts, default all frames) reaches
+        every block; only the LSTM block honours it so far.
         """
         self._check_features(features)
         x = weighted_layer_sum(features, self.layer_weights)
         if training and augment_prob > 0.0:
             x = shift_augment(x, self.augment_config(), augment_prob, rng)
         for block in self.blocks:
+            if self.trunk_shift is not None:
+                x = temporal_shift(x, self.trunk_shift)
             x = block.forward(x, lengths)
         return x
 

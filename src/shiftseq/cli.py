@@ -93,16 +93,19 @@ class _PresetSection:
     num_input_layers: int
 
 
-def _model_from_section(section: dict, default_width=None, default_classes=None,
-                        default_layers=None) -> ModelConfig:
+def _model_config(args, sections: dict, command: str, **sizes) -> ModelConfig:
+    """The model config of the config file's model section, else of --preset,
+    with the shift flags folded in. A preset takes the sizes its section does
+    not set from `sizes`, then from :func:`preset_config`'s defaults."""
+    if "model" not in sections and not args.preset:
+        raise ConfigError(f"{command} needs --preset or a config file with a model section")
+    section = sections.get("model", {"preset": args.preset})
     if isinstance(section, dict) and "preset" in section:
-        check_config_dict(section, _PresetSection, "preset model")
-        return preset_config(
-            section["preset"],
-            width=section.get("width", default_width or 768),
-            num_classes=section.get("num_classes", default_classes or 4),
-            num_input_layers=section.get("num_input_layers", default_layers or 13))
-    return config_from_dict(section)
+        preset = {**sizes, **check_config_dict(section, _PresetSection, "preset model")}
+        cfg = preset_config(preset.pop("preset"), **preset)
+    else:
+        cfg = config_from_dict(section)
+    return _apply_shift_flags(cfg, args)
 
 
 def _apply_shift_flags(cfg: ModelConfig, args) -> ModelConfig:
@@ -151,16 +154,8 @@ def _resolve_train_configs(args, fseq):
         raise EmptyInputError("dataset has no records to train on")
     layers, _, channels = fseq.records[0].data.shape
     sections = _load_config(args.config) if args.config else {}
-    if "model" in sections:
-        model_cfg = _model_from_section(sections["model"], default_width=channels,
-                                        default_classes=fseq.k_cls,
-                                        default_layers=layers)
-    elif args.preset:
-        model_cfg = preset_config(args.preset, width=channels,
-                                  num_classes=fseq.k_cls, num_input_layers=layers)
-    else:
-        raise ConfigError("training needs --preset or a config file with a model section")
-    model_cfg = _apply_shift_flags(model_cfg, args)
+    model_cfg = _model_config(args, sections, "training", width=channels,
+                              num_classes=fseq.k_cls, num_input_layers=layers)
     if model_cfg.channels[0] != channels:
         raise ConfigError(f"model expects {model_cfg.channels[0]} channels, "
                           f"data has {channels}")
@@ -222,13 +217,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_count(args) -> int:
     sections = _load_config(args.config) if args.config else {}
-    if "model" in sections:
-        cfg = _model_from_section(sections["model"])
-    elif args.preset:
-        cfg = preset_config(args.preset)
-    else:
-        raise ConfigError("count needs --preset or a config file with a model section")
-    cfg = _apply_shift_flags(cfg, args)
+    cfg = _model_config(args, sections, "count")
     model = build_model(cfg, seed=None)
     report = count_flops(model, args.frames)
     print(f"costs at {args.frames} frames:")

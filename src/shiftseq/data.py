@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_field_types
 from .seeding import substream
 
 FSEQ_MAGIC = b"FSEQ"
@@ -240,6 +240,7 @@ class GenConfig:
     group_width: int = 8
 
     def __post_init__(self):
+        check_field_types(self)
         if self.num_classes != 4:
             raise ConfigError(f"the order task defines exactly 4 classes, got {self.num_classes}")
         if self.num_layers < 1:

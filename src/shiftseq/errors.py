@@ -48,3 +48,16 @@ def check_config_dict(raw, cls, section: str) -> dict:
             raise ConfigError(
                 f"{section} config {name!r} must be {label}, got {type(value).__name__}")
     return raw
+
+
+def check_field_types(cfg) -> None:
+    """Raise ConfigError for a field of the config dataclass `cfg` whose type does
+    not fit its annotation in the table above; a built config holds a tuple for a
+    JSON list and a ShiftConfig for a JSON mapping."""
+    from .shift import ShiftConfig  # a late import: shift.py imports this module
+    for f in dataclasses.fields(cfg):
+        accepted = tuple({list: tuple, dict: ShiftConfig}.get(t, t) for t in _JSON_TYPES[f.type][0])
+        value = getattr(cfg, f.name)
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            names = " or ".join(t.__name__ for t in accepted)
+            raise ConfigError(f"{type(cfg).__name__}.{f.name} must be {names}, got {type(value).__name__}")

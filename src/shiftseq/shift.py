@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, EmptyInputError, UsageError
+from .errors import ConfigError, DimensionError, EmptyInputError, UsageError, check_field_types
 from .tensor_autograd import Tensor, accumulate_grad, track
 
 DIRECTIONS = ("unidirectional", "bidirectional")
@@ -41,6 +41,7 @@ class ShiftConfig:
     placement: str = "in_place"
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigError(f"shift alpha must lie in (0, 1], got {self.alpha}")
         if self.direction not in DIRECTIONS:

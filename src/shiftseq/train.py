@@ -15,7 +15,8 @@ import numpy as np
 
 from .blocks import SequenceClassifier, build_model
 from .data import assign_folds, write_atomic
-from .errors import ConfigError, DimensionError, EmptyInputError, TrainingDiverged, UsageError
+from .errors import (ConfigError, DimensionError, EmptyInputError, TrainingDiverged, UsageError,
+                     check_field_types)
 from .seeding import substream
 from .tensor_autograd import Tensor, backward, no_grad
 
@@ -42,6 +43,7 @@ class TrainConfig:
     augment_prob: float = 0.0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         # chained comparisons are false for NaN, so these reject it too

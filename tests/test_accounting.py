@@ -1,5 +1,6 @@
 """Cost reports: parameter totals, FLOP formulas, and zero-cost shift rows."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -34,6 +35,34 @@ def test_count_params_matches_tensor_sizes(preset):
     assert report.total_params == model.num_parameters()
     assert report.total_flops == 0
     assert report.total_ew_flops == 0
+
+
+# SHA-256 of each preset's count report at 100 frames, and its TOTAL line. The
+# reports hold only integers, so these do not depend on platform or BLAS.
+PRESET_REPORTS = {
+    "shiftcnn": ("ad5ded636156f6a00b4b0304e85ee6118c38d482caadb78ab69c23748fad9789",
+                 "name=TOTAL params=9463313 flops=1889593344 ew_flops=8986437"),
+    "cnn": ("9ffa45add65f863c37b8682271a7d78278aaee1f12bd4397364c47839fd79c8a",
+            "name=TOTAL params=9463313 flops=1889593344 ew_flops=8986437"),
+    "shiftformer": ("6eec50e120e6af6990a538ae9da9554f62f1a49d3183a536d22084f3d1e26b0c",
+                    "name=TOTAL params=9454097 flops=1887442944 ew_flops=9908037"),
+    "transformer": ("2c86639c82b16f7044c191e62541b4c40ad8f7a6ca9fa2a2d7be196f68642b2c",
+                    "name=TOTAL params=14180897 flops=2892601344 ew_flops=11642437"),
+    "shiftlstm": ("fcc1744d1208d35fb632c7f952c7f436183bf4aadcf06797f1aa8362d4a37155",
+                  "name=TOTAL params=9449489 flops=1887449088 ew_flops=7067205"),
+    "lstm": ("467714f4712dc268b99979da9c55d00a3384ec2b553502a6fe1f712e5c3a24db",
+             "name=TOTAL params=9449489 flops=1887449088 ew_flops=7067205"),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_REPORTS))
+def test_preset_count_reports_are_pinned(preset):
+    """Every row of every preset's report, byte for byte: a refactor that moves
+    a cost row, renames it or changes a count fails here."""
+    report = count_flops(build_model(preset_config(preset), seed=None), 100).format_machine()
+    digest, total = PRESET_REPORTS[preset]
+    assert report.splitlines()[-1] == total
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
 
 
 def test_count_params_matches_tensor_sizes_for_variants():

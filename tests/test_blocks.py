@@ -20,7 +20,7 @@ from shiftseq.blocks import (
     save_checkpoint,
     weighted_layer_sum,
 )
-from shiftseq.data import FeatureSequence
+from shiftseq.data import FeatureSequence, GenConfig
 from shiftseq.errors import ConfigError, DimensionError, UsageError
 from shiftseq.seeding import substream
 from shiftseq.shift import ShiftConfig, temporal_shift
@@ -230,6 +230,22 @@ def test_model_config_is_checked_when_replaced():
     assert dataclasses.replace(cfg, mixer="shift", shift=shift) == preset_config("shiftformer", width=8)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ModelConfig(family="cnn", channels=(8, 16, 8), blocks=2.5),
+    lambda: ModelConfig(family="transformer", channels=(8, 16, 8), heads=2.0),
+    lambda: TrainConfig(epochs=2.0, warmup_epochs=1),
+    lambda: TrainConfig(seed=True),
+    lambda: ModelConfig("cnn", 8),
+    lambda: TrainConfig(batch_size="8"),
+    lambda: ShiftConfig(alpha="0.5"),
+    lambda: GenConfig(frames=50.0),
+], ids=["blocks-float", "heads-float", "epochs-float", "seed-bool", "channels-int",
+        "batch-size-str", "alpha-str", "frames-float"])
+def test_configs_reject_mistyped_fields_when_built(build):
+    with pytest.raises(ConfigError, match="must be"):
+        build()
+
+
 def test_model_config_is_frozen():
     cfg = small_cfg()
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -418,16 +434,19 @@ def test_forward_rejects_wrong_feature_shapes():
 def test_residual_cnn_shifts_last_block_only():
     cfg = small_cfg("cnn", shift=ShiftConfig(alpha=0.25, placement="residual"))
     model = build_model(cfg, seed=0)
-    assert [b.shift_mode for b in model.blocks] == ["none", "residual"]
+    assert model.trunk_shift is None
+    assert [b.shift for b in model.blocks] == [None, cfg.shift]
     cfg_ip = small_cfg("cnn", shift=ShiftConfig(alpha=0.25, placement="in_place"))
     model_ip = build_model(cfg_ip, seed=0)
-    assert [b.shift_mode for b in model_ip.blocks] == ["in_place", "in_place"]
+    assert model_ip.trunk_shift == cfg_ip.shift
+    assert [b.shift for b in model_ip.blocks] == [None, None]
 
 
 def test_residual_transformer_shifts_every_block():
     cfg = small_cfg("transformer", shift=ShiftConfig(alpha=0.25, placement="residual"))
     model = build_model(cfg, seed=0)
-    assert [b.shift_mode for b in model.blocks] == ["residual", "residual"]
+    assert model.trunk_shift is None
+    assert [b.shift for b in model.blocks] == [cfg.shift, cfg.shift]
 
 
 def zero_block_params(model):
@@ -463,6 +482,26 @@ def test_zeroed_in_place_model_is_pure_shift():
     expected = temporal_shift(temporal_shift(mixed, cfg.shift), cfg.shift)
     out = model.forward_features(Tensor(x))
     assert np.max(np.abs(out.data - expected.data)) == 0.0
+
+
+@pytest.mark.parametrize("direction", ["unidirectional", "bidirectional"])
+@pytest.mark.parametrize("family,mixer", [("cnn", "attention"), ("transformer", "attention"),
+                                          ("transformer", "pooling"), ("transformer", "none"),
+                                          ("lstm", "attention")])
+def test_in_place_shift_is_a_shift_of_each_block_input(family, mixer, direction):
+    """In-place placement equals the unshifted model, same seed, run block by
+    block with each block's input shifted."""
+    shift = ShiftConfig(alpha=0.25, direction=direction, placement="in_place")
+    shifted = build_model(small_cfg(family, mixer=mixer, blocks=2, shift=shift), seed=4)
+    plain = build_model(small_cfg(family, mixer=mixer, blocks=2), seed=4)
+    x = Tensor(features(np.random.default_rng(8), b=3))
+    lengths = np.array([9, 6, 4])
+    with no_grad():
+        expected = weighted_layer_sum(x, plain.layer_weights)
+        for block in plain.blocks:
+            expected = block.forward(temporal_shift(expected, shift), lengths)
+        out = shifted.forward_features(x, lengths=lengths)
+    assert np.array_equal(out.data, expected.data)
 
 
 def test_shiftformer_block_matches_manual_composition():
