@@ -135,14 +135,13 @@ def _layer_costs(layer, t: int) -> tuple:
     raise UsageError(f"no cost rule for layer type {type(layer).__name__}")
 
 
-def _block_entries(prefix: str, block, t: int, trunk_shifted: bool) -> list:
-    """The block's shift row (if its trunk input or its branch is shifted), one
-    row per sublayer, then the rows its own wiring adds: mixer, GELU and residual adds."""
+def _block_entries(prefix: str, block, t: int) -> list:
+    """One row per sublayer, then the rows the block's own wiring adds:
+    mixer, GELU and residual adds."""
     if not isinstance(block, (ConvBlock, TransformerBlock, LstmBlock)):
         raise UsageError(f"no cost rule for block type {type(block).__name__}")
-    entries = [CostEntry(f"{prefix}.shift", 0, 0, 0)] if trunk_shifted or block.shift is not None else []
-    entries += [CostEntry(f"{prefix}.{sub_name}", *_layer_costs(layer, t))
-                for sub_name, layer in block.sublayers()]
+    entries = [CostEntry(f"{prefix}.{sub_name}", *_layer_costs(layer, t))
+               for sub_name, layer in block.sublayers()]
     if isinstance(block, LstmBlock):
         if block.shift is not None:
             entries.append(CostEntry(f"{prefix}.residual", 0, 0, 2 * block.rnn.hidden * t))
@@ -169,7 +168,9 @@ def _build_report(model: SequenceClassifier, t: int) -> CostReport:
     entries.append(CostEntry("layer_mix", n_layers,
                              0, 2 * n_layers * width * t + SOFTMAX_EW * n_layers))
     for i, block in enumerate(model.blocks):
-        entries.extend(_block_entries(f"blocks.{i}", block, t, model.trunk_shift is not None))
+        if model.trunk_shift is not None or block.shift is not None:
+            entries.append(CostEntry(f"blocks.{i}.shift", 0, 0, 0))
+        entries.extend(_block_entries(f"blocks.{i}", block, t))
     entries.append(CostEntry("mean_pool", 0, 0, cfg.out_width * (t + 1)))
     # the head runs once on the pooled vector: a linear layer at length 1
     entries.append(CostEntry("head", *_layer_costs(model.head, 1)))

@@ -268,8 +268,7 @@ class BiLstmLayer:
 # ---------------------------------------------------------------------------
 
 class ConvBlock:
-    """Residual block: x + PW2(GELU(PW1(Norm(DWConv(branch))))), where the
-    branch is x shifted by the residual-placement `shift`, or x when it is None."""
+    """Residual block: x + PW2(GELU(PW1(Norm(DWConv(b))))), b = x shifted by `shift` if set."""
 
     def __init__(self, rng, cfg: ModelConfig, dtype, shift: ShiftConfig | None):
         width, mid = cfg.channels[0], cfg.channels[1]

@@ -112,7 +112,8 @@ def _block_case(family, **cfg_kw):
         params = [p for layer_name, layer in block.sublayers()
                   for name, p in layer.named_parameters()
                   if f"{layer_name}.{name}" != _ZERO_GRADIENT.get(cfg.mixer)]
-        return (lambda *_: block.forward(x)), [x, *params]
+        shift = model.trunk_shift  # in place, the classifier shifts every block input
+        return (lambda *_: block.forward(temporal_shift(x, shift) if shift else x)), [x, *params]
     return build
 
 

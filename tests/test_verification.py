@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from shiftseq.blocks import ModelConfig, build_model
+from shiftseq import verification
 from shiftseq.errors import UsageError
 from shiftseq.tensor_autograd import (
     Tensor,
@@ -128,3 +129,19 @@ def test_left_out_tensors_have_zero_gradient(seed):
         named = {f"{layer_name}.{name}": p for layer_name, layer in block.sublayers()
                  for name, p in layer.named_parameters()}
         assert _zero_grad_ratio(named.pop(left_out), named.values()) <= 1e-12, left_out
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in _suite_cases()
+                                  if name.endswith("_shift_in_place")])
+def test_in_place_block_cases_run_the_trunk_shift(name, monkeypatch):
+    """An in-place case checks the gradient through the shift, not the bare block."""
+    def x_grad():
+        case = dict((n, c) for n, _, c in _suite_cases())[name]
+        f, inputs = case(_seed_rng(0), 0)
+        _backward_through(f(*inputs), 0)
+        return inputs[0].grad
+
+    shifted = x_grad()
+    monkeypatch.setattr(verification, "temporal_shift", lambda x, shift: x)
+    unshifted = x_grad()
+    assert not np.allclose(shifted, unshifted), name
