@@ -35,6 +35,7 @@ from ..tensor_autograd import (
     AttentionParams,
     LstmDirection,
     Tensor,
+    accumulate_grad,
     add,
     avg_pool_mixer,
     bilstm,
@@ -45,12 +46,10 @@ from ..tensor_autograd import (
     linear,
     mean_pool_time,
     mhsa,
-    mul,
     named_tensors,
-    reduce_sum,
-    reshape,
-    softmax,
+    track,
 )
+from ..tensor_autograd.engine import _empty, _zeros
 
 FAMILIES = ("cnn", "transformer", "lstm")
 MIXERS = ("attention", "pooling", "shift", "none")
@@ -379,15 +378,50 @@ def _branch_shift(cfg: ModelConfig, index: int) -> ShiftConfig | None:
 # ---------------------------------------------------------------------------
 
 def weighted_layer_sum(x: Tensor, layer_weights: Tensor) -> Tensor:
-    """Softmax-weighted sum over the layer axis of a (B, L, T, C) tensor."""
+    """Softmax-weighted sum over the layer axis of a (B, L, T, C) tensor.
+
+    One graph node. With w = softmax(layer_weights), the forward adds
+    x[:, i] * w[i] into the output in layer order, and the backward sums
+    each weight's gradient as (g * x[:, i]) over batch, then time, then
+    channels before the softmax's own backward: the float order of
+    softmax, a (L, 1, 1) broadcast product and a sum over the layer axis,
+    so the bits are theirs, without a (B, L, T, C) temporary.
+    """
     if x.ndim != 4:
         raise DimensionError(f"weighted_layer_sum expects rank-4 input, got {x.shape}")
     n_layers = x.shape[1]
     if layer_weights.shape != (n_layers,):
         raise DimensionError(
             f"layer weights shape {layer_weights.shape} does not match {n_layers} input layers")
-    w = reshape(softmax(layer_weights, axis=0), (n_layers, 1, 1))
-    return reduce_sum(mul(x, w), axis=1)
+    if x.dtype != layer_weights.dtype:
+        raise DimensionError(f"mixed dtypes in one op: {x.dtype.name} features, "
+                             f"{layer_weights.dtype.name} layer weights")
+    lw = layer_weights.data
+    e = np.exp(lw - lw.max(axis=0, keepdims=True))
+    w = e / e.sum(axis=0, keepdims=True)
+    b, _, t, c = x.shape
+    out = _zeros((b, t, c), x.dtype)  # as numpy's sum: a column of -0.0 sums to +0.0
+    tmp = _empty((b, t, c), x.dtype)
+    for i in range(n_layers):
+        out += np.multiply(x.data[:, i], w[i], out=tmp)
+
+    def bwd(g):
+        if x.requires_grad:
+            gx = _empty(x.shape, x.dtype)
+            for i in range(n_layers):
+                np.multiply(g, w[i], out=gx[:, i])
+            accumulate_grad(x, gx, owned=True)
+        tmp = _empty(g.shape, g.dtype)
+        gw = np.empty_like(w)
+        for i in range(n_layers):
+            gw[i] = np.multiply(g, x.data[:, i], out=tmp).sum(0).sum(0, keepdims=True).sum(1)[0]
+        # the softmax backward: w * (gw - sum(gw * w))
+        gl = gw * w
+        np.subtract(gw, gl.sum(axis=0, keepdims=True), out=gl)
+        gl *= w
+        accumulate_grad(layer_weights, gl, owned=True)
+
+    return track(out, (x, layer_weights), bwd)
 
 
 class SequenceClassifier:

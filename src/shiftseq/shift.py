@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, EmptyInputError, UsageError, check_field_types
 from .tensor_autograd import Tensor, accumulate_grad, track
+from .tensor_autograd.engine import _copy
 
 DIRECTIONS = ("unidirectional", "bidirectional")
 PLACEMENTS = ("in_place", "residual")
@@ -81,7 +82,7 @@ def temporal_shift(x: Tensor, cfg: ShiftConfig) -> Tensor:
         raise EmptyInputError("temporal_shift on a sequence with zero frames")
     fwd, bwd_count = _split_counts(cfg, x.shape[2])
     split = fwd + bwd_count
-    out = x.data.copy()
+    out = _copy(x.data)  # a step buffer
     out[:, 1:, :fwd] = x.data[:, :-1, :fwd]
     out[:, 0, :fwd] = 0.0
     if bwd_count:
@@ -89,7 +90,7 @@ def temporal_shift(x: Tensor, cfg: ShiftConfig) -> Tensor:
         out[:, -1, fwd:split] = 0.0
 
     def bwd(g):
-        gx = g.copy()
+        gx = _copy(g)
         gx[:, :-1, :fwd] = g[:, 1:, :fwd]
         gx[:, -1, :fwd] = 0.0
         if bwd_count:

@@ -19,6 +19,18 @@ Inside :func:`no_grad` nothing is recorded: ops return plain tensors with
 no parents, so a forward-only pass (evaluation, finite differences) keeps
 no closures or saved buffers alive and its values are unchanged.
 
+Step buffers are recycled. The ops take their large outputs, scratch and
+gradient buffers (64 KiB to 4 MiB) from a private pool of free lists keyed
+by exact (shape, dtype), and write into them with ``out=``, so every
+value is bit-identical to a fresh allocation. An array is handed out
+again only once the pool holds its only reference: a tensor's data, a
+view, a saved buffer or a `.grad` keeps it out of reuse. The pool keeps
+a training step's buffers from one step to the next, so the allocator
+never returns their pages to the system and a steady-state step touches
+no fresh memory. It never grows inside :func:`no_grad`, and the first
+request for a shape it has never seen releases every idle buffer, so
+varying lengths (evaluation) hold at most one shape set's memory idle.
+
 This module holds the primitive ops plus the finite-difference checker;
 fused network operations (convolutions, normalizations, attention, ...)
 live in :mod:`shiftseq.tensor_autograd.ops`.
@@ -27,6 +39,8 @@ live in :mod:`shiftseq.tensor_autograd.ops`.
 from __future__ import annotations
 
 import contextlib
+import math
+import sys
 import threading
 from dataclasses import dataclass, field
 
@@ -43,6 +57,75 @@ class _GradMode(threading.local):
 
 
 _grad_mode = _GradMode()
+
+
+# ---------------------------------------------------------------------------
+# step buffers
+# ---------------------------------------------------------------------------
+
+_POOL_MIN_BYTES = 64 * 1024  # smaller arrays come from the allocator's free lists anyway
+# Larger arrays (the paper shape's (8, 100, 3072) activations) are left to
+# the allocator: pooling them measured no faster at the paper shape and
+# kept 10-18 MB more resident, idle while another model's step ran.
+_POOL_MAX_BYTES = 4 * 1024 * 1024
+_pool: dict[tuple, list[np.ndarray]] = {}  # every (shape, dtype) seen -> its buffers, busy or idle
+_pool_lock = threading.Lock()
+
+
+def _refs(bufs: list, i: int) -> int:
+    """The reference count of `bufs[i]`, as seen from here."""
+    return sys.getrefcount(bufs[i])
+
+
+# what `_refs` reads for an array that only its list holds
+_IDLE_REFS = _refs([np.empty(0)], 0)
+
+
+def _release_idle() -> None:
+    for bufs in _pool.values():
+        bufs[:] = [bufs[i] for i in range(len(bufs)) if _refs(bufs, i) != _IDLE_REFS]
+
+
+def _empty(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialised C-ordered array, recycled from the pool when it can be.
+
+    An idle pool buffer of exactly this shape and dtype is handed out
+    again; otherwise a fresh array is made and, while grad mode is on,
+    kept in the pool. A shape the pool has never seen first releases
+    every idle buffer.
+    """
+    dtype = np.dtype(dtype)
+    if not _POOL_MIN_BYTES <= math.prod(shape) * dtype.itemsize <= _POOL_MAX_BYTES:
+        return np.empty(shape, dtype)
+    key = (tuple(shape), dtype)
+    with _pool_lock:
+        bufs = _pool.get(key)
+        if bufs is None:
+            _release_idle()
+            bufs = []
+            if _grad_mode.enabled:
+                _pool[key] = bufs
+        for i in range(len(bufs)):
+            if _refs(bufs, i) == _IDLE_REFS:
+                return bufs[i]
+        arr = np.empty(shape, dtype)
+        if _grad_mode.enabled:
+            bufs.append(arr)
+        return arr
+
+
+def _zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A zero-filled (+0.0) step buffer."""
+    out = _empty(shape, dtype)
+    out.fill(0.0)
+    return out
+
+
+def _copy(a: np.ndarray) -> np.ndarray:
+    """A C-ordered copy of `a` in a step buffer."""
+    out = _empty(a.shape, a.dtype)
+    np.copyto(out, a)
+    return out
 
 
 def _as_array(data, dtype) -> np.ndarray:
@@ -106,6 +189,11 @@ def accumulate_grad(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
     caller has just allocated and nothing else references: not a view of
     the output gradient, not a saved buffer still in use, not a broadcast.
     Later uses add in place into the buffer `t` owns.
+
+    The copy is a recycled step buffer (see the module notes) when one of
+    its shape is idle; `.grad` holds it, so it is not handed out again
+    until the gradient is dropped. Inside :func:`no_grad` the pool is not
+    grown, and a shape it has never seen releases its idle buffers first.
     """
     if not t.requires_grad:
         return
@@ -113,7 +201,7 @@ def accumulate_grad(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
     if arr.shape != t.data.shape:
         raise DimensionError(f"gradient of shape {arr.shape} for a tensor of shape {t.shape}")
     if t.grad is None:
-        t.grad = arr if owned or arr is not g else arr.copy()  # a cast already copied
+        t.grad = arr if owned or arr is not g else _copy(arr)  # a cast already copied
     else:
         t.grad += arr
 
@@ -222,7 +310,7 @@ def unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype(a, b)
-    out = a.data + b.data
+    out = np.add(a.data, b.data, out=_empty(np.broadcast_shapes(a.shape, b.shape), a.dtype))
 
     def bwd(g):
         if a.requires_grad:

@@ -17,6 +17,8 @@ import numpy as np
 from ..errors import ConfigError, DimensionError
 from .engine import (
     Tensor,
+    _empty,
+    _zeros,
     accumulate_grad,
     add,
     matmul,
@@ -47,7 +49,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     Batch and time fold into the rows of one GEMM, (B·T, Cin) @ (Cin, Cout),
     in the forward and in the input gradient, rather than B GEMMs of T rows.
     Each output row is the same dot products, so the bits are those of the
-    batched `np.matmul`.
+    batched `np.matmul`. The output and the input gradient are step buffers.
     """
     if x.ndim not in (2, 3):
         raise DimensionError(f"linear expects rank-2 or rank-3 input, got {x.shape}")
@@ -55,24 +57,30 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"linear weight {w.shape} does not fit input {x.shape}")
     if b.ndim != 1 or b.shape[0] != w.shape[1]:
         raise DimensionError(f"linear bias {b.shape} does not fit weight {w.shape}")
-    out = x.data.reshape(-1, x.shape[-1]) @ w.data
+    # the step buffers take the (B, T, C) shapes the other ops use, so that they share them
+    out = _empty(x.shape[:-1] + (w.shape[1],), np.result_type(x.data, w.data))
+    np.matmul(x.data.reshape(-1, x.shape[-1]), w.data, out=out.reshape(-1, w.shape[1]))
     out += b.data
 
     def bwd(g):
         g2 = g.reshape(-1, g.shape[-1])
         if x.requires_grad:
-            accumulate_grad(x, (g2 @ w.data.T).reshape(x.shape), owned=True)
+            gx = _empty(x.shape, g.dtype)
+            np.matmul(g2, w.data.T, out=gx.reshape(-1, x.shape[-1]))
+            accumulate_grad(x, gx, owned=True)
         # re-derived, not saved: a view of x.data, or a copy only while it is needed
         x2 = x.data.reshape(-1, x.shape[-1])
         accumulate_grad(w, x2.T @ g2, owned=True)
         accumulate_grad(b, g2.sum(axis=0), owned=True)
 
-    return track(out.reshape(x.shape[:-1] + (w.shape[1],)), (x, w, b), bwd)
+    return track(out, (x, w, b), bwd)
 
 
 def _same_pad(x: np.ndarray, halo: int) -> np.ndarray:
     b, t, c = x.shape
-    padded = np.zeros((b, t + 2 * halo, c), dtype=x.dtype)
+    padded = _empty((b, t + 2 * halo, c), x.dtype)
+    padded[:, :halo, :] = 0.0
+    padded[:, halo + t:, :] = 0.0
     padded[:, halo:halo + t, :] = x
     return padded
 
@@ -94,21 +102,21 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     t = x.shape[1]
     halo = (k - 1) // 2
     xp = _same_pad(x.data, halo)
-    out = np.zeros_like(x.data)
-    tmp = np.empty_like(x.data)
+    out = _zeros(x.shape, x.dtype)
+    tmp = _empty(x.shape, x.dtype)
     for j in range(k):
         out += np.multiply(xp[:, j:j + t, :], kernel.data[j], out=tmp)
     out += bias.data
 
     def bwd(g):
-        tmp = np.empty_like(g)
+        tmp = _empty(g.shape, g.dtype)
         gk = np.zeros_like(kernel.data)
         for j in range(k):
             gk[j] = np.multiply(xp[:, j:j + t, :], g, out=tmp).sum(axis=(0, 1))
         if x.requires_grad:
             # the same sums, in the same tap order, as accumulating into a
             # padded buffer and keeping its interior: tap j moves g by j - halo
-            gx = np.zeros_like(x.data)
+            gx = _zeros(x.shape, x.dtype)
             for j in range(k):
                 d = j - halo
                 if abs(d) >= t:
@@ -169,9 +177,9 @@ def _norm_input_grad(g, gamma, xhat, inv, axis, tmp) -> np.ndarray:
     """inv * (gx - mean(gx) - xhat * mean(gx * xhat)) with gx = g * gamma.
 
     The input gradient of a batch-statistics normalization over `axis`, in
-    a fresh buffer; `tmp` (shaped like `g`) is overwritten.
+    a fresh step buffer; `tmp` (shaped like `g`) is overwritten.
     """
-    gx = np.multiply(g, gamma)
+    gx = np.multiply(g, gamma, out=_empty(g.shape, np.result_type(g, gamma)))
     m1 = gx.mean(axis=axis, keepdims=True)
     m2 = np.multiply(gx, xhat, out=tmp).mean(axis=axis, keepdims=True)
     gx -= m1
@@ -189,15 +197,16 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     the variance), then scale and shift."""
     if x.shape[-1] != gamma.shape[-1] or gamma.shape != beta.shape or gamma.ndim != 1:
         raise DimensionError(f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not fit {x.shape}")
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)  # centred, then scaled in place
-    out = np.multiply(xhat, xhat)  # the squares for the variance, then the output
+    # centred, then scaled in place
+    xhat = np.subtract(x.data, x.data.mean(axis=-1, keepdims=True), out=_empty(x.shape, x.dtype))
+    out = np.multiply(xhat, xhat, out=_empty(x.shape, x.dtype))  # the squares, then the output
     inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + np.asarray(NORM_EPS, dtype=x.data.dtype))
     xhat *= inv
     _affine(xhat, gamma.data, beta.data, out=out)
 
     def bwd(g):
         lead = _lead_axes(x)
-        tmp = np.multiply(g, xhat)
+        tmp = np.multiply(g, xhat, out=_empty(g.shape, g.dtype))
         accumulate_grad(gamma, tmp.sum(axis=lead), owned=True)
         accumulate_grad(beta, g.sum(axis=lead), owned=True)
         if x.requires_grad:
@@ -269,30 +278,34 @@ def gelu(x: Tensor) -> Tensor:
     c = np.asarray(_GELU_C, dtype=x.data.dtype)
     a = np.asarray(_GELU_A, dtype=x.data.dtype)
     xd = x.data
+
+    def buf():
+        return _empty(xd.shape, xd.dtype)
+
     # In-place ufuncs over the textbook expression's operations, in its
-    # order (a product may swap operands): each full-size temporary would
-    # otherwise cost fresh pages. x*x, not x**2: float32 integer-power
-    # takes a slow generic path.
-    sq = xd * xd
-    th = np.multiply(sq, xd)
+    # order (a product may swap operands), in step buffers; only th is
+    # saved, and x^2 is recomputed in the backward. x*x, not x**2: float32
+    # integer-power takes a slow generic path.
+    sq = np.multiply(xd, xd, out=buf())
+    th = np.multiply(sq, xd, out=buf())
     th *= a
     th += xd
     th *= c
     np.tanh(th, out=th)  # th = tanh(c * (x + a * x^3))
-    out = np.multiply(xd, 0.5)
-    out *= np.add(th, 1.0)  # 0.5 * x * (1 + th)
+    out = np.multiply(xd, 0.5, out=buf())
+    out *= np.add(th, 1.0, out=sq)  # 0.5 * x * (1 + th)
 
     def bwd(g):
         # g * (0.5 * (1 + th) + 0.5 * x * (1 - th^2) * du) with
-        # du = c * (1 + 3a * x^2), overwriting the saved sq and th
-        du = sq
+        # du = c * (1 + 3a * x^2), in two scratch buffers and the saved th
+        rest = np.multiply(th, th, out=buf())
+        np.subtract(1.0, rest, out=rest)  # 1 - th^2
+        scratch = np.multiply(xd, 0.5, out=buf())
+        rest *= scratch  # (1 - th^2) * (0.5 * x)
+        du = np.multiply(xd, xd, out=scratch)
         du *= 3.0 * a
         du += 1.0
         du *= c
-        one_minus_th2 = np.multiply(th, th)
-        np.subtract(1.0, one_minus_th2, out=one_minus_th2)
-        rest = np.multiply(xd, 0.5)
-        rest *= one_minus_th2
         rest *= du
         gx = th
         gx += 1.0
@@ -474,9 +487,9 @@ def _lstm_forward(xw: np.ndarray, w_hh: np.ndarray, out: np.ndarray,
     """
     b, t, four_h = xw.shape
     hidden = four_h // 4
-    gates_all = np.empty((b, t, four_h), dtype=xw.dtype)
-    cells = np.empty((b, t, hidden), dtype=xw.dtype)
-    tanh_cells = np.empty((b, t, hidden), dtype=xw.dtype)
+    gates_all = _empty((b, t, four_h), xw.dtype)
+    cells = _empty((b, t, hidden), xw.dtype)
+    tanh_cells = _empty((b, t, hidden), xw.dtype)
     # (w_hh.T @ h.T).T with w_hh.T made contiguous once: single-threaded
     # OpenBLAS runs this few-row product 1.5-2x faster than h @ w_hh
     w_hh_t = np.ascontiguousarray(w_hh.T)
@@ -509,7 +522,7 @@ def _lstm_backward(g: np.ndarray, saved, w_hh: np.ndarray,
     """
     gates_all, cells, tanh_cells = saved
     b, t, hidden = g.shape
-    dpre = np.empty((b, t, 4 * hidden), dtype=g.dtype)
+    dpre = _empty((b, t, 4 * hidden), g.dtype)
     dh_next = np.zeros((b, hidden), dtype=g.dtype)
     dc_next = np.zeros((b, hidden), dtype=g.dtype)
     zeros = np.zeros((b, hidden), dtype=g.dtype)
@@ -534,7 +547,7 @@ def _lstm_backward(g: np.ndarray, saved, w_hh: np.ndarray,
 
 def _previous_hidden(out: np.ndarray, reverse: bool) -> np.ndarray:
     """The hidden state each frame's step started from, as a (B*T, H) matrix."""
-    prev = np.zeros_like(out)
+    prev = _zeros(out.shape, out.dtype)
     if reverse:
         prev[:, :-1] = out[:, 1:]
     else:
@@ -557,6 +570,7 @@ def bilstm(x: Tensor, forward: LstmDirection, backward: LstmDirection,
     (B*T, C) @ (C, 4H) GEMM hoisted out of the recurrence; only h @ w_hh runs
     per frame. The backward pass is hand-written BPTT over the saved gate
     activations, finishing with whole-sequence GEMMs for w_ih, w_hh and x.
+    The whole-sequence buffers are step buffers.
     """
     if x.ndim != 3:
         raise DimensionError(f"bilstm expects rank-3 input, got {x.shape}")
@@ -572,13 +586,13 @@ def bilstm(x: Tensor, forward: LstmDirection, backward: LstmDirection,
     lengths = np.full(b, t) if lengths is None else _check_lengths(lengths, b, t)
     mask = (np.arange(t)[None, :] < lengths[:, None]).astype(x.data.dtype)[:, :, None]
     x2 = x.data.reshape(b * t, c)
-    out = np.empty((b, t, 2 * hidden), dtype=x.data.dtype)
+    out = _empty((b, t, 2 * hidden), x.dtype)
     halves = ((forward, False, out[:, :, :hidden]), (backward, True, out[:, :, hidden:]))
     saved = []
     for p, reverse, h_out in halves:
-        xw = x2 @ p.w_ih.data
+        xw = _empty((b, t, 4 * hidden), x.dtype)
+        np.matmul(x2, p.w_ih.data, out=xw.reshape(b * t, 4 * hidden))
         xw += p.b.data
-        xw = xw.reshape(b, t, 4 * hidden)
         saved.append(_lstm_forward(xw, p.w_hh.data, h_out, mask, reverse))
 
     def bwd(g):
@@ -591,7 +605,7 @@ def bilstm(x: Tensor, forward: LstmDirection, backward: LstmDirection,
             accumulate_grad(p.w_hh, _previous_hidden(h_out, reverse).T @ dpre2, owned=True)
             accumulate_grad(p.b, dpre2.sum(axis=0), owned=True)
             if x.requires_grad:
-                dx = dpre2 @ p.w_ih.data.T
+                dx = np.matmul(dpre2, p.w_ih.data.T, out=_empty((b, t, c), x.dtype).reshape(-1, c))
                 if gx is None:
                     gx = dx
                 else:
@@ -614,7 +628,8 @@ def mean_pool_time(x: Tensor, lengths) -> Tensor:
     out = (x.data * mask[:, :, None]).sum(axis=1) / denom
 
     def bwd(g):
-        accumulate_grad(x, mask[:, :, None] * (g / denom)[:, None, :], owned=True)
+        gx = np.multiply(mask[:, :, None], (g / denom)[:, None, :], out=_empty(x.shape, x.dtype))
+        accumulate_grad(x, gx, owned=True)
 
     return track(out, (x,), bwd)
 

@@ -1,10 +1,13 @@
 """Engine-level tests: primitives, accumulation, the tape, and grad_check."""
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
+import shiftseq as ss
 from shiftseq.errors import DimensionError, UsageError
 from shiftseq.tensor_autograd import (
     GradCheckReport,
@@ -30,6 +33,8 @@ from shiftseq.tensor_autograd import (
     track,
     transpose,
 )
+from shiftseq.tensor_autograd import engine
+from shiftseq.train import collate
 
 
 def rand(shape, seed=0, dtype=np.float64):
@@ -422,3 +427,156 @@ class TestGradCheck:
     def test_report_formatting(self):
         report = GradCheckReport(tol=1e-5, step=1e-3, per_input=[1e-9])
         assert "pass" in str(report)
+
+
+# ---------------------------------------------------------------------------
+# recycled step buffers
+# ---------------------------------------------------------------------------
+
+POOLED = (128, 256)  # 128 KiB of float32, large enough to be pooled
+
+
+def address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
+def pool_bytes() -> int:
+    return sum(a.nbytes for bufs in engine._pool.values() for a in bufs)
+
+
+def hold_in_closure(a):
+    x = Tensor(np.ones(1), requires_grad=True)
+    return track(np.zeros(1), (x,), lambda g: accumulate_grad(x, g * a[0, 0]))
+
+
+def hold_as_grad(a):
+    t = Tensor(np.zeros(POOLED, np.float32), requires_grad=True)
+    accumulate_grad(t, a, owned=True)
+    return t
+
+
+HOLDERS = {
+    "data": Tensor,
+    "reshape": lambda a: reshape(Tensor(a), (POOLED[1], POOLED[0])),
+    "transpose": lambda a: transpose(Tensor(a), (1, 0)),
+    "closure": hold_in_closure,
+    "grad": hold_as_grad,
+}
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """An empty pool for one test, so that others' buffers do not count."""
+    monkeypatch.setattr(engine, "_pool", {})
+
+
+class TestStepBuffers:
+    @pytest.mark.parametrize("holder", sorted(HOLDERS))
+    def test_a_held_buffer_is_never_handed_out_again(self, fresh_pool, holder):
+        a = engine._empty(POOLED, np.float32)
+        where = address(a)
+        held = HOLDERS[holder](a)
+        del a
+        for _ in range(3):
+            assert address(engine._empty(POOLED, np.float32)) != where
+        del held
+        assert address(engine._empty(POOLED, np.float32)) == where  # idle again, so recycled
+
+    def test_threads_never_share_a_buffer(self, fresh_pool, monkeypatch):
+        clashes = []
+        count_refs = engine._refs
+
+        def yielding_refs(bufs, i):
+            n = count_refs(bufs, i)
+            time.sleep(0)  # let another thread run between the check and the hand-out
+            return n
+
+        monkeypatch.setattr(engine, "_refs", yielding_refs)
+
+        def work(tag: float):
+            for _ in range(200):
+                a = engine._empty(POOLED, np.float32)
+                a.fill(tag)
+                if not (a == tag).all():  # another thread wrote into it meanwhile
+                    clashes.append(tag)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(float(t),)) for t in range(6)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(w.is_alive() for w in workers)
+        assert clashes == []
+
+    @pytest.mark.parametrize("shape", [(4, 4), (1024, 1025)])  # 64 B, just over 4 MiB
+    def test_small_and_large_arrays_bypass_the_pool(self, fresh_pool, shape):
+        engine._empty(shape, np.float32)
+        assert engine._pool == {}
+
+    def test_a_no_grad_forward_never_grows_the_pool(self, fresh_pool):
+        model = ss.build_model(ss.preset_config("shiftcnn", width=64, num_input_layers=2), seed=0)
+        feats = Tensor(np.random.default_rng(0).standard_normal((32, 2, 50, 64)).astype(np.float32))
+        with no_grad():
+            model.forward(feats)
+        assert engine._pool == {}
+        model.forward(feats)  # a graph-building forward fills it
+        grown = {key: len(bufs) for key, bufs in engine._pool.items()}
+        assert pool_bytes() > 0
+        with no_grad():
+            for t in (50, 40):  # a known shape, then a new one
+                model.forward(Tensor(feats.data[:, :, :t]))
+        assert all(len(bufs) <= grown.get(key, 0) for key, bufs in engine._pool.items())
+
+    def test_distinct_lengths_hold_one_length_set(self, fresh_pool):
+        model = ss.build_model(ss.preset_config("shiftformer", width=64, num_input_layers=2), seed=0)
+        rng = np.random.default_rng(1)
+        sets = []
+        for t in range(79, 59, -1):  # 20 lengths, longest first
+            loss, _ = model.loss(Tensor(rng.standard_normal((32, 2, t, 64)).astype(np.float32)),
+                                 rng.integers(4, size=32))
+            backward(loss)
+            del loss
+            sets.append(pool_bytes())
+        # the longest length's set is the largest; 20 sets kept would be ~15x it
+        assert 0 < sets[-1] <= sets[0]
+        assert max(sets) <= sets[0]
+
+
+def _train_steps(preset: str, steps: int = 2):
+    """Logits and parameter gradients of `steps` train steps at a pooled shape."""
+    rng = np.random.default_rng(2)
+    records = [ss.FeatureSequence(label=i % 4, group=0,
+                                  data=rng.standard_normal((2, int(t), 64), dtype=np.float32))
+               for i, t in enumerate(rng.integers(30, 51, size=32))]
+    model = ss.build_model(ss.preset_config(preset, width=64, num_classes=4, num_input_layers=2),
+                           seed=0)
+    feats, lengths, labels = collate(records)
+    out = []
+    for _ in range(steps):
+        # poison every idle buffer, so a recycled one that is read before it is written shows
+        for bufs in engine._pool.values():
+            for i in range(len(bufs)):
+                if engine._refs(bufs, i) == engine._IDLE_REFS:
+                    bufs[i].fill(np.nan)
+        for p in model.named_parameters().values():
+            p.grad = None
+        loss, logits = model.loss(Tensor(feats), labels, lengths=lengths)
+        backward(loss)
+        out.append(logits.data.copy())
+        out.extend(p.grad.copy() for p in model.named_parameters().values())
+    return out
+
+
+@pytest.mark.parametrize("preset", ss.PRESETS)
+def test_results_are_bit_equal_with_and_without_the_pool(monkeypatch, preset):
+    with_pool = _train_steps(preset)
+    monkeypatch.setattr(engine, "_POOL_MIN_BYTES", float("inf"))
+    without = _train_steps(preset)
+    assert len(with_pool) == len(without)
+    for got, want in zip(with_pool, without):
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))

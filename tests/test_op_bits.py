@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from shiftseq.blocks import weighted_layer_sum
 from shiftseq.shift import ShiftConfig, temporal_shift
 from shiftseq.tensor_autograd import (
     LstmDirection,
@@ -27,7 +28,9 @@ from shiftseq.tensor_autograd import (
     linear,
     mean_pool_time,
     mul,
+    reduce_sum,
     rel_position_bias,
+    reshape,
     softmax,
     sum_all,
 )
@@ -203,6 +206,13 @@ def shift_ref(x, g, fwd, bwd_count):
         gx[:, 1:, fwd:split] = g[:, :-1, fwd:split]
         gx[:, 0, fwd:split] = 0.0
     return out, [gx]
+
+
+def layer_mix_composition(x, layer_weights):
+    """The layer mix as it was composed before it was fused: softmax, a
+    (L, 1, 1) reshape, a broadcast product and a sum over the layer axis."""
+    w = reshape(softmax(layer_weights, axis=0), (layer_weights.shape[0], 1, 1))
+    return reduce_sum(mul(x, w), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -420,3 +430,28 @@ def test_frozen_input_gets_no_gradient(op):
     assert frozen[0] is None
     for got, want in zip(frozen[1:], full[1:]):
         assert_bits(got, want)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape", [(3, 5, 7, 9), (2, 1, 4, 3), (32, 1, 50, 64), (4, 13, 37, 48)])
+def test_weighted_layer_sum_matches_its_composition(dtype, shape):
+    x = arr(shape, 1, dtype)
+    x[0, :, 0, 0] = -0.0  # a column of negative zeros sums to +0.0
+    x[-1, :, 1, :] = 0.0
+    w = arr(shape[1:2], 3, dtype)
+    g = arr(shape[:1] + shape[2:], 2, dtype)
+    g[0, 0] = -0.0
+    out, grads = run(weighted_layer_sum, [x, w], g)
+    want_out, want_grads = run(layer_mix_composition, [x, w], g)
+    assert_bits(out, want_out)
+    assert_bits(grads[0], want_grads[0])  # features
+    assert_bits(grads[1], want_grads[1])  # layer weights
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_weighted_layer_sum_frozen_features(dtype):
+    x, w, g = arr((2, 3, 4, 5), 1, dtype), arr((3,), 3, dtype), arr((2, 4, 5), 2, dtype)
+    _, frozen = run(weighted_layer_sum, [x, w], g, requires=[False, True])
+    _, want = run(layer_mix_composition, [x, w], g, requires=[False, True])
+    assert frozen[0] is None
+    assert_bits(frozen[1], want[1])

@@ -381,6 +381,50 @@ def test_logits_and_a_train_step_do_not_depend_on_blas_threads():
     assert outputs[0] == outputs[1]
 
 
+# runs synthetic-shape train steps (batch 32, 50 frames, 64 channels, one
+# input layer) of one preset and prints each step's minor page faults
+FAULT_PROBE = """
+import resource, sys
+import numpy as np
+import shiftseq as ss
+from shiftseq.tensor_autograd import Tensor, backward
+from shiftseq.train import Optimizer, TrainConfig, collate
+
+rng = np.random.default_rng(0)
+records = [ss.FeatureSequence(label=i % 4, group=0,
+                              data=rng.standard_normal((1, 50, 64), dtype=np.float32))
+           for i in range(64)]
+model = ss.build_model(ss.preset_config(sys.argv[1], width=64, num_classes=4,
+                                        num_input_layers=1), seed=0)
+opt = Optimizer(model, TrainConfig(batch_size=32))
+for step in range(30):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    feats, lengths, labels = collate(records[step % 2 * 32:][:32])
+    loss, _ = model.loss(Tensor(feats), labels, lengths=lengths, training=True)
+    opt.zero_grad()
+    backward(loss)
+    opt.step(5e-4)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+# a tenth of the ~6,000 minor faults a step took when each step's buffers
+# were allocated afresh and their pages returned to the system in between
+FAULTS_PER_STEP = 600
+
+
+@pytest.mark.parametrize("preset", ["shiftcnn", "shiftformer"])
+def test_steady_state_train_steps_fault_in_little_fresh_memory(preset):
+    """A fresh process, so that the objects of earlier tests cannot keep the
+    heap from shrinking between steps and hide the faults."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(shiftseq.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE, preset], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    faults = [int(line) for line in proc.stdout.split()]
+    assert len(faults) == 30
+    assert max(faults[10:]) <= FAULTS_PER_STEP, faults
+
+
 # ---------------------------------------------------------------------------
 # schedule
 # ---------------------------------------------------------------------------
