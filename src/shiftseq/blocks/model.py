@@ -47,9 +47,10 @@ from ..tensor_autograd import (
     mean_pool_time,
     mhsa,
     named_tensors,
+    softmax,
     track,
 )
-from ..tensor_autograd.engine import _empty, _zeros
+from ..tensor_autograd.engine import _check_same_dtype, _empty, _zeros
 
 FAMILIES = ("cnn", "transformer", "lstm")
 MIXERS = ("attention", "pooling", "shift", "none")
@@ -380,12 +381,12 @@ def _branch_shift(cfg: ModelConfig, index: int) -> ShiftConfig | None:
 def weighted_layer_sum(x: Tensor, layer_weights: Tensor) -> Tensor:
     """Softmax-weighted sum over the layer axis of a (B, L, T, C) tensor.
 
-    One graph node. With w = softmax(layer_weights), the forward adds
-    x[:, i] * w[i] into the output in layer order, and the backward sums
-    each weight's gradient as (g * x[:, i]) over batch, then time, then
-    channels before the softmax's own backward: the float order of
-    softmax, a (L, 1, 1) broadcast product and a sum over the layer axis,
-    so the bits are theirs, without a (B, L, T, C) temporary.
+    The mix after the softmax is one graph node. With w = softmax(layer_weights),
+    the forward adds x[:, i] * w[i] into the output in layer order, and the
+    backward sums each weight's gradient as (g * x[:, i]) over batch, then
+    time, then channels: the float order of a (L, 1, 1) broadcast product
+    and a sum over the layer axis, so the bits are theirs, without a
+    (B, L, T, C) temporary.
     """
     if x.ndim != 4:
         raise DimensionError(f"weighted_layer_sum expects rank-4 input, got {x.shape}")
@@ -393,35 +394,28 @@ def weighted_layer_sum(x: Tensor, layer_weights: Tensor) -> Tensor:
     if layer_weights.shape != (n_layers,):
         raise DimensionError(
             f"layer weights shape {layer_weights.shape} does not match {n_layers} input layers")
-    if x.dtype != layer_weights.dtype:
-        raise DimensionError(f"mixed dtypes in one op: {x.dtype.name} features, "
-                             f"{layer_weights.dtype.name} layer weights")
-    lw = layer_weights.data
-    e = np.exp(lw - lw.max(axis=0, keepdims=True))
-    w = e / e.sum(axis=0, keepdims=True)
+    _check_same_dtype(x, layer_weights)
+    w = softmax(layer_weights, axis=0)
     b, _, t, c = x.shape
     out = _zeros((b, t, c), x.dtype)  # as numpy's sum: a column of -0.0 sums to +0.0
     tmp = _empty((b, t, c), x.dtype)
     for i in range(n_layers):
-        out += np.multiply(x.data[:, i], w[i], out=tmp)
+        out += np.multiply(x.data[:, i], w.data[i], out=tmp)
 
     def bwd(g):
         if x.requires_grad:
             gx = _empty(x.shape, x.dtype)
             for i in range(n_layers):
-                np.multiply(g, w[i], out=gx[:, i])
+                np.multiply(g, w.data[i], out=gx[:, i])
             accumulate_grad(x, gx, owned=True)
-        tmp = _empty(g.shape, g.dtype)
-        gw = np.empty_like(w)
-        for i in range(n_layers):
-            gw[i] = np.multiply(g, x.data[:, i], out=tmp).sum(0).sum(0, keepdims=True).sum(1)[0]
-        # the softmax backward: w * (gw - sum(gw * w))
-        gl = gw * w
-        np.subtract(gw, gl.sum(axis=0, keepdims=True), out=gl)
-        gl *= w
-        accumulate_grad(layer_weights, gl, owned=True)
+        if w.requires_grad:
+            tmp = _empty(g.shape, g.dtype)
+            gw = np.empty_like(w.data)
+            for i in range(n_layers):
+                gw[i] = np.multiply(g, x.data[:, i], out=tmp).sum(0).sum(0, keepdims=True).sum(1)[0]
+            accumulate_grad(w, gw, owned=True)
 
-    return track(out, (x, layer_weights), bwd)
+    return track(out, (x, w), bwd)
 
 
 class SequenceClassifier:

@@ -28,8 +28,10 @@ view, a saved buffer or a `.grad` keeps it out of reuse. The pool keeps
 a training step's buffers from one step to the next, so the allocator
 never returns their pages to the system and a steady-state step touches
 no fresh memory. It never grows inside :func:`no_grad`, and the first
-request for a shape it has never seen releases every idle buffer, so
-varying lengths (evaluation) hold at most one shape set's memory idle.
+request for a shape it does not hold releases every idle buffer. At the
+end of each :func:`backward` it forgets the shapes that step did not ask
+for, so a length that comes back later counts as new again: varying
+lengths, in training or evaluation, hold at most one length's set idle.
 
 This module holds the primitive ops plus the finite-difference checker;
 fused network operations (convolutions, normalizations, attention, ...)
@@ -68,7 +70,8 @@ _POOL_MIN_BYTES = 64 * 1024  # smaller arrays come from the allocator's free lis
 # the allocator: pooling them measured no faster at the paper shape and
 # kept 10-18 MB more resident, idle while another model's step ran.
 _POOL_MAX_BYTES = 4 * 1024 * 1024
-_pool: dict[tuple, list[np.ndarray]] = {}  # every (shape, dtype) seen -> its buffers, busy or idle
+_pool: dict[tuple, list[np.ndarray]] = {}  # each (shape, dtype) in use -> its buffers, busy or idle
+_requested: set[tuple] = set()  # the keys of `_pool` asked for since the last backward
 _pool_lock = threading.Lock()
 
 
@@ -81,9 +84,27 @@ def _refs(bufs: list, i: int) -> int:
 _IDLE_REFS = _refs([np.empty(0)], 0)
 
 
+def _drop_idle(bufs: list) -> None:
+    bufs[:] = [bufs[i] for i in range(len(bufs)) if _refs(bufs, i) != _IDLE_REFS]
+
+
 def _release_idle() -> None:
     for bufs in _pool.values():
-        bufs[:] = [bufs[i] for i in range(len(bufs)) if _refs(bufs, i) != _IDLE_REFS]
+        _drop_idle(bufs)
+
+
+def _end_step() -> None:
+    """Forget the shapes the step just ended did not ask for.
+
+    Their idle buffers are released and, once none is busy, the shape
+    itself, so that a later request for it counts as a new shape again.
+    """
+    with _pool_lock:
+        for key in [key for key in _pool if key not in _requested]:
+            _drop_idle(_pool[key])
+            if not _pool[key]:
+                del _pool[key]
+        _requested.clear()
 
 
 def _empty(shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -91,7 +112,7 @@ def _empty(shape: tuple[int, ...], dtype) -> np.ndarray:
 
     An idle pool buffer of exactly this shape and dtype is handed out
     again; otherwise a fresh array is made and, while grad mode is on,
-    kept in the pool. A shape the pool has never seen first releases
+    kept in the pool. A shape the pool does not hold first releases
     every idle buffer.
     """
     dtype = np.dtype(dtype)
@@ -102,9 +123,10 @@ def _empty(shape: tuple[int, ...], dtype) -> np.ndarray:
         bufs = _pool.get(key)
         if bufs is None:
             _release_idle()
-            bufs = []
-            if _grad_mode.enabled:
-                _pool[key] = bufs
+            if not _grad_mode.enabled:
+                return np.empty(shape, dtype)
+            bufs = _pool[key] = []
+        _requested.add(key)
         for i in range(len(bufs)):
             if _refs(bufs, i) == _IDLE_REFS:
                 return bufs[i]
@@ -193,7 +215,7 @@ def accumulate_grad(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
     The copy is a recycled step buffer (see the module notes) when one of
     its shape is idle; `.grad` holds it, so it is not handed out again
     until the gradient is dropped. Inside :func:`no_grad` the pool is not
-    grown, and a shape it has never seen releases its idle buffers first.
+    grown, and a shape it does not hold releases its idle buffers first.
     """
     if not t.requires_grad:
         return
@@ -257,7 +279,8 @@ def backward(loss: Tensor) -> None:
     recurrent graphs do not hit the interpreter recursion limit. Each node
     is severed when the walk reaches it, and every node left is severed if
     a closure raises, so no closure ever runs twice; a second call on the
-    same loss does nothing beyond reseeding `loss.grad`.
+    same loss does nothing beyond reseeding `loss.grad`. Each call ends a
+    step of the buffer pool (see the module notes).
     """
     if loss.data.size != 1:
         raise UsageError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -292,6 +315,7 @@ def backward(loss: Tensor) -> None:
         for node in topo:
             node._parents = ()
             node._backward = None
+        _end_step()
 
 
 def unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

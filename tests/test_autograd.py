@@ -468,6 +468,7 @@ HOLDERS = {
 def fresh_pool(monkeypatch):
     """An empty pool for one test, so that others' buffers do not count."""
     monkeypatch.setattr(engine, "_pool", {})
+    monkeypatch.setattr(engine, "_requested", set())
 
 
 class TestStepBuffers:
@@ -536,7 +537,7 @@ class TestStepBuffers:
         model = ss.build_model(ss.preset_config("shiftformer", width=64, num_input_layers=2), seed=0)
         rng = np.random.default_rng(1)
         sets = []
-        for t in range(79, 59, -1):  # 20 lengths, longest first
+        for t in 2 * list(range(79, 59, -1)):  # 20 lengths, longest first, each visited twice
             loss, _ = model.loss(Tensor(rng.standard_normal((32, 2, t, 64)).astype(np.float32)),
                                  rng.integers(4, size=32))
             backward(loss)
@@ -558,11 +559,6 @@ def _train_steps(preset: str, steps: int = 2):
     feats, lengths, labels = collate(records)
     out = []
     for _ in range(steps):
-        # poison every idle buffer, so a recycled one that is read before it is written shows
-        for bufs in engine._pool.values():
-            for i in range(len(bufs)):
-                if engine._refs(bufs, i) == engine._IDLE_REFS:
-                    bufs[i].fill(np.nan)
         for p in model.named_parameters().values():
             p.grad = None
         loss, logits = model.loss(Tensor(feats), labels, lengths=lengths)
@@ -572,9 +568,26 @@ def _train_steps(preset: str, steps: int = 2):
     return out
 
 
+def poison_step_buffers(monkeypatch):
+    """Fill every buffer `_empty` hands out with NaN, so one read before it is written shows."""
+    fresh = engine._empty
+
+    def poisoned(shape, dtype):
+        out = fresh(shape, dtype)
+        out.fill(np.nan)
+        return out
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("shiftseq") and vars(module).get("_empty") is fresh:
+            monkeypatch.setattr(module, "_empty", poisoned)
+
+
 @pytest.mark.parametrize("preset", ss.PRESETS)
 def test_results_are_bit_equal_with_and_without_the_pool(monkeypatch, preset):
-    with_pool = _train_steps(preset)
+    with monkeypatch.context() as poisoned:
+        poison_step_buffers(poisoned)
+        with_pool = _train_steps(preset)
+    assert all(np.isfinite(a).all() for a in with_pool)
     monkeypatch.setattr(engine, "_POOL_MIN_BYTES", float("inf"))
     without = _train_steps(preset)
     assert len(with_pool) == len(without)
