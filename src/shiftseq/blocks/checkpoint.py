@@ -17,7 +17,8 @@ Layout (all integers little-endian u32 unless noted):
 Loading validates every length against the remaining byte count before
 allocating, so a truncated or corrupted file raises CheckpointError rather
 than producing a half-filled model. Each payload is copied out of the file
-buffer once, and the rebuilt model takes those arrays as its parameters.
+image once (the reader hands out views of it), and the rebuilt model takes
+those arrays as its parameters.
 The model is built without drawing an init, which is safe because the
 name and shape checks require the file to supply every parameter.
 """
@@ -76,7 +77,7 @@ def _read_records(r: ByteReader) -> "dict[str, np.ndarray]":
     for i in range(count):
         what = f"record {i}"
         try:
-            name = r.take(r.u32(what), what).decode("utf-8")
+            name = bytes(r.take(r.u32(what), what)).decode("utf-8")
         except UnicodeDecodeError as e:
             raise CheckpointError(f"{what} name is not valid UTF-8: {e}") from e
         ndim = r.u32(what)
@@ -100,13 +101,13 @@ def load_checkpoint(path) -> tuple[ModelConfig, "dict[str, np.ndarray]", dict]:
     """
     with open(path, "rb") as f:
         r = ByteReader(f.read(), CheckpointError, "checkpoint")
-    if r.take(4, "magic") != MAGIC:
+    if bytes(r.take(4, "magic")) != MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
     version = r.u32("version")
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     try:
-        payload = json.loads(r.take(r.u32("config"), "config").decode("utf-8"))
+        payload = json.loads(bytes(r.take(r.u32("config"), "config")).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"checkpoint config is not valid JSON: {e}") from e
     if not isinstance(payload, dict) or "model" not in payload:

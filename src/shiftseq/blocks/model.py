@@ -210,8 +210,8 @@ class DepthwiseConvLayer:
         self.kernel = _normal(rng, 1.0 / math.sqrt(kernel), (kernel, width), dtype)
         self.bias = Tensor(np.zeros(width, dtype), requires_grad=True)
 
-    def forward(self, x: Tensor) -> Tensor:
-        return depthwise_conv1d(x, self.kernel, self.bias)
+    def forward(self, x: Tensor, lengths=None) -> Tensor:
+        return depthwise_conv1d(x, self.kernel, self.bias, lengths)
 
     def named_parameters(self):
         return [("kernel", self.kernel), ("bias", self.bias)]
@@ -232,8 +232,8 @@ class AttentionLayer:
         self.params = AttentionParams(wq=w(), bq=b(), wk=w(), bk=b(), wv=w(), bv=b(),
                                       wo=w(), bo=b(), rel_table=rel)
 
-    def forward(self, x: Tensor) -> Tensor:
-        return mhsa(x, self.params, self.heads)
+    def forward(self, x: Tensor, lengths=None) -> Tensor:
+        return mhsa(x, self.params, self.heads, lengths)
 
     def named_parameters(self):
         return named_tensors(self.params)
@@ -279,8 +279,8 @@ class ConvBlock:
         self.pw2 = LinearLayer(rng, mid, width, dtype)
 
     def forward(self, x: Tensor, lengths=None) -> Tensor:
-        branch = x if self.shift is None else temporal_shift(x, self.shift)
-        h = self.dw.forward(branch)
+        branch = x if self.shift is None else temporal_shift(x, self.shift, lengths)
+        h = self.dw.forward(branch, lengths)
         h = self.norm.forward(h)
         h = self.pw2.forward(gelu(self.pw1.forward(h)))
         return add(x, h)
@@ -311,14 +311,14 @@ class TransformerBlock:
 
     def forward(self, x: Tensor, lengths=None) -> Tensor:
         if self.mixer_kind != "none":
-            u = x if self.shift is None else temporal_shift(x, self.shift)
+            u = x if self.shift is None else temporal_shift(x, self.shift, lengths)
             u = self.norm1.forward(u)
             if self.mixer_kind == "attention":
-                m = self.attn.forward(u)
+                m = self.attn.forward(u, lengths)
             elif self.mixer_kind == "pooling":
-                m = avg_pool_mixer(u, POOL_WINDOW)
+                m = avg_pool_mixer(u, POOL_WINDOW, lengths)
             else:  # the shift is the token mixer
-                m = temporal_shift(u, self.mixer_shift)
+                m = temporal_shift(u, self.mixer_shift, lengths)
             x = add(x, m)
         v = self.norm2.forward(x)
         v = self.pw2.forward(gelu(self.pw1.forward(v)))
@@ -340,8 +340,8 @@ class LstmBlock:
     A residual-placement `shift` feeds the recurrent branch and adds a learned
     projection shortcut of the unshifted input (the one shift variant that
     costs extra parameters). Frames at or past `lengths` are padding to the
-    LSTM (see :func:`bilstm`); with a causal shift, outputs on real frames
-    therefore do not depend on padding.
+    LSTM (see :func:`bilstm`) and to the shift, so outputs on real frames do
+    not depend on padding.
     """
 
     def __init__(self, rng, cfg: ModelConfig, c_in: int, dtype, shift: ShiftConfig | None):
@@ -353,7 +353,8 @@ class LstmBlock:
     def forward(self, x: Tensor, lengths=None) -> Tensor:
         if self.shift is None:
             return self.rnn.forward(x, lengths)
-        return add(self.proj.forward(x), self.rnn.forward(temporal_shift(x, self.shift), lengths))
+        return add(self.proj.forward(x),
+                   self.rnn.forward(temporal_shift(x, self.shift, lengths), lengths))
 
     def sublayers(self):
         out = [("rnn", self.rnn)]
@@ -456,15 +457,18 @@ class SequenceClassifier:
         the blocks run the same either way. An in-place shift, `trunk_shift`,
         rewrites the trunk before every block, so skip paths see it too.
         `lengths` (per-record real frame counts, default all frames) reaches
-        every block; only the LSTM block honours it so far.
+        the augmentation, the trunk shift and every block. Every op that
+        reads across time honours it, so a record's real output frames do
+        not depend on the padding its batch adds; padded output frames hold
+        values that nothing downstream reads, and get zero gradient.
         """
         self._check_features(features)
         x = weighted_layer_sum(features, self.layer_weights)
         if training and augment_prob > 0.0:
-            x = shift_augment(x, self.augment_config(), augment_prob, rng)
+            x = shift_augment(x, self.augment_config(), augment_prob, rng, lengths)
         for block in self.blocks:
             if self.trunk_shift is not None:
-                x = temporal_shift(x, self.trunk_shift)
+                x = temporal_shift(x, self.trunk_shift, lengths)
             x = block.forward(x, lengths)
         return x
 

@@ -159,15 +159,17 @@ class ByteReader:
 
     Every overrun, and any byte left over at `finish`, raises `error`, so each
     format keeps its own typed exception. `kind` names the format in messages.
+    `take` returns a memoryview of the image, not a copy: callers that
+    decode or compare the bytes wrap it in `bytes(...)`.
     """
 
     def __init__(self, buf: bytes, error: type, kind: str):
-        self.buf = buf
+        self.buf = memoryview(buf)
         self.pos = 0
         self.error = error
         self.kind = kind
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str) -> memoryview:
         if n < 0 or self.pos + n > len(self.buf):
             raise self.error(
                 f"{self.kind} truncated inside {what}: needed {n} bytes at offset {self.pos}, "
@@ -188,7 +190,7 @@ def read_fseq(path) -> FseqFile:
     """Parse an FSEQ file; every record keeps all of its frames."""
     with open(path, "rb") as f:
         cur = ByteReader(f.read(), FseqTruncatedError, "FSEQ file")
-    if cur.take(4, "magic") != FSEQ_MAGIC:
+    if bytes(cur.take(4, "magic")) != FSEQ_MAGIC:
         raise FseqMagicError("not an FSEQ file (bad magic)")
     version = cur.u32("version")
     if version != FSEQ_VERSION:

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError, EmptyInputError, UsageError, check_field_types
 from .tensor_autograd import Tensor, accumulate_grad, track
 from .tensor_autograd.engine import _copy
+from .tensor_autograd.ops import _padded_lengths, _zero_padding
 
 DIRECTIONS = ("unidirectional", "bidirectional")
 PLACEMENTS = ("in_place", "residual")
@@ -68,13 +69,18 @@ def _split_counts(cfg: ShiftConfig, channels: int) -> tuple[int, int]:
     return fwd, total - fwd
 
 
-def temporal_shift(x: Tensor, cfg: ShiftConfig) -> Tensor:
+def temporal_shift(x: Tensor, cfg: ShiftConfig, lengths=None) -> Tensor:
     """Shift the lowest floor(alpha*C) channels of x by one frame.
 
     Forward-group channels take their value from the previous frame (frame 0
     becomes zero); backward-group channels, present only in bidirectional
     mode, take theirs from the next frame (the last frame becomes zero).
     Remaining channels pass through bit-identically.
+
+    Frames at or past lengths[b] are padding. The backward group zero-fills
+    each record's own last real frame, and every frame after it, so no real
+    frame reads padding and padding gets no gradient through that group.
+    `lengths=None` means every frame is real.
     """
     if x.ndim != 3:
         raise DimensionError(f"temporal_shift expects a (batch, time, channel) tensor, got {x.shape}")
@@ -82,12 +88,15 @@ def temporal_shift(x: Tensor, cfg: ShiftConfig) -> Tensor:
         raise EmptyInputError("temporal_shift on a sequence with zero frames")
     fwd, bwd_count = _split_counts(cfg, x.shape[2])
     split = fwd + bwd_count
+    lengths = _padded_lengths(lengths, x.shape[0], x.shape[1])
     out = _copy(x.data)  # a step buffer
     out[:, 1:, :fwd] = x.data[:, :-1, :fwd]
     out[:, 0, :fwd] = 0.0
     if bwd_count:
         out[:, :-1, fwd:split] = x.data[:, 1:, fwd:split]
         out[:, -1, fwd:split] = 0.0
+        if lengths is not None:
+            _zero_padding(out[:, :, fwd:split], lengths - 1)
 
     def bwd(g):
         gx = _copy(g)
@@ -96,23 +105,26 @@ def temporal_shift(x: Tensor, cfg: ShiftConfig) -> Tensor:
         if bwd_count:
             gx[:, 1:, fwd:split] = g[:, :-1, fwd:split]
             gx[:, 0, fwd:split] = 0.0
+            if lengths is not None:
+                _zero_padding(gx[:, :, fwd:split], lengths)
         accumulate_grad(x, gx, owned=True)
 
     return track(out, (x,), bwd)
 
 
 def shift_augment(x: Tensor, cfg: ShiftConfig, prob: float = 0.5,
-                  rng: np.random.Generator | None = None) -> Tensor:
+                  rng: np.random.Generator | None = None, lengths=None) -> Tensor:
     """Apply temporal_shift to the whole batch with probability `prob`.
 
     A training-time augmentation: callers skip it outside training. Each
     call draws exactly one uniform sample (even for prob 0 or 1) so
     downstream random streams stay aligned across configurations.
+    `lengths` is passed on to :func:`temporal_shift`.
     """
     if not 0.0 <= prob <= 1.0:
         raise ConfigError(f"augmentation probability must lie in [0, 1], got {prob}")
     if rng is None:
         raise UsageError("shift_augment needs an explicit rng")
     if rng.random() < prob:
-        return temporal_shift(x, cfg)
+        return temporal_shift(x, cfg, lengths)
     return x

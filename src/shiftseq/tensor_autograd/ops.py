@@ -17,6 +17,7 @@ import numpy as np
 from ..errors import ConfigError, DimensionError
 from .engine import (
     Tensor,
+    _copy,
     _empty,
     _zeros,
     accumulate_grad,
@@ -41,6 +42,18 @@ def _check_lengths(lengths, b: int, t: int) -> np.ndarray:
     if lengths.min(initial=1) < 1 or lengths.max(initial=1) > t:
         raise DimensionError(f"lengths must lie in [1, {t}], got {lengths.tolist()}")
     return lengths
+
+
+def _padded_lengths(lengths, b: int, t: int) -> np.ndarray | None:
+    """Checked `lengths` when some record is shorter than `t`, else None.
+
+    None (every frame real, or no `lengths`) sends an op down its unmasked
+    path, so equal-length batches keep their bits.
+    """
+    if lengths is None:
+        return None
+    lengths = _check_lengths(lengths, b, t)
+    return lengths if lengths.min() < t else None
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -76,6 +89,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return track(out, (x, w, b), bwd)
 
 
+def _zero_padding(a: np.ndarray, lengths) -> None:
+    """Zero each record's frames at and past its length, in place."""
+    for i, n in enumerate(lengths):
+        a[i, n:] = 0.0
+
+
 def _same_pad(x: np.ndarray, halo: int) -> np.ndarray:
     b, t, c = x.shape
     padded = _empty((b, t + 2 * halo, c), x.dtype)
@@ -85,10 +104,14 @@ def _same_pad(x: np.ndarray, halo: int) -> np.ndarray:
     return padded
 
 
-def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, lengths=None) -> Tensor:
     """Per-channel temporal convolution with zero same-padding.
 
     out[b,t,c] = sum_k x[b, t+k-(K-1)/2, c] * kernel[k,c] + bias[c]
+
+    Frames at or past lengths[b] are padding: they read as zero, as the
+    same-padding does, so a record's real frames see its own boundary, and
+    they get zero gradient. `lengths=None` means every frame is real.
     """
     if x.ndim != 3:
         raise DimensionError(f"depthwise_conv1d expects rank-3 input, got {x.shape}")
@@ -99,9 +122,12 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     k = kernel.shape[0]
     if k % 2 == 0:
         raise ConfigError(f"depthwise_conv1d kernel size must be odd, got {k}")
-    t = x.shape[1]
+    b, t, _ = x.shape
     halo = (k - 1) // 2
+    lengths = _padded_lengths(lengths, b, t)
     xp = _same_pad(x.data, halo)
+    if lengths is not None:
+        _zero_padding(xp[:, halo:halo + t], lengths)
     out = _zeros(x.shape, x.dtype)
     tmp = _empty(x.shape, x.dtype)
     for j in range(k):
@@ -124,6 +150,8 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
                 n = t - abs(d)
                 prod = np.multiply(g[:, max(-d, 0):max(-d, 0) + n, :], kernel.data[j], out=tmp[:, :n])
                 gx[:, max(d, 0):max(d, 0) + n, :] += prod
+            if lengths is not None:
+                _zero_padding(gx, lengths)
             accumulate_grad(x, gx, owned=True)
         accumulate_grad(kernel, gk, owned=True)
         accumulate_grad(bias, g.sum(axis=(0, 1)), owned=True)
@@ -383,11 +411,14 @@ def named_tensors(params) -> list:
             if getattr(params, f.name) is not None]
 
 
-def mhsa(x: Tensor, params: AttentionParams, heads: int) -> Tensor:
+def mhsa(x: Tensor, params: AttentionParams, heads: int, lengths=None) -> Tensor:
     """Multi-head scaled dot-product self-attention.
 
     Positions enter only through `params.rel_table` (see
     :class:`AttentionParams`); with no table, attention is order-blind.
+    Keys at or past lengths[b] are padding: a -inf logit bias gives them
+    zero weight, so no query reads them and they get zero gradient.
+    `lengths=None` means every frame is real.
     """
     if x.ndim != 3:
         raise DimensionError(f"mhsa expects rank-3 input, got {x.shape}")
@@ -408,34 +439,48 @@ def mhsa(x: Tensor, params: AttentionParams, heads: int) -> Tensor:
     logits = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(head_dim))
     if params.rel_table is not None:
         logits = add(logits, rel_position_bias(params.rel_table, t))
+    lengths = _padded_lengths(lengths, b, t)
+    if lengths is not None:
+        key_bias = np.where(np.arange(t) < lengths[:, None], 0.0, -np.inf).astype(x.dtype)
+        logits = add(logits, Tensor(key_bias.reshape(b, 1, 1, t)))
     attn = softmax(logits, axis=-1)
     mixed = matmul(attn, v)
     merged = reshape(transpose(mixed, (0, 2, 1, 3)), (b, t, c))
     return linear(merged, params.wo, params.bo)
 
 
-def avg_pool_mixer(x: Tensor, window: int = 3) -> Tensor:
+def avg_pool_mixer(x: Tensor, window: int = 3, lengths=None) -> Tensor:
     """Temporal average pooling minus identity.
 
     Each frame is replaced by the mean of the frames inside its window
     (boundary windows average over the valid frames only), and the input is
-    subtracted so a residual branch carries only the mixing delta.
+    subtracted so a residual branch carries only the mixing delta. Frames
+    at or past lengths[b] are padding: they read as zero, a record's
+    windows count only its real frames, and they get zero gradient from
+    the mean. `lengths=None` means every frame is real.
     """
     if x.ndim != 3:
         raise DimensionError(f"avg_pool_mixer expects rank-3 input, got {x.shape}")
     if window < 1 or window % 2 == 0:
         raise ConfigError(f"pooling window must be odd and positive, got {window}")
-    t = x.shape[1]
+    b, t, _ = x.shape
     r = window // 2
+    lengths = _padded_lengths(lengths, b, t)
+    last = t - 1 if lengths is None else lengths[:, None] - 1
     positions = np.arange(t)
-    counts = (np.minimum(positions + r, t - 1) - np.maximum(positions - r, 0) + 1)
-    counts = counts.astype(x.data.dtype)[None, :, None]
+    # a padded frame's window may hold no real frame; it counts one, and reads zero
+    counts = np.maximum(np.minimum(positions + r, last) - np.maximum(positions - r, 0) + 1, 1)
+    counts = np.atleast_2d(counts).astype(x.data.dtype)[:, :, None]
+    xs = x.data
+    if lengths is not None:
+        xs = _copy(xs)
+        _zero_padding(xs, lengths)
     sums = np.zeros_like(x.data)
     for off in range(-r, r + 1):
         if off >= 0:
-            sums[:, :t - off, :] += x.data[:, off:, :]
+            sums[:, :t - off, :] += xs[:, off:, :]
         else:
-            sums[:, -off:, :] += x.data[:, :t + off, :]
+            sums[:, -off:, :] += xs[:, :t + off, :]
     out = sums
     out /= counts
     out -= x.data
@@ -448,6 +493,8 @@ def avg_pool_mixer(x: Tensor, window: int = 3) -> Tensor:
                 gx[:, off:, :] += gavg[:, :t - off, :]
             else:
                 gx[:, :t + off, :] += gavg[:, -off:, :]
+        if lengths is not None:
+            _zero_padding(gx, lengths)
         gx -= g
         accumulate_grad(x, gx, owned=True)
 

@@ -240,7 +240,9 @@ def collate(records) -> tuple:
     """Pad records to the batch's longest sequence.
 
     Returns (features (B, L, Tmax, C) float32, lengths int64, labels int64).
-    Padded frames are zero; they are excluded from pooling via lengths.
+    Padded frames are zero. Passed `lengths`, the model keeps them out of
+    every op that reads across time and out of pooling, so they do not
+    change a record's output.
     """
     if not records:
         raise EmptyInputError("cannot collate an empty batch")
@@ -267,19 +269,27 @@ def _batches(n: int, batch_size: int):
 
 
 def predict_logits(model: SequenceClassifier, records, batch_size: int = 32) -> tuple:
-    """Eval-mode logits for every record, in input order; records no graph."""
+    """Eval-mode logits and labels for every record, in input order; records no graph.
+
+    Records are batched in stable length order, so each batch pads little;
+    a record's logits do not depend on its batch-mates (see
+    :meth:`SequenceClassifier.forward_features`). Equal-length records keep
+    input order, and so the batches and bits of input-order batching.
+    """
     if not records:
         raise EmptyInputError("cannot evaluate an empty record list")
     if batch_size < 1:
         raise UsageError(f"batch_size must be at least 1, got {batch_size}")
+    order = np.argsort([rec.data.shape[1] for rec in records], kind="stable")
     chunks, labels = [], []
     for idx in _batches(len(records), batch_size):
-        feats, lengths, batch_labels = collate([records[i] for i in idx])
+        feats, lengths, batch_labels = collate([records[i] for i in order[idx]])
         with no_grad():
             logits = model.forward(Tensor(feats), lengths=lengths, training=False)
         chunks.append(logits.data)
         labels.append(batch_labels)
-    return np.concatenate(chunks, axis=0), np.concatenate(labels)
+    restore = np.argsort(order)  # row i of the sorted output is record order[i]
+    return np.concatenate(chunks, axis=0)[restore], np.concatenate(labels)[restore]
 
 
 def evaluate(model: SequenceClassifier, records, batch_size: int = 32) -> Metrics:

@@ -74,13 +74,13 @@ def _lstm_direction(rng, c_in, hidden):
                          b=_t(rng, 4 * hidden))
 
 
-def _mhsa_case(relative: bool):
+def _mhsa_case(relative: bool, lengths=None):
     def build(rng, _seed):
         params = _attention_params(rng, 6, relative)
         x = _t(rng, 2, 5, 6)
         # bk left out: a key bias adds one constant to every logit of a query
         tensors = [t for name, t in named_tensors(params) if name != "bk"]
-        return (lambda *_: mhsa(x, params, 2)), [x, *tensors]
+        return (lambda *_: mhsa(x, params, 2, lengths)), [x, *tensors]
     return build
 
 
@@ -146,6 +146,9 @@ def _suite_cases():
          lambda rng, _: (linear, [_t(rng, 2, 4, 3), _t(rng, 3, 5), _t(rng, 5)])),
         ("op.depthwise_conv1d", TOL_ELEMENTWISE,
          lambda rng, _: (depthwise_conv1d, [_t(rng, 2, 6, 4), _t(rng, 3, 4), _t(rng, 4)])),
+        ("op.depthwise_conv1d_masked", TOL_ELEMENTWISE,
+         lambda rng, _: (lambda x, k, b: depthwise_conv1d(x, k, b, np.array([6, 4])),
+                         [_t(rng, 2, 6, 4), _t(rng, 3, 4), _t(rng, 4)])),
         ("op.conv1d_full", TOL_ELEMENTWISE,
          lambda rng, _: (conv1d_full, [_t(rng, 2, 6, 3), _t(rng, 3, 3, 4), _t(rng, 4)])),
         ("op.layer_norm", TOL_COMPOSED,
@@ -162,8 +165,11 @@ def _suite_cases():
          lambda rng, _: (lambda tbl: rel_position_bias(tbl, 5), [_t(rng, 2, 7)])),
         ("op.mhsa_relative", TOL_COMPOSED, _mhsa_case(relative=True)),
         ("op.mhsa_no_positions", TOL_COMPOSED, _mhsa_case(relative=False)),
+        ("op.mhsa_masked", TOL_COMPOSED, _mhsa_case(relative=True, lengths=np.array([5, 3]))),
         ("op.avg_pool_mixer", TOL_ELEMENTWISE,
          lambda rng, _: (lambda x: avg_pool_mixer(x, 3), [_t(rng, 2, 6, 4)])),
+        ("op.avg_pool_mixer_masked", TOL_ELEMENTWISE,
+         lambda rng, _: (lambda x: avg_pool_mixer(x, 3, np.array([6, 4])), [_t(rng, 2, 6, 4)])),
         ("op.bilstm", TOL_COMPOSED, _bilstm_case()),
         ("op.bilstm_masked", TOL_COMPOSED, _bilstm_case(np.array([4, 2]))),
         ("op.mean_pool_time", TOL_ELEMENTWISE,
@@ -178,6 +184,9 @@ def _suite_cases():
          lambda rng, _: (lambda x: temporal_shift(x, shift_uni), [_t(rng, 2, 5, 8)])),
         ("op.temporal_shift_bi", TOL_SHIFT,
          lambda rng, _: (lambda x: temporal_shift(x, shift_bi), [_t(rng, 2, 5, 8)])),
+        ("op.temporal_shift_bi_masked", TOL_SHIFT,
+         lambda rng, _: (lambda x: temporal_shift(x, shift_bi, np.array([5, 3])),
+                         [_t(rng, 2, 5, 8)])),
         ("block.conv_shift_residual", TOL_COMPOSED,
          _block_case("cnn", channels=(16, 32, 16), blocks=1, kernel=7,
                      num_input_layers=1,

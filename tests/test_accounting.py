@@ -227,9 +227,9 @@ def test_shift_rows_match_shifts_run(monkeypatch):
     """One eval forward calls temporal_shift once per *.shift / *.mixer_shift row."""
     calls = []
 
-    def counting_shift(x, cfg):
+    def counting_shift(x, cfg, lengths=None):
         calls.append(cfg)
-        return temporal_shift(x, cfg)
+        return temporal_shift(x, cfg, lengths)
 
     monkeypatch.setattr("shiftseq.blocks.model.temporal_shift", counting_shift)
     checked = 0

@@ -490,7 +490,7 @@ def test_zeroed_in_place_model_is_pure_shift():
                                           ("lstm", "attention")])
 def test_in_place_shift_is_a_shift_of_each_block_input(family, mixer, direction):
     """In-place placement equals the unshifted model, same seed, run block by
-    block with each block's input shifted."""
+    block with each block's input shifted, both honouring the padding."""
     shift = ShiftConfig(alpha=0.25, direction=direction, placement="in_place")
     shifted = build_model(small_cfg(family, mixer=mixer, blocks=2, shift=shift), seed=4)
     plain = build_model(small_cfg(family, mixer=mixer, blocks=2), seed=4)
@@ -499,7 +499,7 @@ def test_in_place_shift_is_a_shift_of_each_block_input(family, mixer, direction)
     with no_grad():
         expected = weighted_layer_sum(x, plain.layer_weights)
         for block in plain.blocks:
-            expected = block.forward(temporal_shift(expected, shift), lengths)
+            expected = block.forward(temporal_shift(expected, shift, lengths), lengths)
         out = shifted.forward_features(x, lengths=lengths)
     assert np.array_equal(out.data, expected.data)
 
@@ -539,21 +539,66 @@ def test_lstm_residual_wiring():
     np.testing.assert_allclose(out.data, expected.data, rtol=0, atol=0)
 
 
-@pytest.mark.parametrize("training", [False, True])
-@pytest.mark.parametrize("preset", ["lstm", "shiftlstm"])
-def test_lstm_logits_do_not_depend_on_batch_padding(preset, training):
-    model = build_model(preset_config(preset, width=16, num_input_layers=2), seed=0)
+def randomised_preset(preset, dtype=np.float32):
+    """A small preset whose biases, norm scales, layer mix and position
+    biases are off their constant init: a zero input frame then no longer
+    stays zero through a block."""
+    model = build_model(preset_config(preset, width=16, num_input_layers=2), seed=0, dtype=dtype)
     rng = np.random.default_rng(14)
     for name, p in model.named_parameters().items():
-        if name.endswith(".b"):  # trained biases: zero input no longer keeps a zero state
-            p.data = p.data + rng.normal(0.0, 0.5, p.shape).astype(np.float32)
-    short = features(rng, b=1, t=10, c=16)
-    batch = np.zeros((2, 2, 30, 16), dtype=np.float32)
-    batch[0, :, :10] = short[0]
-    batch[1] = features(rng, b=1, t=30, c=16)[0]
-    alone = model.forward(Tensor(short), np.array([10]), training=training, augment_prob=0.0)
-    padded = model.forward(Tensor(batch), np.array([10, 30]), training=training, augment_prob=0.0)
-    np.testing.assert_allclose(padded.data[0], alone.data[0], rtol=0, atol=1e-6)
+        if p.ndim == 1 or name.endswith("rel_table"):
+            p.data = p.data + rng.normal(0.0, 0.5, p.shape).astype(dtype)
+    return model
+
+
+def padded_batch(rng, lengths, dtype=np.float32):
+    """Records of the given lengths, alone, and collated into one zero-padded batch."""
+    alone = [features(rng, b=1, t=t, c=16).astype(dtype) for t in lengths]
+    batch = np.zeros((len(lengths), 2, max(lengths), 16), dtype=dtype)
+    for i, rec in enumerate(alone):
+        batch[i, :, :rec.shape[2]] = rec[0]
+    return alone, batch
+
+
+def run_mode(training):
+    # augmentation always shifts in training mode, so the trunk passes through it too
+    return (dict(training=True, augment_prob=1.0, rng=np.random.default_rng(0)) if training
+            else dict(training=False))
+
+
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("preset", PRESETS)
+def test_logits_do_not_depend_on_batch_padding(preset, training):
+    model = randomised_preset(preset)
+    lengths = np.array([10, 30, 17])
+    alone, batch = padded_batch(np.random.default_rng(15), lengths)
+    with no_grad():
+        padded = model.forward(Tensor(batch), lengths, **run_mode(training))
+        for i, rec in enumerate(alone):
+            own = model.forward(Tensor(rec), lengths[i:i + 1], **run_mode(training))
+            np.testing.assert_allclose(padded.data[i], own.data[0], rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("preset", PRESETS)
+def test_padded_batch_gradient_is_the_mean_of_per_record_gradients(preset, training):
+    """Run at 64-bit, so that only a masking fault, not float32 rounding, can
+    move a gradient by 1e-6."""
+    model = randomised_preset(preset, np.float64)
+    params = model.named_parameters()
+    lengths, labels = np.array([10, 30, 17]), np.array([1, 0, 3])
+    alone, batch = padded_batch(np.random.default_rng(16), lengths, np.float64)
+    expected = {name: np.zeros_like(p.data) for name, p in params.items()}
+    for i, rec in enumerate(alone):
+        loss, _ = model.loss(Tensor(rec), labels[i:i + 1], lengths[i:i + 1], **run_mode(training))
+        backward(loss)
+        for name, p in params.items():
+            expected[name] += p.grad / len(alone)
+            p.grad = None
+    loss, _ = model.loss(Tensor(batch), labels, lengths, **run_mode(training))
+    backward(loss)
+    for name, p in params.items():
+        np.testing.assert_allclose(p.grad, expected[name], rtol=0, atol=1e-6, err_msg=name)
 
 
 def test_augmentation_changes_training_forward_only():
@@ -820,8 +865,9 @@ def test_eval_logits_under_no_grad_match_graph_building_forward(preset):
     records = mixed_records(20)
     logits, _ = predict_logits(model, records, batch_size=2)
     graph = []
-    for start in range(0, len(records), 2):
-        feats, lengths, _ = collate(records[start:start + 2])
+    order = np.argsort([rec.data.shape[1] for rec in records], kind="stable")
+    for start in range(0, len(records), 2):  # the batches predict_logits runs
+        feats, lengths, _ = collate([records[i] for i in order[start:start + 2]])
         out = model.forward(Tensor(feats), lengths=lengths, training=False)
         assert out.requires_grad and out._parents
         with no_grad():
@@ -829,7 +875,7 @@ def test_eval_logits_under_no_grad_match_graph_building_forward(preset):
         assert not bare.requires_grad and bare._parents == ()
         graph.append(out.data)
     assert logits.dtype == np.float32
-    np.testing.assert_array_equal(logits, np.concatenate(graph))
+    np.testing.assert_array_equal(logits[order], np.concatenate(graph))
 
 
 @pytest.mark.parametrize("preset", PRESETS)

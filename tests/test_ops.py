@@ -7,7 +7,7 @@ import pytest
 
 from shiftseq.blocks import ModelConfig, build_model
 from shiftseq.errors import ConfigError, DimensionError
-from shiftseq.shift import ShiftConfig
+from shiftseq.shift import ShiftConfig, temporal_shift
 from shiftseq.tensor_autograd import (
     AttentionParams,
     LstmDirection,
@@ -26,6 +26,7 @@ from shiftseq.tensor_autograd import (
     mean_pool_time,
     mhsa,
     mul,
+    named_tensors,
     rel_position_bias,
     softmax,
     sum_all,
@@ -653,3 +654,71 @@ class TestCrossEntropy:
         report = grad_check(lambda x: cross_entropy(x, [0, 2, 1]),
                             [Tensor(rnd((3, 4), 78))], tol=1e-5)
         assert report.passed, str(report)
+
+
+# ---------------------------------------------------------------------------
+# padding: the four ops that read across time honour `lengths`
+# ---------------------------------------------------------------------------
+
+def cross_time_op(name, dtype=np.float64):
+    """(f(x, lengths), parameters) for one of the ops that read neighbouring frames."""
+    if name == "depthwise_conv1d":
+        kernel = Tensor(rnd((5, 6), 90, dtype), requires_grad=True)
+        bias = Tensor(rnd((6,), 91, dtype), requires_grad=True)
+        return (lambda x, n: depthwise_conv1d(x, kernel, bias, n)), [kernel, bias]
+    if name == "temporal_shift":
+        shift = ShiftConfig(alpha=0.5, direction="bidirectional", placement="residual")
+        return (lambda x, n: temporal_shift(x, shift, n)), []
+    if name == "avg_pool_mixer":
+        return (lambda x, n: avg_pool_mixer(x, 3, n)), []
+    params = make_attention(6, 2, 92, rel_d=3)
+    for _, p in named_tensors(params):
+        p.data = p.data.astype(dtype)
+    return (lambda x, n: mhsa(x, params, 2, n)), [p for _, p in named_tensors(params)]
+
+
+CROSS_TIME_OPS = ("depthwise_conv1d", "temporal_shift", "avg_pool_mixer", "mhsa")
+
+
+def run_with_grads(f, x, lengths, r, params):
+    """f's output and the gradients of sum(f * r) for x and each parameter."""
+    x = Tensor(x, requires_grad=True)
+    for p in params:
+        p.grad = None
+    out = f(x, lengths)
+    backward(sum_all(mul(out, Tensor(r))))
+    return out.data, [x.grad] + [p.grad.copy() for p in params]
+
+
+@pytest.mark.parametrize("name", CROSS_TIME_OPS)
+def test_lengths_of_every_frame_keep_the_unmasked_bits(name):
+    f, params = cross_time_op(name, np.float32)
+    x, r = rnd((3, 7, 6), 93, np.float32), rnd((3, 7, 6), 94, np.float32)
+    out, grads = run_with_grads(f, x, None, r, params)
+    full_out, full_grads = run_with_grads(f, x, np.array([7, 7, 7]), r, params)
+    assert np.array_equal(out, full_out)
+    for g, full in zip(grads, full_grads):
+        assert np.array_equal(g, full)
+
+
+@pytest.mark.parametrize("name", CROSS_TIME_OPS)
+def test_real_frames_neither_read_nor_pass_gradient_to_padding(name):
+    """Each record's real frames, padded into a batch whose padding holds
+    noise, match the record alone; padding gets zero gradient, and the
+    parameter gradient is the sum of the records' own."""
+    f, params = cross_time_op(name)
+    lengths = np.array([9, 4, 6])
+    x, r = rnd((3, 9, 6), 95), rnd((3, 9, 6), 96)
+    real = np.arange(9)[None, :, None] < lengths[:, None, None]
+    r = np.where(real, r, 0.0)  # a padding-exact consumer reads no padded frame
+    out, grads = run_with_grads(f, x, lengths, r, params)
+    assert np.all(grads[0][~np.broadcast_to(real, x.shape)] == 0.0)
+    param_sums = [np.zeros_like(p.data) for p in params]
+    for i, n in enumerate(lengths):
+        alone, alone_grads = run_with_grads(f, x[i:i + 1, :n], None, r[i:i + 1, :n], params)
+        np.testing.assert_allclose(out[i, :n], alone[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grads[0][i, :n], alone_grads[0][0], rtol=0, atol=1e-12)
+        for total, g in zip(param_sums, alone_grads[1:]):
+            total += g
+    for g, total in zip(grads[1:], param_sums):
+        np.testing.assert_allclose(g, total, rtol=0, atol=1e-12)

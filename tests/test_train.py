@@ -21,7 +21,7 @@ from shiftseq.errors import (
     UsageError,
     check_config_dict,
 )
-from shiftseq.tensor_autograd import Tensor
+from shiftseq.tensor_autograd import Tensor, no_grad
 from shiftseq.train import (
     _CHUNK,
     BETA1,
@@ -589,6 +589,50 @@ def test_predict_logits_matches_manual_forward():
     feats, lengths, _ = collate(records)
     expected = model.forward(Tensor(feats), lengths=lengths).data
     np.testing.assert_allclose(logits, expected, atol=1e-5)
+
+
+def shuffled_length_records(lengths=(12, 5, 30, 5, 21, 8, 30, 3, 17)):
+    rng = np.random.default_rng(3)
+    return [FeatureSequence(i % 4, 0, rng.standard_normal((1, t, 16)).astype(np.float32))
+            for i, t in enumerate(lengths)]
+
+
+def test_predict_logits_returns_rows_in_input_order():
+    records = shuffled_length_records()
+    model = build_model(tiny_model_cfg(), seed=0)
+    logits, labels = predict_logits(model, records, batch_size=4)
+    np.testing.assert_array_equal(labels, [r.label for r in records])
+    for i, rec in enumerate(records):
+        feats, lengths, _ = collate([rec])
+        with no_grad():
+            own = model.forward(Tensor(feats), lengths=lengths).data[0]
+        np.testing.assert_allclose(logits[i], own, rtol=0, atol=1e-6)
+
+
+def test_predict_logits_batches_contiguous_runs_of_the_length_order(monkeypatch):
+    records = shuffled_length_records()
+    batches = []
+
+    def recording_collate(batch):
+        batches.append([next(i for i, r in enumerate(records) if r is rec) for rec in batch])
+        return collate(batch)
+
+    monkeypatch.setattr("shiftseq.train.collate", recording_collate)
+    predict_logits(build_model(tiny_model_cfg(), seed=0), records, batch_size=4)
+    order = sorted(range(len(records)), key=lambda i: records[i].data.shape[1])  # stable
+    assert batches == [order[:4], order[4:8], order[8:]]
+
+
+def test_equal_length_records_keep_input_order_batches_and_bits():
+    records = tiny_dataset()[:10]
+    model = build_model(tiny_model_cfg(), seed=0)
+    logits, _ = predict_logits(model, records, batch_size=4)
+    chunks = []
+    for start in range(0, len(records), 4):
+        feats, lengths, _ = collate(records[start:start + 4])
+        with no_grad():
+            chunks.append(model.forward(Tensor(feats), lengths=lengths).data)
+    np.testing.assert_array_equal(logits, np.concatenate(chunks))
 
 
 def test_evaluate_counts_rows_as_true_classes():
