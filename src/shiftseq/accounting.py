@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blocks.model import (
-    POOL_WINDOW,
     AttentionLayer,
     BiLstmLayer,
     ConvBlock,
@@ -35,6 +34,7 @@ from .blocks.model import (
     TransformerBlock,
 )
 from .errors import UsageError
+from .tensor_autograd.ops import POOL_WINDOW
 
 NORM_EW = 6
 GELU_EW = 8
@@ -120,7 +120,7 @@ def _layer_costs(layer, t: int) -> tuple:
         return (params, 2 * k * width * t, width * t)
     if isinstance(layer, AttentionLayer):
         width = layer.params.wq.shape[0]
-        heads = layer.heads
+        heads = layer.params.rel_table.shape[0]
         flops = 8 * width * width * t + 4 * t * t * width
         ew = 4 * width * t                       # projection biases
         ew += SOFTMAX_EW * heads * t * t         # attention softmax
@@ -129,7 +129,7 @@ def _layer_costs(layer, t: int) -> tuple:
         return (params, flops, ew)
     if isinstance(layer, BiLstmLayer):
         c_in = layer.fw.w_ih.shape[0]
-        hidden = layer.hidden
+        hidden = layer.fw.w_hh.shape[0]
         flops = 2 * 2 * (c_in + hidden) * 4 * hidden * t
         return (params, flops, 2 * LSTM_CELL_EW * hidden * t)
     raise UsageError(f"no cost rule for layer type {type(layer).__name__}")
@@ -144,7 +144,7 @@ def _block_entries(prefix: str, block, t: int) -> list:
                for sub_name, layer in block.sublayers()]
     if isinstance(block, LstmBlock):
         if block.shift is not None:
-            entries.append(CostEntry(f"{prefix}.residual", 0, 0, 2 * block.rnn.hidden * t))
+            entries.append(CostEntry(f"{prefix}.residual", 0, 0, 2 * block.rnn.fw.w_hh.shape[0] * t))
         return entries
     width, mid = block.pw1.weight.shape
     residuals = 1

@@ -16,9 +16,9 @@ Layout (all integers little-endian u32 unless noted):
 
 Loading validates every length against the remaining byte count before
 allocating, so a truncated or corrupted file raises CheckpointError rather
-than producing a half-filled model. Each payload is copied out of the file
-image once (the reader hands out views of it), and the rebuilt model takes
-those arrays as its parameters.
+than producing a half-filled model, as does a NaN or infinite value. Each
+payload is copied out of the file image once (the reader hands out views of
+it), and the rebuilt model takes those arrays as its parameters.
 The model is built without drawing an init, which is safe because the
 name and shape checks require the file to supply every parameter.
 """
@@ -91,6 +91,8 @@ def _read_records(r: ByteReader) -> "dict[str, np.ndarray]":
         if name in out:
             raise CheckpointError(f"duplicate record {name!r}")
         out[name] = data.astype(np.float32)
+        if not np.isfinite(out[name]).all():
+            raise CheckpointError(f"record {name!r} holds a nonfinite value")
     return out
 
 

@@ -51,10 +51,10 @@ from ..tensor_autograd import (
     track,
 )
 from ..tensor_autograd.engine import _check_same_dtype, _empty, _zeros
+from ..tensor_autograd.ops import POOL_WINDOW
 
 FAMILIES = ("cnn", "transformer", "lstm")
 MIXERS = ("attention", "pooling", "shift", "none")
-POOL_WINDOW = 3  # frames averaged by the pooling token mixer
 
 
 @dataclass(frozen=True)
@@ -219,7 +219,6 @@ class DepthwiseConvLayer:
 
 class AttentionLayer:
     def __init__(self, rng, width: int, heads: int, clip_dist: int, dtype):
-        self.heads = heads
         std = 1.0 / math.sqrt(width)
 
         def w():
@@ -233,7 +232,7 @@ class AttentionLayer:
                                       wo=w(), bo=b(), rel_table=rel)
 
     def forward(self, x: Tensor, lengths=None) -> Tensor:
-        return mhsa(x, self.params, self.heads, lengths)
+        return mhsa(x, self.params, lengths)
 
     def named_parameters(self):
         return named_tensors(self.params)
@@ -241,7 +240,6 @@ class AttentionLayer:
 
 class BiLstmLayer:
     def __init__(self, rng, c_in: int, hidden: int, dtype):
-        self.hidden = hidden
         self.fw = self._direction(rng, c_in, hidden, dtype)
         self.bw = self._direction(rng, c_in, hidden, dtype)
 
@@ -316,7 +314,7 @@ class TransformerBlock:
             if self.mixer_kind == "attention":
                 m = self.attn.forward(u, lengths)
             elif self.mixer_kind == "pooling":
-                m = avg_pool_mixer(u, POOL_WINDOW, lengths)
+                m = avg_pool_mixer(u, lengths)
             else:  # the shift is the token mixer
                 m = temporal_shift(u, self.mixer_shift, lengths)
             x = add(x, m)
@@ -424,7 +422,6 @@ class SequenceClassifier:
 
     def __init__(self, cfg: ModelConfig, rng, dtype=np.float32):
         self.cfg = cfg
-        self.dtype = np.dtype(dtype)
         self.layer_weights = Tensor(np.zeros(cfg.num_input_layers, dtype), requires_grad=True)
         self.trunk_shift = cfg.shift if cfg.shift is not None and cfg.shift.placement == "in_place" else None
         self.blocks = []

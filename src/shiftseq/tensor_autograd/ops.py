@@ -389,8 +389,8 @@ class AttentionParams:
     """Projection weights for multi-head self-attention.
 
     `rel_table` (heads, 2*D+1), the only position signal, adds a learned
-    bias per head and clipped query-key distance to the attention logits.
-    Every model has one; without it (`None`) attention is order-blind.
+    bias per head and clipped query-key distance to the attention logits;
+    its rows are the heads. A one-column table (D = 0) is order-blind.
     """
 
     wq: Tensor
@@ -401,21 +401,20 @@ class AttentionParams:
     bv: Tensor
     wo: Tensor
     bo: Tensor
-    rel_table: Tensor | None = None
+    rel_table: Tensor
 
 
 def named_tensors(params) -> list:
-    """(field name, tensor) for each field of a parameter dataclass that is
-    not None, in declaration order: the order parameters are saved in."""
-    return [(f.name, getattr(params, f.name)) for f in dataclasses.fields(params)
-            if getattr(params, f.name) is not None]
+    """(field name, tensor) for each field of a parameter dataclass, in
+    declaration order: the order parameters are saved in."""
+    return [(f.name, getattr(params, f.name)) for f in dataclasses.fields(params)]
 
 
-def mhsa(x: Tensor, params: AttentionParams, heads: int, lengths=None) -> Tensor:
+def mhsa(x: Tensor, params: AttentionParams, lengths=None) -> Tensor:
     """Multi-head scaled dot-product self-attention.
 
-    Positions enter only through `params.rel_table` (see
-    :class:`AttentionParams`); with no table, attention is order-blind.
+    The head count is the row count of `params.rel_table`, and positions
+    enter only through that table (see :class:`AttentionParams`).
     Keys at or past lengths[b] are padding: a -inf logit bias gives them
     zero weight, so no query reads them and they get zero gradient.
     `lengths=None` means every frame is real.
@@ -423,11 +422,9 @@ def mhsa(x: Tensor, params: AttentionParams, heads: int, lengths=None) -> Tensor
     if x.ndim != 3:
         raise DimensionError(f"mhsa expects rank-3 input, got {x.shape}")
     b, t, c = x.shape
+    heads = params.rel_table.shape[0]
     if heads < 1 or c % heads != 0:
-        raise ConfigError(f"channel count {c} is not divisible by heads {heads}")
-    if params.rel_table is not None and params.rel_table.shape[0] != heads:
-        raise DimensionError(
-            f"relative bias table {params.rel_table.shape} needs one row per head ({heads})")
+        raise DimensionError(f"{heads} heads (relative bias table rows) must divide {c} channels")
     head_dim = c // heads
 
     def split(p: Tensor) -> Tensor:
@@ -437,8 +434,7 @@ def mhsa(x: Tensor, params: AttentionParams, heads: int, lengths=None) -> Tensor
     k = split(linear(x, params.wk, params.bk))
     v = split(linear(x, params.wv, params.bv))
     logits = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(head_dim))
-    if params.rel_table is not None:
-        logits = add(logits, rel_position_bias(params.rel_table, t))
+    logits = add(logits, rel_position_bias(params.rel_table, t))
     lengths = _padded_lengths(lengths, b, t)
     if lengths is not None:
         key_bias = np.where(np.arange(t) < lengths[:, None], 0.0, -np.inf).astype(x.dtype)
@@ -449,11 +445,14 @@ def mhsa(x: Tensor, params: AttentionParams, heads: int, lengths=None) -> Tensor
     return linear(merged, params.wo, params.bo)
 
 
-def avg_pool_mixer(x: Tensor, window: int = 3, lengths=None) -> Tensor:
+POOL_WINDOW = 3  # frames averaged by the pooling token mixer
+
+
+def avg_pool_mixer(x: Tensor, lengths=None) -> Tensor:
     """Temporal average pooling minus identity.
 
-    Each frame is replaced by the mean of the frames inside its window
-    (boundary windows average over the valid frames only), and the input is
+    Each frame is replaced by the mean of the POOL_WINDOW frames centred on
+    it (boundary windows average over the valid frames only), and the input is
     subtracted so a residual branch carries only the mixing delta. Frames
     at or past lengths[b] are padding: they read as zero, a record's
     windows count only its real frames, and they get zero gradient from
@@ -461,10 +460,8 @@ def avg_pool_mixer(x: Tensor, window: int = 3, lengths=None) -> Tensor:
     """
     if x.ndim != 3:
         raise DimensionError(f"avg_pool_mixer expects rank-3 input, got {x.shape}")
-    if window < 1 or window % 2 == 0:
-        raise ConfigError(f"pooling window must be odd and positive, got {window}")
     b, t, _ = x.shape
-    r = window // 2
+    r = POOL_WINDOW // 2
     lengths = _padded_lengths(lengths, b, t)
     last = t - 1 if lengths is None else lengths[:, None] - 1
     positions = np.arange(t)

@@ -86,13 +86,10 @@ def _adam_block(p, m, v, g, a, b, lr, c1, c2, decay) -> None:
     formula `lr*(m/c1) / (sqrt(v/c2) + eps) [+ decay*p]`, so every block
     rounds exactly as a whole-parameter update would.
     """
-    # a gradient of another dtype (only a directly set .grad has one) keeps
-    # its own precision in the moment terms, through chunk-sized temporaries
-    ga = a if g.dtype == a.dtype else None
     m *= BETA1
-    m += np.multiply(g, 1.0 - BETA1, out=ga)
+    m += np.multiply(g, 1.0 - BETA1, out=a)
     v *= BETA2
-    gg = np.multiply(g, 1.0 - BETA2, out=ga)
+    gg = np.multiply(g, 1.0 - BETA2, out=a)
     gg *= g
     v += gg
     np.divide(m, c1, out=a)
@@ -117,7 +114,9 @@ class Optimizer:
 
     The update walks each parameter in cache-sized blocks of `_CHUNK`
     elements through two scratch buffers per dtype, allocated once, and is
-    bit-identical to the per-parameter formula.
+    bit-identical to the per-parameter formula. It writes through flat
+    views, so :meth:`step` first checks that every parameter is C-contiguous
+    and every gradient has its parameter's shape and dtype.
     """
 
     def __init__(self, model: SequenceClassifier, cfg: TrainConfig):
@@ -137,9 +136,11 @@ class Optimizer:
     def step(self, lr: float) -> None:
         # checked up front so that a bad gradient leaves every parameter unstepped
         for name, p in self.params.items():
-            if p.grad is not None and p.grad.shape != p.data.shape:
-                raise DimensionError(f"gradient for {name!r} has shape {p.grad.shape}, "
-                                     f"parameter has {p.data.shape}")
+            if not p.data.flags.c_contiguous:
+                raise DimensionError(f"parameter {name!r} is not C-contiguous")
+            if p.grad is not None and (p.grad.shape, p.grad.dtype) != (p.data.shape, p.data.dtype):
+                raise DimensionError(f"gradient for {name!r} is {p.grad.dtype.name} {p.grad.shape}, "
+                                     f"parameter is {p.data.dtype.name} {p.data.shape}")
         self.t += 1
         c1 = 1.0 - BETA1 ** self.t
         c2 = 1.0 - BETA2 ** self.t
@@ -147,17 +148,13 @@ class Optimizer:
         for name, p in self.params.items():
             m, v = self.m[name].reshape(-1), self.v[name].reshape(-1)
             a, b, zero = self._scratch[m.dtype]
-            # a strided parameter steps in a C-ordered copy, written back below
-            data = p.data if p.data.flags.c_contiguous else np.ascontiguousarray(p.data)
-            flat = data.reshape(-1)
-            g = None if p.grad is None else np.asarray(p.grad).reshape(-1)
+            flat = p.data.reshape(-1)
+            g = None if p.grad is None else p.grad.reshape(-1)
             for i in range(0, flat.size, _CHUNK):
                 j = min(i + _CHUNK, flat.size)
                 n = j - i
                 _adam_block(flat[i:j], m[i:j], v[i:j], zero[:n] if g is None else g[i:j],
                             a[:n], b[:n], lr, c1, c2, decay)
-            if data is not p.data:
-                p.data[...] = data
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -292,11 +289,17 @@ def predict_logits(model: SequenceClassifier, records, batch_size: int = 32) -> 
     return np.concatenate(chunks, axis=0)[restore], np.concatenate(labels)[restore]
 
 
+def _check_eval_records(records, num_classes: int) -> None:
+    if not records:
+        raise EmptyInputError("cannot evaluate an empty record list")
+    bad = sorted({rec.label for rec in records if not 0 <= rec.label < num_classes})
+    if bad:
+        raise DimensionError(f"labels {bad} fall outside the model's {num_classes} classes")
+
+
 def evaluate(model: SequenceClassifier, records, batch_size: int = 32) -> Metrics:
     k = model.cfg.num_classes
-    bad = sorted({rec.label for rec in records if not 0 <= rec.label < k})
-    if bad:
-        raise DimensionError(f"labels {bad} fall outside the model's {k} classes")
+    _check_eval_records(records, k)
     logits, labels = predict_logits(model, records, batch_size)
     confusion = np.zeros((k, k), dtype=np.int64)
     predictions = np.argmax(logits, axis=1)
@@ -320,9 +323,10 @@ class FoldResult:
 
 def train_fold(model_cfg, train_cfg: TrainConfig, train_records, test_records,
                fold: int = 0, keep_curve: bool = False) -> FoldResult:
-    """Train one fold to completion and evaluate on its held-out records."""
+    """Train one fold, after checking its held-out records as :func:`evaluate` does, and evaluate them."""
     if not train_records:
         raise EmptyInputError("train_fold needs at least one training record")
+    _check_eval_records(test_records, model_cfg.num_classes)
     model = build_model(model_cfg, seed=train_cfg.seed)
     optimizer = Optimizer(model, train_cfg)
     n = len(train_records)

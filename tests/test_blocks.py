@@ -539,11 +539,26 @@ def test_lstm_residual_wiring():
     np.testing.assert_allclose(out.data, expected.data, rtol=0, atol=0)
 
 
-def randomised_preset(preset, dtype=np.float32):
-    """A small preset whose biases, norm scales, layer mix and position
-    biases are off their constant init: a zero input frame then no longer
-    stays zero through a block."""
-    model = build_model(preset_config(preset, width=16, num_input_layers=2), seed=0, dtype=dtype)
+# the presets, then each other way a model reads across time: (preset, overrides)
+PADDING_VARIANTS = {
+    **{name: (name, {}) for name in PRESETS},
+    "cnn-in-place": ("cnn", dict(shift=ShiftConfig(alpha=0.25, placement="in_place"))),
+    "transformer-pooling": ("transformer", dict(mixer="pooling")),
+    "transformer-no-mixer": ("transformer", dict(mixer="none")),
+    "attention-residual-shift": ("transformer", dict(shift=ShiftConfig(
+        alpha=0.25, direction="bidirectional", placement="residual"))),
+    "clip-dist-1": ("transformer", dict(clip_dist=1)),
+    "lstm-residual": ("lstm", dict(shift=ShiftConfig(alpha=0.25, placement="residual"))),
+}
+
+
+def randomised_model(variant, dtype=np.float32):
+    """A small `PADDING_VARIANTS` model whose biases, norm scales, layer mix
+    and position biases are off their constant init: a zero input frame then
+    no longer stays zero through a block."""
+    preset, overrides = PADDING_VARIANTS[variant]
+    cfg = dataclasses.replace(preset_config(preset, width=16, num_input_layers=2), **overrides)
+    model = build_model(cfg, seed=0, dtype=dtype)
     rng = np.random.default_rng(14)
     for name, p in model.named_parameters().items():
         if p.ndim == 1 or name.endswith("rel_table"):
@@ -567,9 +582,9 @@ def run_mode(training):
 
 
 @pytest.mark.parametrize("training", [False, True])
-@pytest.mark.parametrize("preset", PRESETS)
-def test_logits_do_not_depend_on_batch_padding(preset, training):
-    model = randomised_preset(preset)
+@pytest.mark.parametrize("variant", PADDING_VARIANTS)
+def test_logits_do_not_depend_on_batch_padding(variant, training):
+    model = randomised_model(variant)
     lengths = np.array([10, 30, 17])
     alone, batch = padded_batch(np.random.default_rng(15), lengths)
     with no_grad():
@@ -580,11 +595,11 @@ def test_logits_do_not_depend_on_batch_padding(preset, training):
 
 
 @pytest.mark.parametrize("training", [False, True])
-@pytest.mark.parametrize("preset", PRESETS)
-def test_padded_batch_gradient_is_the_mean_of_per_record_gradients(preset, training):
+@pytest.mark.parametrize("variant", PADDING_VARIANTS)
+def test_padded_batch_gradient_is_the_mean_of_per_record_gradients(variant, training):
     """Run at 64-bit, so that only a masking fault, not float32 rounding, can
     move a gradient by 1e-6."""
-    model = randomised_preset(preset, np.float64)
+    model = randomised_model(variant, np.float64)
     params = model.named_parameters()
     lengths, labels = np.array([10, 30, 17]), np.array([1, 0, 3])
     alone, batch = padded_batch(np.random.default_rng(16), lengths, np.float64)
@@ -734,6 +749,16 @@ def test_checkpoint_rejects_non_utf8_record_name(tmp_path):
     raw[first_name] = 0xFF
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match="UTF-8"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_a_nonfinite_parameter(tmp_path, value):
+    model = build_model(small_cfg(), seed=0)
+    model.head.bias.data[1] = value
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model)
+    with pytest.raises(CheckpointError, match="'head.bias' holds a nonfinite value"):
         load_checkpoint(path)
 
 

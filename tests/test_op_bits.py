@@ -149,9 +149,9 @@ def softmax_ref(x, g, axis):
     return out, [out * (g - dot)]
 
 
-def avg_pool_ref(x, g, window):
+def avg_pool_ref(x, g):
     t = x.shape[1]
-    r = window // 2
+    r = 1  # a window of three frames
     positions = np.arange(t)
     counts = (np.minimum(positions + r, t - 1) - np.maximum(positions - r, 0) + 1)
     counts = counts.astype(x.dtype)[None, :, None]
@@ -328,11 +328,11 @@ def test_softmax(dtype, axis):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("window,t", [(3, 6), (5, 3), (1, 4)])
-def test_avg_pool_mixer(dtype, window, t):
-    x, g = arr((2, t, 3), 1, dtype), arr((2, t, 3), 2, dtype)
-    out, grads = run(lambda v: avg_pool_mixer(v, window), [x], g)
-    want_out, want_grads = avg_pool_ref(x, g, window)
+@pytest.mark.parametrize("b,t", [(3, 6), (5, 3), (1, 4)])
+def test_avg_pool_mixer(dtype, b, t):
+    x, g = arr((b, t, 3), 1, dtype), arr((b, t, 3), 2, dtype)
+    out, grads = run(avg_pool_mixer, [x], g)
+    want_out, want_grads = avg_pool_ref(x, g)
     assert_bits(out, want_out)
     assert_bits(grads[0], want_grads[0])
 

@@ -90,8 +90,11 @@ def conv_full_oracle(x, kernel, bias):
     return out
 
 
-def attention_oracle(x, p, heads):
+def attention_oracle(x, p):
+    """Order-blind attention, one head per table row: a one-column table
+    adds one constant to every logit of a head, which the softmax cancels."""
     bs, t, c = x.shape
+    heads = p.rel_table.shape[0]
     d = c // heads
     q = x @ p.wq.data + p.bq.data
     k = x @ p.wk.data + p.bk.data
@@ -142,7 +145,7 @@ def lstm_cell_oracle(x, w_ih, w_hh, b, reverse):
     return outs
 
 
-def make_attention(c, heads, seed, rel_d=None):
+def make_attention(c, heads, seed, rel_d=0):
     rng = np.random.default_rng(seed)
 
     def t(shape, req=True):
@@ -151,7 +154,7 @@ def make_attention(c, heads, seed, rel_d=None):
     return AttentionParams(
         wq=t((c, c)), bq=t((c,)), wk=t((c, c)), bk=t((c,)),
         wv=t((c, c)), bv=t((c,)), wo=t((c, c)), bo=t((c,)),
-        rel_table=t((heads, 2 * rel_d + 1)) if rel_d is not None else None,
+        rel_table=t((heads, 2 * rel_d + 1)),
     )
 
 
@@ -361,7 +364,7 @@ class TestAttention:
     def test_single_frame_weight_is_one(self):
         p = make_attention(4, 2, seed=39)
         x = rnd((2, 1, 4), 40)
-        out = mhsa(Tensor(x), p, heads=2)
+        out = mhsa(Tensor(x), p)
         v = x @ p.wv.data + p.bv.data
         assert np.allclose(out.data, v @ p.wo.data + p.bo.data, atol=1e-10)
 
@@ -371,31 +374,31 @@ class TestAttention:
         p.bv.data[:] = 0.0
         p.wo.data[:] = p.wo.data
         p.bo.data[:] = 0.0
-        out = mhsa(Tensor(rnd((1, 3, 4), 42)), p, heads=1)
+        out = mhsa(Tensor(rnd((1, 3, 4), 42)), p)
         assert np.allclose(out.data, 0.0)
 
     def test_matches_hand_rolled_oracle(self):
         p = make_attention(4, 1, seed=43)
         x = rnd((1, 3, 4), 44)
-        out = mhsa(Tensor(x), p, heads=1)
-        assert np.allclose(out.data, attention_oracle(x, p, 1), atol=1e-10)
+        out = mhsa(Tensor(x), p)
+        assert np.allclose(out.data, attention_oracle(x, p), atol=1e-10)
 
     def test_multihead_matches_oracle_up_to_2x8x8(self):
         p = make_attention(8, 4, seed=45)
         x = rnd((2, 8, 8), 46)
-        out = mhsa(Tensor(x), p, heads=4)
-        assert np.allclose(out.data, attention_oracle(x, p, 4), atol=1e-6)
+        out = mhsa(Tensor(x), p)
+        assert np.allclose(out.data, attention_oracle(x, p), atol=1e-6)
 
     def test_heads_must_divide_channels(self):
-        p = make_attention(4, 1, seed=47)
-        with pytest.raises(ConfigError):
-            mhsa(Tensor(rnd((1, 2, 4), 48)), p, heads=3)
+        p = make_attention(4, 3, seed=47)
+        with pytest.raises(DimensionError, match="must divide 4 channels"):
+            mhsa(Tensor(rnd((1, 2, 4), 48)), p)
 
     def test_relative_mode_biases_logits(self):
         heads, c, t = 2, 4, 3
         p = make_attention(c, heads, seed=51, rel_d=2)
         x = rnd((1, t, c), 52)
-        out = mhsa(Tensor(x), p, heads=heads).data
+        out = mhsa(Tensor(x), p).data
         # oracle with bias folded into the logits
         d = c // heads
         q = x @ p.wq.data + p.bq.data
@@ -412,40 +415,27 @@ class TestAttention:
         expect = expect @ p.wo.data + p.bo.data
         assert np.allclose(out, expect, atol=1e-10)
 
-    def test_rel_table_needs_one_row_per_head(self):
-        p = make_attention(4, 1, seed=57, rel_d=2)
-        with pytest.raises(DimensionError, match="one row per head"):
-            mhsa(Tensor(rnd((1, 3, 4), 58)), p, heads=2)
-
     def test_gradients_relative(self):
         p = make_attention(4, 2, seed=55, rel_d=2)
         tensors = [Tensor(rnd((1, 3, 4), 56)), p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo, p.rel_table]
 
-        report = grad_check(lambda x, *_: mhsa(x, p, heads=2), tensors, tol=1e-4)
+        report = grad_check(lambda x, *_: mhsa(x, p), tensors, tol=1e-4)
         assert report.passed, str(report)
 
 
 class TestPoolMixer:
     def test_constant_in_time_is_zero(self):
         x = np.broadcast_to(rnd((1, 1, 4), 57), (1, 5, 4)).copy()
-        out = avg_pool_mixer(Tensor(x), window=3)
+        out = avg_pool_mixer(Tensor(x))
         assert np.allclose(out.data, 0.0, atol=1e-12)
-
-    def test_window_one_is_zero(self):
-        out = avg_pool_mixer(Tensor(rnd((2, 4, 3), 58)), window=1)
-        assert np.allclose(out.data, 0.0)
 
     def test_matches_loop_oracle(self):
         x = rnd((2, 6, 3), 59)
-        out = avg_pool_mixer(Tensor(x), window=3)
+        out = avg_pool_mixer(Tensor(x))
         assert np.allclose(out.data, pool_oracle(x, 3), atol=1e-12)
 
-    def test_even_window_rejected(self):
-        with pytest.raises(ConfigError):
-            avg_pool_mixer(Tensor(np.zeros((1, 4, 2))), window=2)
-
     def test_gradients(self):
-        report = grad_check(lambda x: avg_pool_mixer(x, 3), [Tensor(rnd((2, 5, 3), 60))], tol=1e-5)
+        report = grad_check(avg_pool_mixer, [Tensor(rnd((2, 5, 3), 60))], tol=1e-5)
         assert report.passed, str(report)
 
 
@@ -670,11 +660,11 @@ def cross_time_op(name, dtype=np.float64):
         shift = ShiftConfig(alpha=0.5, direction="bidirectional", placement="residual")
         return (lambda x, n: temporal_shift(x, shift, n)), []
     if name == "avg_pool_mixer":
-        return (lambda x, n: avg_pool_mixer(x, 3, n)), []
+        return avg_pool_mixer, []
     params = make_attention(6, 2, 92, rel_d=3)
     for _, p in named_tensors(params):
         p.data = p.data.astype(dtype)
-    return (lambda x, n: mhsa(x, params, 2, n)), [p for _, p in named_tensors(params)]
+    return (lambda x, n: mhsa(x, params, n)), [p for _, p in named_tensors(params)]
 
 
 CROSS_TIME_OPS = ("depthwise_conv1d", "temporal_shift", "avg_pool_mixer", "mhsa")

@@ -1,10 +1,19 @@
 """The benchmark's traced run (`perfbench/run.py --trace 1`) looks up package
-functions by name; every name it wraps must exist, so a deletion under
-`src/` that would break the trace fails here too."""
+functions by name and reads some of their arguments by position; every name it
+wraps must exist and every FLOP it books must match `count_flops`, so a
+deletion or a reordered signature under `src/` that would break the trace
+fails here too."""
 
 import importlib
 import types
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from shiftseq.accounting import count_flops
+from shiftseq.blocks import PRESETS, build_model, preset_config
+from shiftseq.tensor_autograd import Tensor, no_grad
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -32,3 +41,18 @@ def test_every_traced_target_resolves_in_the_package():
     targets.append(("shiftseq.tensor_autograd.engine", "track", "engine.track", None))
     missing = [f"{mod}.{attr}" for mod, attr, _, _ in targets if not resolves(mod, attr)]
     assert missing == []
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_traced_flops_agree_with_count_flops(preset):
+    """The trace books each FLOP op's work from the shapes of its positional
+    arguments (`x` first, then a weight); summed over the ops outside any
+    other FLOP op, one forward books what `count_flops` counts."""
+    spans = load_spans()
+    b, t, width, layers = 3, 11, 16, 2
+    model = build_model(preset_config(preset, width=width, num_input_layers=layers), seed=0)
+    x = Tensor(np.random.default_rng(0).standard_normal((b, layers, t, width)).astype(np.float32))
+    tracer = spans.Tracer()
+    with spans.installed(tracer), no_grad():
+        model.forward(x)
+    assert tracer.counters["flops.top_level"] == b * count_flops(model, t).total_flops

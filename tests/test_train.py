@@ -225,6 +225,12 @@ def test_adam_step_input_validation():
     w.grad = np.ones(3)
     opt.step(lr=0.1)
     np.testing.assert_allclose(w.data, [-0.1] * 3, atol=1e-7)
+    # the update writes through a flat view, which a strided parameter does not have
+    model = Params([np.asfortranarray(np.ones((3, 4)))])
+    opt = Optimizer(model, TrainConfig())
+    with pytest.raises(DimensionError, match="'p0' is not C-contiguous"):
+        opt.step(lr=0.1)
+    np.testing.assert_array_equal(model.tensors["p0"].data, np.ones((3, 4)))
 
 
 def test_zero_lr_leaves_parameters_untouched():
@@ -293,8 +299,7 @@ def test_adam_step_is_bit_identical_to_the_unblocked_update(dtype, optimizer):
     rng = np.random.default_rng(3)
     shapes = [(1,), (_CHUNK - 1,), (_CHUNK,), (5, (3 * _CHUNK + 7) // 5)]
     arrays = [rng.standard_normal(s).astype(dtype) for s in shapes]
-    # a strided parameter is stepped in a C-ordered copy and written back; a 0-d one in place
-    arrays.append(np.asfortranarray(rng.standard_normal((7, 9)).astype(dtype)))
+    # a 0-d parameter steps in place, through its flat view
     arrays.append(np.asarray(rng.standard_normal(), dtype=dtype))
     model = Params(arrays)
     opt = Optimizer(model, TrainConfig(optimizer=optimizer, weight_decay=0.1))
@@ -314,15 +319,19 @@ def test_adam_step_is_bit_identical_to_the_unblocked_update(dtype, optimizer):
 
 
 @pytest.mark.parametrize("p_dtype,g_dtype", [(np.float32, np.float64), (np.float64, np.float32)])
-def test_adam_step_keeps_a_directly_set_gradient_in_its_own_dtype(p_dtype, g_dtype):
+def test_adam_step_rejects_a_gradient_of_another_dtype(p_dtype, g_dtype):
+    # only a directly set .grad can differ: accumulate_grad casts to the tensor's dtype
     rng = np.random.default_rng(4)
     model = Params([rng.standard_normal(s).astype(p_dtype) for s in [(3,), (_CHUNK + 3,)]])
     opt = Optimizer(model, TrainConfig(optimizer="adamw", weight_decay=0.1))
     ref = ref_state(model)
-    for _ in range(3):
-        for p in model.tensors.values():
-            p.grad = rng.standard_normal(p.shape).astype(g_dtype)
-        step_against_ref(opt, ref, lr=1e-3)
+    model.tensors["p0"].grad = rng.standard_normal(3).astype(p_dtype)
+    model.tensors["p1"].grad = rng.standard_normal(_CHUNK + 3).astype(g_dtype)
+    with pytest.raises(DimensionError, match="'p1'"):
+        opt.step(1e-3)
+    assert opt.t == 0
+    for name, p in model.tensors.items():
+        assert np.array_equal(p.data, ref[name][0]) and not opt.m[name].any()
 
 
 def test_adam_step_allocates_under_a_quarter_of_a_parameter():
@@ -725,6 +734,20 @@ def test_train_fold_rejects_empty_training_set():
     with pytest.raises(EmptyInputError):
         train_fold(tiny_model_cfg(), TrainConfig(epochs=1, warmup_epochs=0), [],
                    tiny_dataset()[:4])
+
+
+@pytest.mark.parametrize("held_out,error", [
+    ([], EmptyInputError),
+    ([FeatureSequence(label=4, group=0, data=np.zeros((1, 5, 16), np.float32))], DimensionError),
+], ids=["empty", "label-out-of-range"])
+def test_train_fold_checks_held_out_records_before_any_step(monkeypatch, held_out, error):
+    def no_step(*_):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(Optimizer, "step", no_step)
+    cfg = TrainConfig(epochs=1, warmup_epochs=0, batch_size=4)
+    with pytest.raises(error):
+        train_fold(tiny_model_cfg(), cfg, tiny_dataset()[:4], held_out)
 
 
 def test_curves_follow_the_schedule():

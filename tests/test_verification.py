@@ -112,9 +112,9 @@ def _zero_grad_ratio(left_out, others):
 def test_left_out_tensors_have_zero_gradient(seed):
     """The suite leaves out mhsa's `bk` and the pooling block's `norm1.beta`."""
     rng = _seed_rng(seed)
-    params = _attention_params(rng, 6, relative=True)
+    params = _attention_params(rng, 6)
     x = _t(rng, 2, 5, 6)
-    _backward_through(mhsa(x, params, 2), seed)
+    _backward_through(mhsa(x, params), seed)
     named = dict(named_tensors(params))
     assert _zero_grad_ratio(named.pop("bk"), named.values()) <= 1e-12
 
