@@ -16,7 +16,8 @@ Layout (all integers little-endian u32 unless noted):
 
 Loading validates every length against the remaining byte count before
 allocating, so a truncated or corrupted file raises CheckpointError rather
-than producing a half-filled model, as does a NaN or infinite value. Each
+than producing a half-filled model, as does an empty dimension or a NaN or
+infinite value; saving refuses the latter before writing anything. Each
 payload is copied out of the file image once (the reader hands out views of
 it), and the rebuilt model takes those arrays as its parameters.
 The model is built without drawing an init, which is safe because the
@@ -46,7 +47,8 @@ def save_checkpoint(path, model: SequenceClassifier, extra: dict | None = None) 
     """Write the model config and all parameters to `path`.
 
     `extra` is merged into the config JSON under the key "extra" and round
-    trips through :func:`load_checkpoint` untouched.
+    trips through :func:`load_checkpoint` untouched. A non-finite parameter
+    raises CheckpointError, and no file is written.
     """
     payload = {"model": config_to_dict(model.cfg)}
     if extra:
@@ -57,6 +59,8 @@ def save_checkpoint(path, model: SequenceClassifier, extra: dict | None = None) 
         chunks = [struct.pack("<I", len(items))]
         for name, arr in items:
             data = np.ascontiguousarray(arr, dtype="<f4")
+            if not np.isfinite(data).all():
+                raise CheckpointError(f"record {name!r} holds a nonfinite value")
             name_b = name.encode("utf-8")
             chunks.append(struct.pack("<I", len(name_b)))
             chunks.append(name_b)
@@ -84,6 +88,8 @@ def _read_records(r: ByteReader) -> "dict[str, np.ndarray]":
         if ndim > 8:
             raise CheckpointError(f"record {name!r} claims {ndim} dimensions")
         shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim, what))
+        if 0 in shape:
+            raise CheckpointError(f"record {name!r} claims an empty dimension in {shape}")
         n_elems = 1
         for d in shape:
             n_elems *= d

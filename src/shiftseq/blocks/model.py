@@ -472,8 +472,6 @@ class SequenceClassifier:
     def forward(self, features: Tensor, lengths=None, training: bool = False,
                 augment_prob: float = 0.0, rng=None) -> Tensor:
         x = self.forward_features(features, training, augment_prob, rng, lengths)
-        if lengths is None:
-            lengths = np.full(x.shape[0], x.shape[1], dtype=np.int64)
         pooled = mean_pool_time(x, lengths)
         return self.head.forward(pooled)
 

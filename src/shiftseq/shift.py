@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError, EmptyInputError, UsageError, check_field_types
 from .tensor_autograd import Tensor, accumulate_grad, track
 from .tensor_autograd.engine import _copy
-from .tensor_autograd.ops import _padded_lengths, _zero_padding
+from .tensor_autograd.ops import _check_lengths, _zero_padding
 
 DIRECTIONS = ("unidirectional", "bidirectional")
 PLACEMENTS = ("in_place", "residual")
@@ -80,7 +80,7 @@ def temporal_shift(x: Tensor, cfg: ShiftConfig, lengths=None) -> Tensor:
     Frames at or past lengths[b] are padding. The backward group zero-fills
     each record's own last real frame, and every frame after it, so no real
     frame reads padding and padding gets no gradient through that group.
-    `lengths=None` means every frame is real.
+    `lengths=None` (every frame real) runs the same path.
     """
     if x.ndim != 3:
         raise DimensionError(f"temporal_shift expects a (batch, time, channel) tensor, got {x.shape}")
@@ -88,15 +88,13 @@ def temporal_shift(x: Tensor, cfg: ShiftConfig, lengths=None) -> Tensor:
         raise EmptyInputError("temporal_shift on a sequence with zero frames")
     fwd, bwd_count = _split_counts(cfg, x.shape[2])
     split = fwd + bwd_count
-    lengths = _padded_lengths(lengths, x.shape[0], x.shape[1])
+    lengths = _check_lengths(lengths, x.shape[0], x.shape[1])
     out = _copy(x.data)  # a step buffer
     out[:, 1:, :fwd] = x.data[:, :-1, :fwd]
     out[:, 0, :fwd] = 0.0
     if bwd_count:
         out[:, :-1, fwd:split] = x.data[:, 1:, fwd:split]
-        out[:, -1, fwd:split] = 0.0
-        if lengths is not None:
-            _zero_padding(out[:, :, fwd:split], lengths - 1)
+        _zero_padding(out[:, :, fwd:split], lengths - 1)
 
     def bwd(g):
         gx = _copy(g)
@@ -105,8 +103,7 @@ def temporal_shift(x: Tensor, cfg: ShiftConfig, lengths=None) -> Tensor:
         if bwd_count:
             gx[:, 1:, fwd:split] = g[:, :-1, fwd:split]
             gx[:, 0, fwd:split] = 0.0
-            if lengths is not None:
-                _zero_padding(gx[:, :, fwd:split], lengths)
+            _zero_padding(gx[:, :, fwd:split], lengths)
         accumulate_grad(x, gx, owned=True)
 
     return track(out, (x,), bwd)

@@ -35,25 +35,21 @@ def _lead_axes(x: Tensor) -> tuple[int, ...]:
 
 
 def _check_lengths(lengths, b: int, t: int) -> np.ndarray:
-    """Per-record real frame counts as int64, each in [1, t]."""
-    lengths = np.asarray(lengths, dtype=np.int64)
+    """Per-record real frame counts as int64, each in [1, t]; None means t each.
+
+    Counts must be integers: a float or bool array raises, not truncates.
+    """
+    if lengths is None:
+        return np.full(b, t, dtype=np.int64)
+    lengths = np.asarray(lengths)
+    if lengths.dtype.kind not in "iu":
+        raise DimensionError(f"lengths must be integers, got dtype {lengths.dtype.name}")
+    lengths = lengths.astype(np.int64, copy=False)
     if lengths.shape != (b,):
         raise DimensionError(f"lengths shape {lengths.shape} does not match batch {b}")
     if lengths.min(initial=1) < 1 or lengths.max(initial=1) > t:
         raise DimensionError(f"lengths must lie in [1, {t}], got {lengths.tolist()}")
     return lengths
-
-
-def _padded_lengths(lengths, b: int, t: int) -> np.ndarray | None:
-    """Checked `lengths` when some record is shorter than `t`, else None.
-
-    None (every frame real, or no `lengths`) sends an op down its unmasked
-    path, so equal-length batches keep their bits.
-    """
-    if lengths is None:
-        return None
-    lengths = _check_lengths(lengths, b, t)
-    return lengths if lengths.min() < t else None
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -89,10 +85,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return track(out, (x, w, b), bwd)
 
 
-def _zero_padding(a: np.ndarray, lengths) -> None:
-    """Zero each record's frames at and past its length, in place."""
-    for i, n in enumerate(lengths):
-        a[i, n:] = 0.0
+def _zero_padding(a: np.ndarray, lengths: np.ndarray) -> None:
+    """Zero each record's frames at and past its length, in place, visiting
+    only the records shorter than axis 1: a full-length batch costs nothing."""
+    for i in np.flatnonzero(lengths < a.shape[1]):
+        a[i, lengths[i]:] = 0.0
 
 
 def _same_pad(x: np.ndarray, halo: int) -> np.ndarray:
@@ -111,7 +108,7 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, lengths=None) -> T
 
     Frames at or past lengths[b] are padding: they read as zero, as the
     same-padding does, so a record's real frames see its own boundary, and
-    they get zero gradient. `lengths=None` means every frame is real.
+    they get zero gradient. `lengths=None` (every frame real) runs the same path.
     """
     if x.ndim != 3:
         raise DimensionError(f"depthwise_conv1d expects rank-3 input, got {x.shape}")
@@ -124,10 +121,9 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, lengths=None) -> T
         raise ConfigError(f"depthwise_conv1d kernel size must be odd, got {k}")
     b, t, _ = x.shape
     halo = (k - 1) // 2
-    lengths = _padded_lengths(lengths, b, t)
+    lengths = _check_lengths(lengths, b, t)
     xp = _same_pad(x.data, halo)
-    if lengths is not None:
-        _zero_padding(xp[:, halo:halo + t], lengths)
+    _zero_padding(xp[:, halo:halo + t], lengths)
     out = _zeros(x.shape, x.dtype)
     tmp = _empty(x.shape, x.dtype)
     for j in range(k):
@@ -150,8 +146,7 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, lengths=None) -> T
                 n = t - abs(d)
                 prod = np.multiply(g[:, max(-d, 0):max(-d, 0) + n, :], kernel.data[j], out=tmp[:, :n])
                 gx[:, max(d, 0):max(d, 0) + n, :] += prod
-            if lengths is not None:
-                _zero_padding(gx, lengths)
+            _zero_padding(gx, lengths)
             accumulate_grad(x, gx, owned=True)
         accumulate_grad(kernel, gk, owned=True)
         accumulate_grad(bias, g.sum(axis=(0, 1)), owned=True)
@@ -417,7 +412,8 @@ def mhsa(x: Tensor, params: AttentionParams, lengths=None) -> Tensor:
     enter only through that table (see :class:`AttentionParams`).
     Keys at or past lengths[b] are padding: a -inf logit bias gives them
     zero weight, so no query reads them and they get zero gradient.
-    `lengths=None` means every frame is real.
+    `lengths=None` (every frame real) runs the same path: its +0.0 bias
+    may turn a -0.0 logit into +0.0, which the softmax maps to the same bits.
     """
     if x.ndim != 3:
         raise DimensionError(f"mhsa expects rank-3 input, got {x.shape}")
@@ -435,10 +431,10 @@ def mhsa(x: Tensor, params: AttentionParams, lengths=None) -> Tensor:
     v = split(linear(x, params.wv, params.bv))
     logits = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(head_dim))
     logits = add(logits, rel_position_bias(params.rel_table, t))
-    lengths = _padded_lengths(lengths, b, t)
-    if lengths is not None:
-        key_bias = np.where(np.arange(t) < lengths[:, None], 0.0, -np.inf).astype(x.dtype)
-        logits = add(logits, Tensor(key_bias.reshape(b, 1, 1, t)))
+    lengths = _check_lengths(lengths, b, t)
+    key_bias = np.where(np.arange(t) < lengths[:, None], 0.0, -np.inf).astype(x.dtype)
+    # in place, not a node: add's backward never reads its output, and a constant has no gradient
+    np.add(logits.data, key_bias.reshape(b, 1, 1, t), out=logits.data)
     attn = softmax(logits, axis=-1)
     mixed = matmul(attn, v)
     merged = reshape(transpose(mixed, (0, 2, 1, 3)), (b, t, c))
@@ -456,22 +452,19 @@ def avg_pool_mixer(x: Tensor, lengths=None) -> Tensor:
     subtracted so a residual branch carries only the mixing delta. Frames
     at or past lengths[b] are padding: they read as zero, a record's
     windows count only its real frames, and they get zero gradient from
-    the mean. `lengths=None` means every frame is real.
+    the mean. `lengths=None` (every frame real) runs the same path.
     """
     if x.ndim != 3:
         raise DimensionError(f"avg_pool_mixer expects rank-3 input, got {x.shape}")
     b, t, _ = x.shape
     r = POOL_WINDOW // 2
-    lengths = _padded_lengths(lengths, b, t)
-    last = t - 1 if lengths is None else lengths[:, None] - 1
+    lengths = _check_lengths(lengths, b, t)
     positions = np.arange(t)
     # a padded frame's window may hold no real frame; it counts one, and reads zero
-    counts = np.maximum(np.minimum(positions + r, last) - np.maximum(positions - r, 0) + 1, 1)
-    counts = np.atleast_2d(counts).astype(x.data.dtype)[:, :, None]
-    xs = x.data
-    if lengths is not None:
-        xs = _copy(xs)
-        _zero_padding(xs, lengths)
+    counts = np.maximum(np.minimum(positions + r, lengths[:, None] - 1) - np.maximum(positions - r, 0) + 1, 1)
+    counts = counts.astype(x.data.dtype)[:, :, None]
+    xs = _copy(x.data)
+    _zero_padding(xs, lengths)
     sums = np.zeros_like(x.data)
     for off in range(-r, r + 1):
         if off >= 0:
@@ -490,8 +483,7 @@ def avg_pool_mixer(x: Tensor, lengths=None) -> Tensor:
                 gx[:, off:, :] += gavg[:, :t - off, :]
             else:
                 gx[:, :t + off, :] += gavg[:, -off:, :]
-        if lengths is not None:
-            _zero_padding(gx, lengths)
+        _zero_padding(gx, lengths)
         gx -= g
         accumulate_grad(x, gx, owned=True)
 
@@ -627,7 +619,7 @@ def bilstm(x: Tensor, forward: LstmDirection, backward: LstmDirection,
                 or p.b.shape != (4 * hidden,):
             raise DimensionError(
                 f"lstm parameter shapes {p.w_ih.shape}/{p.w_hh.shape}/{p.b.shape} do not fit input {x.shape}")
-    lengths = np.full(b, t) if lengths is None else _check_lengths(lengths, b, t)
+    lengths = _check_lengths(lengths, b, t)
     mask = (np.arange(t)[None, :] < lengths[:, None]).astype(x.data.dtype)[:, :, None]
     x2 = x.data.reshape(b * t, c)
     out = _empty((b, t, 2 * hidden), x.dtype)
@@ -662,7 +654,7 @@ def bilstm(x: Tensor, forward: LstmDirection, backward: LstmDirection,
 
 
 def mean_pool_time(x: Tensor, lengths) -> Tensor:
-    """Average over the first `lengths[b]` frames of each sequence."""
+    """Average over the first `lengths[b]` frames of each sequence (all, if None)."""
     if x.ndim != 3:
         raise DimensionError(f"mean_pool_time expects rank-3 input, got {x.shape}")
     b, t, _ = x.shape

@@ -594,6 +594,18 @@ def test_logits_do_not_depend_on_batch_padding(variant, training):
             np.testing.assert_allclose(padded.data[i], own.data[0], rtol=0, atol=1e-6)
 
 
+@pytest.mark.parametrize("preset", PRESETS)
+def test_forward_takes_only_integer_lengths(preset):
+    model = randomised_model(preset)
+    _, batch = padded_batch(np.random.default_rng(17), [10, 30, 17])
+    with no_grad():
+        want = model.forward(Tensor(batch), np.array([10, 30, 17])).data
+        assert np.array_equal(model.forward(Tensor(batch), np.array([10, 30, 17], np.int32)).data, want)
+        for lengths in ([10.0, 30.0, 17.0], [10.7, 30.0, 17.2], [True, True, True]):
+            with pytest.raises(DimensionError, match="integers"):
+                model.forward(Tensor(batch), np.array(lengths))
+
+
 @pytest.mark.parametrize("training", [False, True])
 @pytest.mark.parametrize("variant", PADDING_VARIANTS)
 def test_padded_batch_gradient_is_the_mean_of_per_record_gradients(variant, training):
@@ -755,11 +767,102 @@ def test_checkpoint_rejects_non_utf8_record_name(tmp_path):
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_checkpoint_rejects_a_nonfinite_parameter(tmp_path, value):
     model = build_model(small_cfg(), seed=0)
-    model.head.bias.data[1] = value
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, model)
+    raw = bytearray(path.read_bytes())
+    # head.bias is the last record, before the empty buffer section's count
+    struct.pack_into("<f", raw, len(raw) - 4 - 4 * model.head.bias.size + 4, value)
+    path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match="'head.bias' holds a nonfinite value"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_save_checkpoint_refuses_a_nonfinite_parameter(tmp_path, value):
+    model = build_model(small_cfg(), seed=0)
+    model.head.bias.data[1] = value
+    with pytest.raises(CheckpointError, match="'head.bias' holds a nonfinite value"):
+        save_checkpoint(tmp_path / "m.ckpt", model)
+    assert list(tmp_path.iterdir()) == []
+
+
+def record_fields(raw: bytes) -> list:
+    """(name span, ndim offset, dim offsets) of each parameter record."""
+    pos = 12 + struct.unpack_from("<I", raw, 8)[0] + 4  # past the config and the record count
+    fields = []
+    for _ in range(struct.unpack_from("<I", raw, pos - 4)[0]):
+        nlen = struct.unpack_from("<I", raw, pos)[0]
+        name = (pos + 4, pos + 4 + nlen)
+        ndim_at = name[1]
+        ndim = struct.unpack_from("<I", raw, ndim_at)[0]
+        dims_at = [ndim_at + 4 + 4 * i for i in range(ndim)]
+        size = int(np.prod(struct.unpack_from(f"<{ndim}I", raw, ndim_at + 4)))
+        fields.append((name, ndim_at, dims_at))
+        pos = ndim_at + 4 + 4 * ndim + 4 * size
+    return fields
+
+
+def test_checkpoint_with_an_empty_dimension_is_rejected(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, build_model(preset_config("shiftcnn", width=16, num_input_layers=1), seed=0))
+    raw = bytearray(path.read_bytes())
+    # record 0's ndim, 1 -> 5: its dims read (1, 0, 18, 1668246626, 808350571),
+    # which hold no values yet overflow numpy's array size
+    assert record_fields(raw)[0][1] == 293
+    raw[293] = 5
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="empty dimension"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_corruptions_raise_checkpoint_errors(tmp_path):
+    """Checkpoints as strict as FSEQ headers (acceptance criterion 8): every
+    truncation, and seeded corruptions of the header, config length, record
+    names, ndims and dims, raise CheckpointError on the way to a model."""
+    path = tmp_path / "m.ckpt"
+    cfg = small_cfg(channels=(4, 8, 4), num_input_layers=1,
+                    shift=ShiftConfig(alpha=0.25, placement="residual"))
+    save_checkpoint(path, build_model(cfg, seed=0))
+    good = path.read_bytes()
+    clen = struct.unpack_from("<I", good, 8)[0]
+    fields = record_fields(good)
+
+    def rejects(blob):
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError):
+            build_from_checkpoint(path)
+
+    for n in range(len(good)):
+        rejects(good[:n])
+
+    rng = np.random.default_rng(7)
+
+    def other_u32(now, hi=2**32):
+        """A uniform draw from [0, hi) other than `now`."""
+        value = int(rng.integers(hi - 1))
+        return value + (value >= now)
+
+    for _ in range(2000):
+        blob = bytearray(good)
+        mode = int(rng.integers(5))
+        name, ndim_at, dims_at = fields[int(rng.integers(len(fields)))]
+        if mode == 0:  # magic or version
+            pos = int(rng.integers(8))
+            blob[pos] = (blob[pos] + int(rng.integers(1, 256))) % 256
+        elif mode == 1:  # a config length that cuts the JSON short or overruns the file
+            wrong = int(rng.integers(clen)) if rng.random() < 0.5 else int(rng.integers(len(good), 2**32))
+            struct.pack_into("<I", blob, 8, wrong)
+        elif mode == 2:  # a record name byte
+            pos = int(rng.integers(*name))
+            blob[pos] = (blob[pos] + int(rng.integers(1, 256))) % 256
+        elif mode == 3:  # a record's ndim
+            ndim = other_u32(len(dims_at), 12 if rng.random() < 0.8 else 2**32)
+            struct.pack_into("<I", blob, ndim_at, ndim)
+        else:  # one of a record's dims
+            pos = dims_at[int(rng.integers(len(dims_at)))]
+            now = struct.unpack_from("<I", blob, pos)[0]
+            struct.pack_into("<I", blob, pos, other_u32(now, 64 if rng.random() < 0.8 else 2**32))
+        rejects(blob)
 
 
 def test_checkpoint_rejects_missing_parameters(tmp_path):

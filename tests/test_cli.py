@@ -9,10 +9,13 @@ bad input exits nonzero with a message instead of a traceback.
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import shiftseq
 from shiftseq.blocks import build_model, load_checkpoint, preset_config, save_checkpoint
 from shiftseq.cli import main
 from shiftseq.data import read_fseq
@@ -252,6 +255,17 @@ def test_count_draws_no_init(monkeypatch, capsys):
 def test_count_plain_preset_has_no_baseline(capsys):
     assert main(["count", "--preset", "cnn"]) == 0
     assert "no baseline" in capsys.readouterr().out
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    """`python -m shiftseq` is the `shiftseq` command: same stdout, same exit code."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(shiftseq.__file__)))
+    argv = ["count", "--preset", "cnn", "--frames", "10"]
+    proc = subprocess.run([sys.executable, "-m", "shiftseq", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert main(argv) == 0
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_count_requires_model(capsys):

@@ -15,8 +15,10 @@ import pytest
 from shiftseq.blocks import weighted_layer_sum
 from shiftseq.shift import ShiftConfig, temporal_shift
 from shiftseq.tensor_autograd import (
+    AttentionParams,
     LstmDirection,
     Tensor,
+    add,
     avg_pool_mixer,
     backward,
     batch_norm1d,
@@ -26,13 +28,17 @@ from shiftseq.tensor_autograd import (
     gelu,
     layer_norm,
     linear,
+    matmul,
     mean_pool_time,
+    mhsa,
     mul,
     reduce_sum,
     rel_position_bias,
     reshape,
+    scale,
     softmax,
     sum_all,
+    transpose,
 )
 from shiftseq.tensor_autograd.ops import _lstm_backward, _lstm_forward, _previous_hidden
 
@@ -89,12 +95,19 @@ def linear_ref(x, w, b, g):
     return out, [np.matmul(g, w.T), x2.T @ g2, g2.sum(axis=0)]
 
 
-def depthwise_ref(x, kernel, bias, g):
+def real_frames(b, t, lengths):
+    """(B, T, 1) mask of the frames before each record's length (all, for None)."""
+    lengths = np.full(b, t) if lengths is None else np.asarray(lengths)
+    return (np.arange(t)[None, :] < lengths[:, None])[:, :, None]
+
+
+def depthwise_ref(x, kernel, bias, g, lengths=None):
     k = kernel.shape[0]
     t = x.shape[1]
     halo = (k - 1) // 2
+    real = real_frames(x.shape[0], t, lengths)
     xp = np.zeros((x.shape[0], t + 2 * halo, x.shape[2]), dtype=x.dtype)
-    xp[:, halo:halo + t, :] = x
+    xp[:, halo:halo + t, :] = np.where(real, x, 0.0)
     out = np.zeros_like(x)
     for j in range(k):
         out += xp[:, j:j + t, :] * kernel[j]
@@ -104,7 +117,7 @@ def depthwise_ref(x, kernel, bias, g):
     for j in range(k):
         gxp[:, j:j + t, :] += g * kernel[j]
         gk[j] = (xp[:, j:j + t, :] * g).sum(axis=(0, 1))
-    return out, [gxp[:, halo:halo + t, :], gk, g.sum(axis=(0, 1))]
+    return out, [np.where(real, gxp[:, halo:halo + t, :], 0.0), gk, g.sum(axis=(0, 1))]
 
 
 def layer_norm_ref(x, gamma, beta, g, eps=1e-5):
@@ -149,25 +162,34 @@ def softmax_ref(x, g, axis):
     return out, [out * (g - dot)]
 
 
-def avg_pool_ref(x, g):
+def avg_pool_ref(x, g, lengths=None):
     t = x.shape[1]
     r = 1  # a window of three frames
-    positions = np.arange(t)
-    counts = (np.minimum(positions + r, t - 1) - np.maximum(positions - r, 0) + 1)
-    counts = counts.astype(x.dtype)[None, :, None]
-    sums = np.zeros_like(x)
-    for off in range(-r, r + 1):
-        if off >= 0:
-            sums[:, :t - off, :] += x[:, off:, :]
-        else:
-            sums[:, -off:, :] += x[:, :t + off, :]
-    gavg = g / counts
-    gx = np.zeros_like(x)
-    for off in range(-r, r + 1):
-        if off >= 0:
-            gx[:, off:, :] += gavg[:, :t - off, :]
-        else:
-            gx[:, :t + off, :] += gavg[:, -off:, :]
+    real = real_frames(x.shape[0], t, lengths)
+
+    def window_sum(a):
+        sums = np.zeros_like(a)
+        for off in range(-r, r + 1):
+            if off >= 0:
+                sums[:, :t - off, :] += a[:, off:, :]
+            else:
+                sums[:, -off:, :] += a[:, :t + off, :]
+        return sums
+
+    def window_spread(a):
+        # the transpose of window_sum
+        gx = np.zeros_like(a)
+        for off in range(-r, r + 1):
+            if off >= 0:
+                gx[:, off:, :] += a[:, :t - off, :]
+            else:
+                gx[:, :t + off, :] += a[:, -off:, :]
+        return gx
+
+    # the real frames in each window; a window with none counts one, and reads zero
+    counts = np.maximum(window_sum(real.astype(x.dtype)), 1.0)
+    sums = window_sum(np.where(real, x, 0.0))
+    gx = np.where(real, window_spread(g / counts), 0.0)
     return sums / counts - x, [gx - g]
 
 
@@ -191,21 +213,48 @@ def cross_entropy_ref(logits, labels, g):
     return np.asarray(nll.mean(), dtype=logits.dtype), [glogits * (g / b)]
 
 
-def shift_ref(x, g, fwd, bwd_count):
+def shift_ref(x, g, fwd, bwd_count, lengths=None):
     split = fwd + bwd_count
+    b, t = x.shape[:2]
     out = x.copy()
     out[:, 1:, :fwd] = x[:, :-1, :fwd]
     out[:, 0, :fwd] = 0.0
     if bwd_count:
+        # a record's last real frame has no next real frame to read
+        before_last = real_frames(b, t, None if lengths is None else np.asarray(lengths) - 1)
         out[:, :-1, fwd:split] = x[:, 1:, fwd:split]
         out[:, -1, fwd:split] = 0.0
+        out[:, :, fwd:split] = np.where(before_last, out[:, :, fwd:split], 0.0)
     gx = g.copy()
     gx[:, :-1, :fwd] = g[:, 1:, :fwd]
     gx[:, -1, :fwd] = 0.0
     if bwd_count:
         gx[:, 1:, fwd:split] = g[:, :-1, fwd:split]
         gx[:, 0, fwd:split] = 0.0
+        gx[:, :, fwd:split] = np.where(real_frames(b, t, lengths), gx[:, :, fwd:split], 0.0)
     return out, [gx]
+
+
+def mhsa_composition(x, params, lengths=None):
+    """Attention from engine primitives with the padded keys' -inf bias as
+    its own `add` node, added only when some record is shorter than T."""
+    b, t, c = x.shape
+    heads = params.rel_table.shape[0]
+    head_dim = c // heads
+
+    def split(p):
+        return transpose(reshape(p, (b, t, heads, head_dim)), (0, 2, 1, 3))
+
+    q = split(linear(x, params.wq, params.bq))
+    k = split(linear(x, params.wk, params.bk))
+    v = split(linear(x, params.wv, params.bv))
+    logits = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(head_dim))
+    logits = add(logits, rel_position_bias(params.rel_table, t))
+    if lengths is not None and min(lengths) < t:
+        key_bias = np.where(np.arange(t) < np.asarray(lengths)[:, None], 0.0, -np.inf).astype(x.dtype)
+        logits = add(logits, Tensor(key_bias.reshape(b, 1, 1, t)))
+    mixed = matmul(softmax(logits, axis=-1), v)
+    return linear(reshape(transpose(mixed, (0, 2, 1, 3)), (b, t, c)), params.wo, params.bo)
 
 
 def layer_mix_composition(x, layer_weights):
@@ -276,13 +325,18 @@ def test_linear_frozen_or_strided_input(dtype, strided, x_requires_grad):
         assert_bits(got, want)
 
 
+# a masked case pads one record: its frames past the length hold values the op must not read
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("k,t", [(1, 5), (3, 6), (5, 4), (9, 2), (7, 1)])
-def test_depthwise_conv1d(dtype, k, t):
+@pytest.mark.parametrize("k,t,lengths", [
+    pytest.param(1, 5, None, id="1-5"), pytest.param(3, 6, None, id="3-6"),
+    pytest.param(5, 4, None, id="5-4"), pytest.param(9, 2, None, id="9-2"),
+    pytest.param(7, 1, None, id="7-1"), pytest.param(3, 6, [6, 4], id="3-6-masked"),
+    pytest.param(5, 4, [1, 4], id="5-4-masked"), pytest.param(9, 2, [2, 1], id="9-2-masked")])
+def test_depthwise_conv1d(dtype, k, t, lengths):
     x, kernel, bias = arr((2, t, 3), 1, dtype), arr((k, 3), 2, dtype), arr((3,), 3, dtype)
     g = arr((2, t, 3), 4, dtype)
-    out, grads = run(depthwise_conv1d, [x, kernel, bias], g)
-    want_out, want_grads = depthwise_ref(x, kernel, bias, g)
+    out, grads = run(lambda *a: depthwise_conv1d(*a, lengths), [x, kernel, bias], g)
+    want_out, want_grads = depthwise_ref(x, kernel, bias, g, lengths)
     assert_bits(out, want_out)
     for got, want in zip(grads, want_grads):
         assert_bits(got, want)
@@ -328,11 +382,14 @@ def test_softmax(dtype, axis):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("b,t", [(3, 6), (5, 3), (1, 4)])
-def test_avg_pool_mixer(dtype, b, t):
+@pytest.mark.parametrize("b,t,lengths", [
+    pytest.param(3, 6, None, id="3-6"), pytest.param(5, 3, None, id="5-3"),
+    pytest.param(1, 4, None, id="1-4"), pytest.param(3, 6, [6, 3, 6], id="3-6-masked"),
+    pytest.param(2, 4, [4, 1], id="2-4-masked")])
+def test_avg_pool_mixer(dtype, b, t, lengths):
     x, g = arr((b, t, 3), 1, dtype), arr((b, t, 3), 2, dtype)
-    out, grads = run(avg_pool_mixer, [x], g)
-    want_out, want_grads = avg_pool_ref(x, g)
+    out, grads = run(lambda v: avg_pool_mixer(v, lengths), [x], g)
+    want_out, want_grads = avg_pool_ref(x, g, lengths)
     assert_bits(out, want_out)
     assert_bits(grads[0], want_grads[0])
 
@@ -359,14 +416,35 @@ def test_cross_entropy(dtype):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("direction", ["unidirectional", "bidirectional"])
-def test_temporal_shift(dtype, direction):
+@pytest.mark.parametrize("direction,lengths", [
+    pytest.param("unidirectional", None, id="unidirectional"),
+    pytest.param("bidirectional", None, id="bidirectional"),
+    pytest.param("unidirectional", [4, 2], id="unidirectional-masked"),
+    pytest.param("bidirectional", [4, 2], id="bidirectional-masked"),
+    pytest.param("bidirectional", [1, 4], id="bidirectional-length-one")])
+def test_temporal_shift(dtype, direction, lengths):
     cfg = ShiftConfig(alpha=0.5, direction=direction)
     x, g = arr((2, 4, 6), 1, dtype), arr((2, 4, 6), 2, dtype)
-    out, grads = run(lambda v: temporal_shift(v, cfg), [x], g)
-    want_out, want_grads = shift_ref(x, g, *((3, 0) if direction == "unidirectional" else (2, 1)))
+    out, grads = run(lambda v: temporal_shift(v, cfg, lengths), [x], g)
+    counts = (3, 0) if direction == "unidirectional" else (2, 1)
+    want_out, want_grads = shift_ref(x, g, *counts, lengths)
     assert_bits(out, want_out)
     assert_bits(grads[0], want_grads[0])
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("lengths", [None, [5, 5, 5], [5, 2, 4]], ids=["none", "full", "masked"])
+def test_mhsa(dtype, lengths):
+    b, t, c, heads, clip = 3, 5, 8, 2, 2
+    weights = [arr((c, c), 10 + i, dtype, 0.5) if i % 2 == 0 else arr((c,), 10 + i, dtype, 0.1)
+               for i in range(8)]
+    arrays = [arr((b, t, c), 1, dtype)] + weights + [arr((heads, 2 * clip + 1), 20, dtype)]
+    g = arr((b, t, c), 2, dtype)
+    out, grads = run(lambda x, *p: mhsa(x, AttentionParams(*p), lengths), arrays, g)
+    want_out, want_grads = run(lambda x, *p: mhsa_composition(x, AttentionParams(*p), lengths), arrays, g)
+    assert_bits(out, want_out)
+    for got, want in zip(grads, want_grads):
+        assert_bits(got, want)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

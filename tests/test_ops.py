@@ -712,3 +712,35 @@ def test_real_frames_neither_read_nor_pass_gradient_to_padding(name):
             total += g
     for g, total in zip(grads[1:], param_sums):
         np.testing.assert_allclose(g, total, rtol=0, atol=1e-12)
+
+
+LENGTH_READERS = CROSS_TIME_OPS + ("bilstm", "mean_pool_time")
+
+
+def length_reader(name):
+    """f(x, lengths) for each op that takes per-record frame counts."""
+    if name == "bilstm":
+        fw, bw = make_lstm_direction(6, 2, 97), make_lstm_direction(6, 2, 98)
+        return lambda x, n: bilstm(x, fw, bw, n)
+    if name == "mean_pool_time":
+        return mean_pool_time
+    return cross_time_op(name)[0]
+
+
+@pytest.mark.parametrize("lengths", [[4.7, 2.2, 3.0], [5.0, 5.0, 5.0], [True, True, True]],
+                         ids=["fractional", "whole-floats", "bools"])
+@pytest.mark.parametrize("name", LENGTH_READERS)
+def test_lengths_must_be_integers(name, lengths):
+    """A float count is not truncated to a frame count, nor a bool read as 1."""
+    with pytest.raises(DimensionError, match="integers"):
+        length_reader(name)(Tensor(rnd((3, 5, 6), 99)), np.array(lengths))
+    with pytest.raises(DimensionError, match="integers"):
+        length_reader(name)(Tensor(rnd((3, 5, 6), 99)), lengths)
+
+
+@pytest.mark.parametrize("name", LENGTH_READERS)
+def test_any_integer_lengths_dtype_is_accepted(name):
+    f, x = length_reader(name), Tensor(rnd((3, 5, 6), 99))
+    want = f(x, np.array([5, 2, 4], dtype=np.int64)).data
+    for lengths in ([5, 2, 4], np.array([5, 2, 4], dtype=np.int32), np.array([5, 2, 4], dtype=np.uint8)):
+        assert np.array_equal(f(x, lengths).data, want)
