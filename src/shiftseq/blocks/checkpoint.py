@@ -17,9 +17,11 @@ Layout (all integers little-endian u32 unless noted):
 Loading validates every length against the remaining byte count before
 allocating, so a truncated or corrupted file raises CheckpointError rather
 than producing a half-filled model, as does an empty dimension or a NaN or
-infinite value; saving refuses the latter before writing anything. Each
-payload is copied out of the file image once (the reader hands out views of
-it), and the rebuilt model takes those arrays as its parameters.
+infinite value; saving refuses the latter before writing anything, and
+writes each float32 parameter from its own buffer, not a serialized copy.
+Loading maps the file rather than reading it, and copies each payload out
+of the map once (payloads are not float32-aligned); the rebuilt model
+takes those arrays as its parameters.
 The model is built without drawing an init, which is safe because the
 name and shape checks require the file to supply every parameter.
 """
@@ -32,7 +34,7 @@ import struct
 import numpy as np
 
 from .model import ModelConfig, SequenceClassifier, build_model, config_from_dict, config_to_dict
-from ..data import ByteReader, write_atomic
+from ..data import ByteReader, all_finite, write_atomic
 from ..errors import ConfigError
 
 MAGIC = b"SSCK"
@@ -48,7 +50,9 @@ def save_checkpoint(path, model: SequenceClassifier, extra: dict | None = None) 
 
     `extra` is merged into the config JSON under the key "extra" and round
     trips through :func:`load_checkpoint` untouched. A non-finite parameter
-    raises CheckpointError, and no file is written.
+    raises CheckpointError, and no file is written: every parameter is
+    checked before the first byte. A float32 parameter is written from its
+    own buffer; another dtype is cast to float32 first.
     """
     payload = {"model": config_to_dict(model.cfg)}
     if extra:
@@ -58,15 +62,15 @@ def save_checkpoint(path, model: SequenceClassifier, extra: dict | None = None) 
     def records(items):
         chunks = [struct.pack("<I", len(items))]
         for name, arr in items:
-            data = np.ascontiguousarray(arr, dtype="<f4")
-            if not np.isfinite(data).all():
+            data = np.ascontiguousarray(arr, dtype="<f4")  # a float32 parameter itself
+            if not all_finite(data):
                 raise CheckpointError(f"record {name!r} holds a nonfinite value")
             name_b = name.encode("utf-8")
             chunks.append(struct.pack("<I", len(name_b)))
             chunks.append(name_b)
             chunks.append(struct.pack("<I", data.ndim))
             chunks.append(struct.pack(f"<{data.ndim}I", *data.shape))
-            chunks.append(data.tobytes())
+            chunks.append(memoryview(data).cast("B"))
         return chunks
 
     parts = [MAGIC, struct.pack("<II", VERSION, len(blob)), blob]
@@ -96,8 +100,8 @@ def _read_records(r: ByteReader) -> "dict[str, np.ndarray]":
         data = np.frombuffer(r.take(4 * n_elems, what), dtype="<f4").reshape(shape)
         if name in out:
             raise CheckpointError(f"duplicate record {name!r}")
-        out[name] = data.astype(np.float32)
-        if not np.isfinite(out[name]).all():
+        out[name] = data.astype(np.float32)  # payloads are not aligned: one copy out of the map
+        if not all_finite(out[name]):
             raise CheckpointError(f"record {name!r} holds a nonfinite value")
     return out
 
@@ -107,8 +111,7 @@ def load_checkpoint(path) -> tuple[ModelConfig, "dict[str, np.ndarray]", dict]:
 
     Raises CheckpointError on any buffer record: the section must be empty.
     """
-    with open(path, "rb") as f:
-        r = ByteReader(f.read(), CheckpointError, "checkpoint")
+    r = ByteReader.mapped(path, CheckpointError, "checkpoint")
     if bytes(r.take(4, "magic")) != MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
     version = r.u32("version")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, DimensionError, check_config_dict, check_field_types
+from ..errors import ConfigError, DimensionError, EmptyInputError, check_config_dict, check_field_types
 from ..seeding import substream
 from ..shift import ShiftConfig, shift_augment, shifted_channels, temporal_shift
 from ..tensor_autograd import (
@@ -47,6 +47,7 @@ from ..tensor_autograd import (
     mean_pool_time,
     mhsa,
     named_tensors,
+    no_grad,
     softmax,
     track,
 )
@@ -175,9 +176,25 @@ def config_from_dict(raw: dict) -> ModelConfig:
 # parameterized layers
 # ---------------------------------------------------------------------------
 
+# elements per init draw: the float64 draw of a block, not of a whole weight,
+# is all a weight of another dtype costs beyond itself
+_DRAW_BLOCK = 65536
+
+
 def _normal(rng, std: float, shape: tuple[int, ...], dtype) -> Tensor:
-    """A weight drawn from N(0, std^2), or zeros drawing nothing when `rng` is None."""
-    data = np.zeros(shape, dtype) if rng is None else rng.normal(0.0, std, shape)
+    """A weight drawn from N(0, std^2), or zeros drawing nothing when `rng` is None.
+
+    The weight is filled in C order from consecutive draws of at most
+    `_DRAW_BLOCK` values, each cast to `dtype` as it lands. Those draws
+    take the same values from the generator, and leave it in the same
+    state, as one draw of the whole shape would.
+    """
+    data = np.zeros(shape, dtype)
+    if rng is not None:
+        flat = data.reshape(-1)
+        for i in range(0, flat.size, _DRAW_BLOCK):
+            j = min(i + _DRAW_BLOCK, flat.size)
+            flat[i:j] = rng.normal(0.0, std, j - i)
     return Tensor(data, requires_grad=True, dtype=dtype)
 
 
@@ -277,11 +294,10 @@ class ConvBlock:
         self.pw2 = LinearLayer(rng, mid, width, dtype)
 
     def forward(self, x: Tensor, lengths=None) -> Tensor:
-        branch = x if self.shift is None else temporal_shift(x, self.shift, lengths)
-        h = self.dw.forward(branch, lengths)
-        h = self.norm.forward(h)
-        h = self.pw2.forward(gelu(self.pw1.forward(h)))
-        return add(x, h)
+        # nested, so that unrecorded each activation is freed once the next is made
+        h = gelu(self.pw1.forward(self.norm.forward(self.dw.forward(
+            x if self.shift is None else temporal_shift(x, self.shift, lengths), lengths))))
+        return add(x, self.pw2.forward(h))
 
     def sublayers(self):
         return [("dw", self.dw), ("norm", self.norm), ("pw1", self.pw1), ("pw2", self.pw2)]
@@ -318,9 +334,8 @@ class TransformerBlock:
             else:  # the shift is the token mixer
                 m = temporal_shift(u, self.mixer_shift, lengths)
             x = add(x, m)
-        v = self.norm2.forward(x)
-        v = self.pw2.forward(gelu(self.pw1.forward(v)))
-        return add(x, v)
+        v = gelu(self.pw1.forward(self.norm2.forward(x)))  # nested, as in ConvBlock
+        return add(x, self.pw2.forward(v))
 
     def sublayers(self):
         out = []
@@ -377,6 +392,13 @@ def _branch_shift(cfg: ModelConfig, index: int) -> ShiftConfig | None:
 # classifier
 # ---------------------------------------------------------------------------
 
+def _mix_layers(layers: np.ndarray, w: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """Add layers[i] * w[i] into `out` for every layer i, in layer order,
+    through the scratch `tmp`; `layers` has the layer axis first."""
+    for i in range(len(w)):
+        out += np.multiply(layers[i], w[i], out=tmp)
+
+
 def weighted_layer_sum(x: Tensor, layer_weights: Tensor) -> Tensor:
     """Softmax-weighted sum over the layer axis of a (B, L, T, C) tensor.
 
@@ -397,9 +419,7 @@ def weighted_layer_sum(x: Tensor, layer_weights: Tensor) -> Tensor:
     w = softmax(layer_weights, axis=0)
     b, _, t, c = x.shape
     out = _zeros((b, t, c), x.dtype)  # as numpy's sum: a column of -0.0 sums to +0.0
-    tmp = _empty((b, t, c), x.dtype)
-    for i in range(n_layers):
-        out += np.multiply(x.data[:, i], w.data[i], out=tmp)
+    _mix_layers(x.data.swapaxes(0, 1), w.data, out, _empty((b, t, c), x.dtype))
 
     def bwd(g):
         if x.requires_grad:
@@ -436,15 +456,15 @@ class SequenceClassifier:
                 self.blocks.append(LstmBlock(rng, cfg, c_in, dtype, shift))
         self.head = LinearLayer(rng, cfg.out_width, cfg.num_classes, dtype)
 
-    def _check_features(self, features: Tensor) -> None:
-        if features.ndim != 4:
-            raise DimensionError(f"features must be (batch, layers, time, channels), got {features.shape}")
-        if features.shape[1] != self.cfg.num_input_layers:
+    def _check_input_shape(self, shape: tuple[int, ...]) -> None:
+        if len(shape) != 4:
+            raise DimensionError(f"features must be (batch, layers, time, channels), got {shape}")
+        if shape[1] != self.cfg.num_input_layers:
             raise DimensionError(
-                f"features have {features.shape[1]} layers, model expects {self.cfg.num_input_layers}")
-        if features.shape[3] != self.cfg.channels[0]:
+                f"features have {shape[1]} layers, model expects {self.cfg.num_input_layers}")
+        if shape[3] != self.cfg.channels[0]:
             raise DimensionError(
-                f"features have {features.shape[3]} channels, model expects {self.cfg.channels[0]}")
+                f"features have {shape[3]} channels, model expects {self.cfg.channels[0]}")
 
     def forward_features(self, features: Tensor, training: bool = False,
                          augment_prob: float = 0.0, rng=None, lengths=None) -> Tensor:
@@ -459,10 +479,13 @@ class SequenceClassifier:
         not depend on the padding its batch adds; padded output frames hold
         values that nothing downstream reads, and get zero gradient.
         """
-        self._check_features(features)
+        self._check_input_shape(features.shape)
         x = weighted_layer_sum(features, self.layer_weights)
         if training and augment_prob > 0.0:
             x = shift_augment(x, self.augment_config(), augment_prob, rng, lengths)
+        return self._run_blocks(x, lengths)
+
+    def _run_blocks(self, x: Tensor, lengths) -> Tensor:
         for block in self.blocks:
             if self.trunk_shift is not None:
                 x = temporal_shift(x, self.trunk_shift, lengths)
@@ -472,8 +495,48 @@ class SequenceClassifier:
     def forward(self, features: Tensor, lengths=None, training: bool = False,
                 augment_prob: float = 0.0, rng=None) -> Tensor:
         x = self.forward_features(features, training, augment_prob, rng, lengths)
-        pooled = mean_pool_time(x, lengths)
-        return self.head.forward(pooled)
+        return self.head.forward(mean_pool_time(x, lengths))
+
+    def predict(self, records) -> np.ndarray:
+        """Eval-mode logits, (batch, classes), for a batch of records; records no graph.
+
+        Each record's `data` is one (layers, frames, channels) float array,
+        as in :class:`~shiftseq.data.FeatureSequence`. The layer mix adds
+        each record's layers straight into its own real frames of a zeroed
+        (batch, longest, channels) trunk, in :func:`weighted_layer_sum`'s
+        float order, so no (batch, layers, time, channels) stack is built.
+        The trunk then runs the blocks, pooling and head of :meth:`forward`
+        with the records' lengths, so the logits are bit-equal to
+        :meth:`forward` on the zero-padded batch. It runs under
+        :func:`no_grad`, and raises DimensionError for records that disagree
+        on layers or channels, or that do not fit the model's layer count,
+        width or dtype.
+        """
+        if not records:
+            raise EmptyInputError("cannot predict an empty batch")
+        n_layers, _, width = records[0].data.shape
+        for rec in records:
+            if (rec.data.shape[0], rec.data.shape[2]) != (n_layers, width):
+                raise DimensionError(
+                    f"records disagree on layers/channels: {rec.data.shape} vs (L={n_layers}, C={width})")
+        lengths = np.array([rec.data.shape[1] for rec in records], dtype=np.int64)
+        self._check_input_shape((len(records), n_layers, int(lengths.max()), width))
+        _check_same_dtype(self.layer_weights, *records)  # reads each record's .data.dtype
+        with no_grad():
+            # the block loop holds the only reference to the trunk, so it is freed after block 0
+            x = self._run_blocks(self._mix_records(records, lengths), lengths)
+            return self.head.forward(mean_pool_time(x, lengths)).data
+
+    def _mix_records(self, records, lengths: np.ndarray) -> Tensor:
+        """The (batch, longest, channels) trunk: each record's layer mix in its
+        own real frames, +0.0 in the padded ones."""
+        dtype = self.layer_weights.dtype
+        w = softmax(self.layer_weights, axis=0).data
+        trunk = _zeros((len(records), int(lengths.max()), self.cfg.channels[0]), dtype)
+        tmp = _empty(trunk.shape[1:], dtype)
+        for i, (rec, t) in enumerate(zip(records, lengths)):
+            _mix_layers(rec.data, w, trunk[i, :t], tmp[:t])
+        return Tensor(trunk)
 
     def augment_config(self) -> ShiftConfig:
         """The model's own shift config, or a moderate default for shift-less hosts."""

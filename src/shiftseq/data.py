@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import struct
 from dataclasses import dataclass
@@ -113,10 +114,21 @@ def write_atomic(path, chunks) -> None:
         raise
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """Whether a non-empty array holds no NaN or infinity.
+
+    Its min and max are finite exactly then (both propagate NaN), and two
+    reductions allocate no temporary the size of `a`.
+    """
+    return bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
 def write_fseq(path, records, k_cls: int, gen_config=None) -> None:
     """Write records plus a JSON manifest sidecar at `<path>.manifest.json`.
 
-    The manifest names the classes `class_0` ... `class_<k_cls-1>`.
+    The manifest names the classes `class_0` ... `class_<k_cls-1>`. Every
+    record is checked before anything is written, and each payload is
+    written from the record's own buffer, not from a serialized copy.
     """
     if k_cls < 1:
         raise FseqRecordError(f"k_cls must be at least 1, got {k_cls}")
@@ -131,11 +143,11 @@ def write_fseq(path, records, k_cls: int, gen_config=None) -> None:
         length, t, c = rec.data.shape
         if t < 1 or length < 1 or c < 1:
             raise FseqRecordError(f"record {i} has empty dimensions {rec.data.shape}")
-        if not np.all(np.isfinite(rec.data)):
+        if not all_finite(rec.data):
             raise FseqNonFiniteError(f"record {i} contains nonfinite values")
         offsets.append(pos)
         header = struct.pack("<5I", rec.label, rec.group, length, t, c)
-        payload = np.ascontiguousarray(rec.data, dtype="<f4").tobytes()
+        payload = memoryview(np.ascontiguousarray(rec.data, dtype="<f4")).cast("B")  # no copy
         chunks.extend([header, payload])
         pos += len(header) + len(payload)
     write_atomic(path, chunks)
@@ -155,19 +167,35 @@ def write_fseq(path, records, k_cls: int, gen_config=None) -> None:
 
 
 class ByteReader:
-    """Bounds-checked sequential reads from an in-memory file image.
+    """Bounds-checked sequential reads from a file image in memory.
 
     Every overrun, and any byte left over at `finish`, raises `error`, so each
     format keeps its own typed exception. `kind` names the format in messages.
     `take` returns a memoryview of the image, not a copy: callers that
-    decode or compare the bytes wrap it in `bytes(...)`.
+    decode or compare the bytes wrap it in `bytes(...)`, and arrays made
+    from it with ``np.frombuffer`` are views that keep the image alive.
     """
 
-    def __init__(self, buf: bytes, error: type, kind: str):
+    def __init__(self, buf, error: type, kind: str):
         self.buf = memoryview(buf)
         self.pos = 0
         self.error = error
         self.kind = kind
+
+    @classmethod
+    def mapped(cls, path, error: type, kind: str) -> "ByteReader":
+        """A reader over the file at `path`, mapped read-only rather than read.
+
+        The map stays valid while any view of it lives, also after the file
+        is replaced by a rename (as :func:`write_atomic` does); rewriting the
+        file in place under a live view is not supported. An empty file,
+        which cannot be mapped, reads as no bytes, so its first read raises
+        `error` as any truncated file does.
+        """
+        with open(path, "rb") as f:
+            if os.fstat(f.fileno()).st_size == 0:
+                return cls(b"", error, kind)
+            return cls(mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ), error, kind)
 
     def take(self, n: int, what: str) -> memoryview:
         if n < 0 or self.pos + n > len(self.buf):
@@ -187,9 +215,13 @@ class ByteReader:
 
 
 def read_fseq(path) -> FseqFile:
-    """Parse an FSEQ file; every record keeps all of its frames."""
-    with open(path, "rb") as f:
-        cur = ByteReader(f.read(), FseqTruncatedError, "FSEQ file")
+    """Parse an FSEQ file; every record keeps all of its frames.
+
+    The file is mapped, not read: each record's `data` is a read-only view
+    of the map (payloads are float32-aligned), so the records take file
+    pages, which the system can drop and reread, rather than a copy.
+    """
+    cur = ByteReader.mapped(path, FseqTruncatedError, "FSEQ file")
     if bytes(cur.take(4, "magic")) != FSEQ_MAGIC:
         raise FseqMagicError("not an FSEQ file (bad magic)")
     version = cur.u32("version")
@@ -208,8 +240,8 @@ def read_fseq(path) -> FseqFile:
             raise FseqRecordError(f"record {i} has empty dimensions ({length}, {t}, {c})")
         n_bytes = 4 * length * t * c
         payload = cur.take(n_bytes, f"record {i} payload")
-        data = np.frombuffer(payload, dtype="<f4").reshape(length, t, c).astype(np.float32)
-        if not np.all(np.isfinite(data)):
+        data = np.frombuffer(payload, dtype="<f4").reshape(length, t, c)
+        if not all_finite(data):
             raise FseqNonFiniteError(f"record {i} contains nonfinite values")
         records.append(FeatureSequence(label=int(label), group=int(group), data=data))
     cur.finish("last record")

@@ -242,6 +242,13 @@ def no_grad():
         _grad_mode.enabled = previous
 
 
+def _will_record(parents: tuple[Tensor, ...]) -> bool:
+    """Whether :func:`track` will record an op over `parents`: grad mode is
+    on and some parent requires grad. An op may ask before its forward, to
+    save buffers for its backward only when that backward can run."""
+    return _grad_mode.enabled and any(p.requires_grad for p in parents)
+
+
 def track(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     """Wrap `out_data` as the result of an op over `parents`.
 
@@ -259,7 +266,7 @@ def track(out_data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Ten
     is dropped.
     """
     out = Tensor(out_data)
-    if _grad_mode.enabled and any(p.requires_grad for p in parents):
+    if _will_record(parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward_fn

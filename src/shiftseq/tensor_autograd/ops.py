@@ -19,6 +19,7 @@ from .engine import (
     Tensor,
     _copy,
     _empty,
+    _will_record,
     _zeros,
     accumulate_grad,
     add,
@@ -294,10 +295,21 @@ def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+# elements per block of the forward, as Adam's: a block's scratch stays in
+# cache, and an unrecorded forward allocates its output plus two blocks
+_GELU_BLOCK = 65536
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Tanh-approximation GELU: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))."""
+    """Tanh-approximation GELU: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
+
+    The forward walks `x` in C order, in blocks of `_GELU_BLOCK` elements,
+    through block-sized scratch. It keeps th = tanh(...) in a full-size
+    buffer only when the node is recorded, for the backward; otherwise
+    (under :func:`no_grad`, or for an input that needs no gradient) it
+    allocates nothing full-size but the output. Each block runs the same
+    ufuncs in the same order as a whole-array pass, so the bits are theirs.
+    """
     c = np.asarray(_GELU_C, dtype=x.data.dtype)
     a = np.asarray(_GELU_A, dtype=x.data.dtype)
     xd = x.data
@@ -306,17 +318,28 @@ def gelu(x: Tensor) -> Tensor:
         return _empty(xd.shape, xd.dtype)
 
     # In-place ufuncs over the textbook expression's operations, in its
-    # order (a product may swap operands), in step buffers; only th is
-    # saved, and x^2 is recomputed in the backward. x*x, not x**2: float32
-    # integer-power takes a slow generic path.
-    sq = np.multiply(xd, xd, out=buf())
-    th = np.multiply(sq, xd, out=buf())
-    th *= a
-    th += xd
-    th *= c
-    np.tanh(th, out=th)  # th = tanh(c * (x + a * x^3))
-    out = np.multiply(xd, 0.5, out=buf())
-    out *= np.add(th, 1.0, out=sq)  # 0.5 * x * (1 + th)
+    # order (a product may swap operands); only th is saved, and x^2 is
+    # recomputed in the backward. x*x, not x**2: float32 integer-power
+    # takes a slow generic path.
+    recorded = _will_record((x,))
+    out = buf()
+    th = buf() if recorded else None  # saved for the backward
+    flat_x, flat_out = xd.reshape(-1), out.reshape(-1)
+    n = flat_x.size
+    block = max(1, min(n, _GELU_BLOCK))
+    sq_block = _empty((block,), xd.dtype)
+    th_flat = th.reshape(-1) if recorded else _empty((block,), xd.dtype)
+    for i in range(0, n, block):
+        j = min(i + block, n)
+        xb, sq = flat_x[i:j], sq_block[:j - i]
+        np.multiply(xb, xb, out=sq)
+        tb = np.multiply(sq, xb, out=th_flat[i:j] if recorded else th_flat[:j - i])
+        tb *= a
+        tb += xb
+        tb *= c
+        np.tanh(tb, out=tb)  # th = tanh(c * (x + a * x^3))
+        ob = np.multiply(xb, 0.5, out=flat_out[i:j])
+        ob *= np.add(tb, 1.0, out=sq)  # 0.5 * x * (1 + th)
 
     def bwd(g):
         # g * (0.5 * (1 + th) + 0.5 * x * (1 - th^2) * du) with
@@ -512,20 +535,24 @@ def _gate_views(gates: np.ndarray, hidden: int):
 
 
 def _lstm_forward(xw: np.ndarray, w_hh: np.ndarray, out: np.ndarray,
-                  mask: np.ndarray, reverse: bool):
+                  mask: np.ndarray, reverse: bool, save: bool = True):
     """Run one direction's recurrence over the hoisted input projection `xw`.
 
-    Writes the hidden states into `out` (a (B, T, H) view) and returns the
-    saved (B, T, .) buffers for BPTT: the activated (i, f, g, o) gates, the
-    cell state after each frame, and that state's tanh before masking. A
-    masked frame ends with zero state, so the reverse direction starts fresh
-    at each record's last real frame and padded frames output zero.
+    Writes the hidden states into `out` (a (B, T, H) view). With `save` it
+    returns the (B, T, .) buffers BPTT reads: the activated (i, f, g, o)
+    gates, the cell state after each frame, and that state's tanh before
+    masking. Without, it keeps one frame's gates and returns None. A masked
+    frame ends with zero state, so the reverse direction starts fresh at
+    each record's last real frame and padded frames output zero.
     """
     b, t, four_h = xw.shape
     hidden = four_h // 4
-    gates_all = _empty((b, t, four_h), xw.dtype)
-    cells = _empty((b, t, hidden), xw.dtype)
-    tanh_cells = _empty((b, t, hidden), xw.dtype)
+    if save:
+        gates_all = _empty((b, t, four_h), xw.dtype)
+        cells = _empty((b, t, hidden), xw.dtype)
+        tanh_cells = _empty((b, t, hidden), xw.dtype)
+    else:
+        frame_gates = np.empty((b, four_h), xw.dtype)
     # (w_hh.T @ h.T).T with w_hh.T made contiguous once: single-threaded
     # OpenBLAS runs this few-row product 1.5-2x faster than h @ w_hh
     w_hh_t = np.ascontiguousarray(w_hh.T)
@@ -533,7 +560,7 @@ def _lstm_forward(xw: np.ndarray, w_hh: np.ndarray, out: np.ndarray,
     c = np.zeros((b, hidden), dtype=xw.dtype)
     for step in (range(t - 1, -1, -1) if reverse else range(t)):
         pre = xw[:, step] + (w_hh_t @ h.T).T
-        gates = gates_all[:, step]
+        gates = gates_all[:, step] if save else frame_gates
         gates[:, :2 * hidden] = _sigmoid(pre[:, :2 * hidden])
         gates[:, 2 * hidden:3 * hidden] = np.tanh(pre[:, 2 * hidden:3 * hidden])
         gates[:, 3 * hidden:] = _sigmoid(pre[:, 3 * hidden:])
@@ -543,10 +570,11 @@ def _lstm_forward(xw: np.ndarray, w_hh: np.ndarray, out: np.ndarray,
         h = go * tanh_c
         c *= mask[:, step]
         h *= mask[:, step]
-        cells[:, step] = c
-        tanh_cells[:, step] = tanh_c
+        if save:
+            cells[:, step] = c
+            tanh_cells[:, step] = tanh_c
         out[:, step] = h
-    return gates_all, cells, tanh_cells
+    return (gates_all, cells, tanh_cells) if save else None
 
 
 def _lstm_backward(g: np.ndarray, saved, w_hh: np.ndarray,
@@ -606,7 +634,9 @@ def bilstm(x: Tensor, forward: LstmDirection, backward: LstmDirection,
     (B*T, C) @ (C, 4H) GEMM hoisted out of the recurrence; only h @ w_hh runs
     per frame. The backward pass is hand-written BPTT over the saved gate
     activations, finishing with whole-sequence GEMMs for w_ih, w_hh and x.
-    The whole-sequence buffers are step buffers.
+    The whole-sequence buffers are step buffers. The gate and cell buffers
+    BPTT reads are kept only when the node is recorded: an unrecorded
+    forward holds the output, one input projection and one frame's gates.
     """
     if x.ndim != 3:
         raise DimensionError(f"bilstm expects rank-3 input, got {x.shape}")
@@ -624,12 +654,14 @@ def bilstm(x: Tensor, forward: LstmDirection, backward: LstmDirection,
     x2 = x.data.reshape(b * t, c)
     out = _empty((b, t, 2 * hidden), x.dtype)
     halves = ((forward, False, out[:, :, :hidden]), (backward, True, out[:, :, hidden:]))
+    parents = (x, forward.w_ih, forward.w_hh, forward.b, backward.w_ih, backward.w_hh, backward.b)
+    save = _will_record(parents)
+    xw = _empty((b, t, 4 * hidden), x.dtype)  # each direction's in turn; the backward reads neither
     saved = []
     for p, reverse, h_out in halves:
-        xw = _empty((b, t, 4 * hidden), x.dtype)
         np.matmul(x2, p.w_ih.data, out=xw.reshape(b * t, 4 * hidden))
         xw += p.b.data
-        saved.append(_lstm_forward(xw, p.w_hh.data, h_out, mask, reverse))
+        saved.append(_lstm_forward(xw, p.w_hh.data, h_out, mask, reverse, save))
 
     def bwd(g):
         gx = None
@@ -649,8 +681,7 @@ def bilstm(x: Tensor, forward: LstmDirection, backward: LstmDirection,
         if gx is not None:
             accumulate_grad(x, gx.reshape(b, t, c), owned=True)
 
-    return track(out, (x, forward.w_ih, forward.w_hh, forward.b,
-                       backward.w_ih, backward.w_hh, backward.b), bwd)
+    return track(out, parents, bwd)
 
 
 def mean_pool_time(x: Tensor, lengths) -> Tensor:

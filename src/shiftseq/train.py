@@ -18,7 +18,7 @@ from .data import assign_folds, write_atomic
 from .errors import (ConfigError, DimensionError, EmptyInputError, TrainingDiverged, UsageError,
                      check_field_types)
 from .seeding import substream
-from .tensor_autograd import Tensor, backward, no_grad
+from .tensor_autograd import Tensor, backward
 
 OPTIMIZERS = ("adam", "adamw")
 
@@ -268,8 +268,11 @@ def _batches(n: int, batch_size: int):
 def predict_logits(model: SequenceClassifier, records, batch_size: int = 32) -> tuple:
     """Eval-mode logits and labels for every record, in input order; records no graph.
 
-    Records are batched in stable length order, so each batch pads little;
-    a record's logits do not depend on its batch-mates (see
+    Records are batched in stable length order, so each batch pads little,
+    and each batch goes through :meth:`SequenceClassifier.predict`, which
+    mixes every record's layers straight into the trunk: no padded
+    (batch, layers, time, channels) stack is built. A record's logits do
+    not depend on its batch-mates (see
     :meth:`SequenceClassifier.forward_features`). Equal-length records keep
     input order, and so the batches and bits of input-order batching.
     """
@@ -278,15 +281,11 @@ def predict_logits(model: SequenceClassifier, records, batch_size: int = 32) -> 
     if batch_size < 1:
         raise UsageError(f"batch_size must be at least 1, got {batch_size}")
     order = np.argsort([rec.data.shape[1] for rec in records], kind="stable")
-    chunks, labels = [], []
-    for idx in _batches(len(records), batch_size):
-        feats, lengths, batch_labels = collate([records[i] for i in order[idx]])
-        with no_grad():
-            logits = model.forward(Tensor(feats), lengths=lengths, training=False)
-        chunks.append(logits.data)
-        labels.append(batch_labels)
+    chunks = [model.predict([records[i] for i in order[idx]])
+              for idx in _batches(len(records), batch_size)]
     restore = np.argsort(order)  # row i of the sorted output is record order[i]
-    return np.concatenate(chunks, axis=0)[restore], np.concatenate(labels)[restore]
+    labels = np.array([rec.label for rec in records], dtype=np.int64)
+    return np.concatenate(chunks, axis=0)[restore], labels
 
 
 def _check_eval_records(records, num_classes: int) -> None:

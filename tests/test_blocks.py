@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from shiftseq.blocks import (
     PRESETS,
     CheckpointError,
     ModelConfig,
+    SequenceClassifier,
     build_from_checkpoint,
     build_model,
     config_from_dict,
@@ -20,8 +22,9 @@ from shiftseq.blocks import (
     save_checkpoint,
     weighted_layer_sum,
 )
+from shiftseq.blocks.model import _DRAW_BLOCK
 from shiftseq.data import FeatureSequence, GenConfig
-from shiftseq.errors import ConfigError, DimensionError, UsageError
+from shiftseq.errors import ConfigError, DimensionError, EmptyInputError, UsageError
 from shiftseq.seeding import substream
 from shiftseq.shift import ShiftConfig, temporal_shift
 from shiftseq.tensor_autograd import Tensor, add, bilstm, gelu, layer_norm, linear, no_grad
@@ -802,6 +805,40 @@ def record_fields(raw: bytes) -> list:
     return fields
 
 
+def reference_checkpoint(model, extra=None) -> bytes:
+    """The checkpoint layout serialized with `.tobytes()`, one parameter at a time."""
+    payload = {"model": config_to_dict(model.cfg)}
+    if extra:
+        payload["extra"] = extra
+    blob = json.dumps(payload, sort_keys=True).encode("utf-8")
+    params = model.named_parameters()
+    parts = [b"SSCK", struct.pack("<II", 1, len(blob)), blob, struct.pack("<I", len(params))]
+    for name, p in params.items():
+        parts += [struct.pack("<I", len(name)), name.encode("utf-8"), struct.pack("<I", p.ndim),
+                  struct.pack(f"<{p.ndim}I", *p.shape), p.data.astype("<f4").tobytes()]
+    return b"".join(parts + [struct.pack("<I", 0)])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("preset", PRESETS)
+def test_save_checkpoint_writes_the_parameters_own_bytes(tmp_path, preset, dtype):
+    model = build_model(preset_config(preset, width=16, num_input_layers=2), seed=1, dtype=dtype)
+    save_checkpoint(tmp_path / "m.ckpt", model, extra={"fold": 2})
+    assert (tmp_path / "m.ckpt").read_bytes() == reference_checkpoint(model, {"fold": 2})
+
+
+def test_save_checkpoint_keeps_no_serialized_copy(tmp_path):
+    model = build_model(preset_config("shiftcnn", width=128, num_input_layers=2), seed=0)
+    payload = sum(p.data.nbytes for p in model.named_parameters().values())
+    tracemalloc.start()
+    try:
+        save_checkpoint(tmp_path / "m.ckpt", model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < payload / 10
+
+
 def test_checkpoint_with_an_empty_dimension_is_rejected(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, build_model(preset_config("shiftcnn", width=16, num_input_layers=1), seed=0))
@@ -987,10 +1024,17 @@ def mixed_records(seed, lengths=(9, 5, 12, 7, 3)):
             for i, t in enumerate(lengths)]
 
 
-@pytest.mark.parametrize("preset", PRESETS)
-def test_eval_logits_under_no_grad_match_graph_building_forward(preset):
-    model = small_preset(preset)
-    records = mixed_records(20)
+VARIANTS = [(p, {}) for p in PRESETS] + [("transformer", {"mixer": "pooling"})]
+VARIANT_IDS = list(PRESETS) + ["transformer-pooling"]
+
+
+@pytest.mark.parametrize("preset,kw", VARIANTS, ids=VARIANT_IDS)
+def test_eval_logits_under_no_grad_match_graph_building_forward(preset, kw):
+    """`predict_logits` mixes each record's layers into the trunk itself;
+    its logits are the bits of `collate` and a graph-building `forward`,
+    single-frame records included."""
+    model = small_preset(preset, **kw)
+    records = mixed_records(20, (9, 1, 5, 12, 7, 1, 3))
     logits, _ = predict_logits(model, records, batch_size=2)
     graph = []
     order = np.argsort([rec.data.shape[1] for rec in records], kind="stable")
@@ -1004,6 +1048,72 @@ def test_eval_logits_under_no_grad_match_graph_building_forward(preset):
         graph.append(out.data)
     assert logits.dtype == np.float32
     np.testing.assert_array_equal(logits[order], np.concatenate(graph))
+
+
+def test_predict_raises_typed_errors():
+    model = small_preset("shiftcnn")
+    rng = np.random.default_rng(26)
+
+    def rec(layers=2, t=4, c=16):
+        return FeatureSequence(0, 0, rng.standard_normal((layers, t, c)).astype(np.float32))
+
+    with pytest.raises(DimensionError, match="disagree on layers/channels"):
+        model.predict([rec(), rec(layers=3)])
+    with pytest.raises(DimensionError, match="disagree on layers/channels"):
+        model.predict([rec(), rec(c=8)])
+    with pytest.raises(DimensionError, match="3 layers, model expects 2"):
+        model.predict([rec(layers=3)])
+    with pytest.raises(DimensionError, match="8 channels, model expects 16"):
+        model.predict([rec(c=8), rec(c=8, t=2)])
+    wide = build_model(preset_config("shiftcnn", width=16, num_classes=3, num_input_layers=2),
+                       seed=0, dtype=np.float64)
+    with pytest.raises(DimensionError, match="mixed dtypes"):
+        wide.predict([rec()])
+    with pytest.raises(EmptyInputError):
+        model.predict([])
+    assert all(p.grad is None for p in model.named_parameters().values())
+
+
+def test_predict_logits_peaks_below_the_padded_stack():
+    """No (batch, layers, time, channels) stack: evaluating four long
+    records peaks under the size of the padded stack `collate` builds."""
+    model = build_model(preset_config("shiftcnn", width=32, num_classes=4, num_input_layers=13),
+                        seed=0)
+    rng = np.random.default_rng(27)
+    lengths = (250, 1000, 500, 750)
+    records = [FeatureSequence(i, 0, rng.standard_normal((13, t, 32), dtype=np.float32))
+               for i, t in enumerate(lengths)]
+    tracemalloc.start()
+    try:
+        predict_logits(model, records, batch_size=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stack = len(records) * 13 * max(lengths) * 32 * 4
+    assert peak < stack
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("preset", PRESETS)
+def test_init_draws_in_blocks_match_one_draw_per_weight(monkeypatch, preset, dtype):
+    """Weights larger than one draw block (width 144: 82,944-element
+    projections) take the values, and leave the generator in the state,
+    of one float64 draw per weight cast to the model's dtype."""
+    cfg = preset_config(preset, width=144, num_classes=4, num_input_layers=2)
+    rng = np.random.default_rng(28)
+    model = SequenceClassifier(cfg, rng, dtype=dtype)
+
+    def one_draw(rng, std, shape, dtype):
+        return Tensor(rng.normal(0.0, std, shape), requires_grad=True, dtype=dtype)
+
+    monkeypatch.setattr("shiftseq.blocks.model._normal", one_draw)
+    ref_rng = np.random.default_rng(28)
+    reference = SequenceClassifier(cfg, ref_rng, dtype=dtype)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert max(p.size for p in model.named_parameters().values()) > _DRAW_BLOCK
+    for (name, p), q in zip(model.named_parameters().items(), reference.named_parameters().values()):
+        assert p.dtype == q.dtype == dtype, name
+        assert np.array_equal(p.data, q.data), name
 
 
 @pytest.mark.parametrize("preset", PRESETS)

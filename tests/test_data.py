@@ -3,6 +3,11 @@
 import dataclasses
 import errno
 import json
+import os
+import struct
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,9 +103,99 @@ def test_manifest_sidecar(tmp_path):
         assert label == rec.label
 
 
+def reference_fseq(records, k_cls: int) -> bytes:
+    """The FSEQ layout serialized with `.tobytes()`, one record at a time."""
+    parts = [b"FSEQ", struct.pack("<III", 1, k_cls, len(records))]
+    for rec in records:
+        parts += [struct.pack("<5I", rec.label, rec.group, *rec.data.shape),
+                  rec.data.astype("<f4").tobytes()]
+    return b"".join(parts)
+
+
+def test_write_fseq_writes_each_records_own_bytes(tmp_path):
+    records = random_records(np.random.default_rng(4), n=7)
+    write_fseq(tmp_path / "set.fseq", records, k_cls=3)
+    assert (tmp_path / "set.fseq").read_bytes() == reference_fseq(records, 3)
+
+
+def test_write_fseq_keeps_no_serialized_copy(tmp_path):
+    rng = np.random.default_rng(5)
+    records = [FeatureSequence(i % 3, 0, rng.standard_normal((4, 200, 64), dtype=np.float32))
+               for i in range(8)]
+    tracemalloc.start()
+    try:
+        write_fseq(tmp_path / "set.fseq", records, k_cls=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sum(rec.data.nbytes for rec in records) / 10
+
+
+def test_read_fseq_records_are_read_only_views_of_the_mapped_file(tmp_path):
+    path = tmp_path / "set.fseq"
+    records = random_records(np.random.default_rng(6))
+    write_fseq(path, records, k_cls=3)
+    loaded = read_fseq(path)
+    for rec in loaded.records:
+        flags = rec.data.flags
+        assert rec.data.dtype == np.float32 and flags.aligned and flags.c_contiguous
+        assert not flags.writeable and not flags.owndata
+        with pytest.raises(ValueError, match="read-only"):
+            rec.data[0, 0, 0] = 1.0
+    # replacing the file, as write_fseq does by a rename, leaves the views intact
+    write_fseq(path, random_records(np.random.default_rng(7)), k_cls=3)
+    for a, b in zip(records, loaded.records):
+        np.testing.assert_array_equal(a.data, b.data)
+
+
+# reads an FSEQ file and touches every payload, then prints how much the
+# process's anonymous (not file-backed) resident memory grew, in kB
+RSS_PROBE = """
+import sys
+import numpy as np
+from shiftseq.data import read_fseq
+
+def rss_anon_kb():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("RssAnon:"))
+
+before = rss_anon_kb()
+records = read_fseq(sys.argv[1]).records
+total = sum(float(rec.data.sum(dtype=np.float64)) for rec in records)
+print(rss_anon_kb() - before)
+"""
+
+
+def test_read_fseq_maps_the_file_instead_of_copying_it(tmp_path):
+    """A fresh process, so that the freed memory of earlier tests cannot
+    hide a copy; /proc/self/status splits resident memory into anonymous
+    pages (copies) and file pages (the map, which the system can drop)."""
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs /proc/self/status")
+    rng = np.random.default_rng(8)
+    path = tmp_path / "big.fseq"
+    write_fseq(path, [FeatureSequence(i % 3, 0, rng.standard_normal((13, 80, 768), dtype=np.float32))
+                      for i in range(10)], k_cls=3)
+    size = path.stat().st_size
+    assert size > 30 * 2 ** 20
+    src = os.path.dirname(os.path.dirname(os.path.abspath(shiftseq.data.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", RSS_PROBE, str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) * 1024 < size / 10
+
+
 # ---------------------------------------------------------------------------
 # malformed files
 # ---------------------------------------------------------------------------
+
+def test_empty_file_is_truncated(tmp_path):
+    path = tmp_path / "empty.fseq"
+    path.write_bytes(b"")
+    with pytest.raises(FseqTruncatedError, match="truncated inside magic"):
+        read_fseq(path)
+
 
 def write_valid(tmp_path):
     path = tmp_path / "set.fseq"

@@ -8,6 +8,7 @@ float64, not merely close.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from shiftseq.tensor_autograd import (
     mean_pool_time,
     mhsa,
     mul,
+    no_grad,
     reduce_sum,
     rel_position_bias,
     reshape,
@@ -40,7 +42,7 @@ from shiftseq.tensor_autograd import (
     sum_all,
     transpose,
 )
-from shiftseq.tensor_autograd.ops import _lstm_backward, _lstm_forward, _previous_hidden
+from shiftseq.tensor_autograd.ops import _GELU_BLOCK, _lstm_backward, _lstm_forward, _previous_hidden
 
 DTYPES = [np.float32, np.float64]
 
@@ -290,6 +292,40 @@ def test_gelu_extremes(dtype):
     assert_bits(grads[0], want_grads[0])
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("size", [1, _GELU_BLOCK - 1, _GELU_BLOCK, 3 * _GELU_BLOCK + 7])
+@pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
+def test_gelu_blocks(dtype, size, grad):
+    """Every block of the forward, the short last one included, keeps the
+    whole-array bits, whether the node saves th for a backward or not."""
+    x = arr((size,), 5, dtype, 4.0)
+    g = arr((size,), 6, dtype)
+    want_out, want_grads = gelu_ref(x, g)
+    if grad:
+        out, grads = run(gelu, [x], g)
+        assert_bits(grads[0], want_grads[0])
+    else:
+        with no_grad():
+            out = gelu(Tensor(x, requires_grad=True)).data
+    assert_bits(out, want_out)
+    frozen = gelu(Tensor(x))  # needs no gradient, so saves nothing either
+    assert not frozen.requires_grad
+    assert_bits(frozen.data, want_out)
+
+
+def test_gelu_under_no_grad_allocates_its_output_and_two_blocks():
+    x = Tensor(arr((4, 2 * _GELU_BLOCK), 7, np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        with no_grad():
+            out = gelu(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    scratch = 2 * _GELU_BLOCK * x.data.itemsize
+    assert peak < out.data.nbytes + scratch + 64 * 1024  # whole-array GELU holds three outputs
+
+
 LINEAR_OUT = {6: 4, 64: 256, 768: 3072}  # c_in -> c_out
 
 
@@ -490,6 +526,30 @@ def test_bilstm(dtype, lengths):
     assert_bits(grads[0], gx.reshape(b, t, c))
     for got, want in zip(grads[1:], want_grads):
         assert_bits(got, want)
+
+
+def test_bilstm_under_no_grad_keeps_no_bptt_buffers():
+    """Unrecorded, the recurrence keeps one frame's gates: beyond its output
+    and one input projection, it allocates under a quarter of a (B, T, 4H)
+    buffer, where saving gates and cells for both directions takes four."""
+    b, t, c, hidden = 4, 400, 16, 32
+    x = arr((b, t, c), 1, np.float32)
+    lengths = np.array([400, 170, 1, 399])
+    dirs = [LstmDirection(*(Tensor(arr(s, 10 * k + i, np.float32), requires_grad=True)
+                            for i, s in enumerate([(c, 4 * hidden), (hidden, 4 * hidden), (4 * hidden,)])))
+            for k in range(2)]
+    tracemalloc.start()
+    try:
+        with no_grad():
+            out = bilstm(Tensor(x), *dirs, lengths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    recorded = bilstm(Tensor(x), *dirs, lengths)
+    assert recorded.requires_grad
+    assert_bits(out.data, recorded.data)
+    projection = b * t * 4 * hidden * x.itemsize
+    assert peak - out.data.nbytes - projection < projection / 4
 
 
 @pytest.mark.parametrize("op", ["linear", "depthwise_conv1d", "layer_norm", "batch_norm1d"])

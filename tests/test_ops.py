@@ -681,7 +681,11 @@ def run_with_grads(f, x, lengths, r, params):
 
 
 @pytest.mark.parametrize("name", CROSS_TIME_OPS)
-def test_lengths_of_every_frame_keep_the_unmasked_bits(name):
+def test_lengths_none_means_every_frame_is_real(name):
+    """`lengths=None` gives the bits, output and gradients, of full-length
+    counts: each op maps it to them before its one masked path runs. The
+    full-length bits themselves are pinned against explicit-mask references
+    in test_op_bits.py."""
     f, params = cross_time_op(name, np.float32)
     x, r = rnd((3, 7, 6), 93, np.float32), rnd((3, 7, 6), 94, np.float32)
     out, grads = run_with_grads(f, x, None, r, params)

@@ -620,14 +620,16 @@ def test_predict_logits_returns_rows_in_input_order():
 
 def test_predict_logits_batches_contiguous_runs_of_the_length_order(monkeypatch):
     records = shuffled_length_records()
+    model = build_model(tiny_model_cfg(), seed=0)
     batches = []
+    predict = model.predict
 
-    def recording_collate(batch):
+    def recording_predict(batch):
         batches.append([next(i for i, r in enumerate(records) if r is rec) for rec in batch])
-        return collate(batch)
+        return predict(batch)
 
-    monkeypatch.setattr("shiftseq.train.collate", recording_collate)
-    predict_logits(build_model(tiny_model_cfg(), seed=0), records, batch_size=4)
+    monkeypatch.setattr(model, "predict", recording_predict)
+    predict_logits(model, records, batch_size=4)
     order = sorted(range(len(records)), key=lambda i: records[i].data.shape[1])  # stable
     assert batches == [order[:4], order[4:8], order[8:]]
 
@@ -663,6 +665,7 @@ def test_evaluate_rejects_labels_beyond_the_model_classes(monkeypatch):
         raise AssertionError("evaluate ran a forward before checking labels")
 
     monkeypatch.setattr(model, "forward", no_forward)
+    monkeypatch.setattr(model, "predict", no_forward)
     with pytest.raises(DimensionError, match=r"\[3\]"):
         evaluate(model, records)
 
