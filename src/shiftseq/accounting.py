@@ -23,18 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blocks.model import (
-    AttentionLayer,
-    BiLstmLayer,
+    BiLstm,
     ConvBlock,
-    DepthwiseConvLayer,
-    LayerNormLayer,
-    LinearLayer,
+    DepthwiseConv,
+    LayerNorm,
+    Linear,
     LstmBlock,
     SequenceClassifier,
     TransformerBlock,
 )
 from .errors import UsageError
-from .tensor_autograd.ops import POOL_WINDOW
+from .tensor_autograd.ops import POOL_WINDOW, AttentionParams, named_tensors
 
 NORM_EW = 6
 GELU_EW = 8
@@ -103,31 +102,37 @@ class CostReport:
         return out
 
 
+def sublayers(block) -> list:
+    """(field name, layer) for each field of a block that holds tensors, in field order."""
+    names = dict.fromkeys(name.split(".")[0] for name, _ in named_tensors(block))
+    return [(name, getattr(block, name)) for name in names]
+
+
 def _layer_costs(layer, t: int) -> tuple:
     """(params, flops, ew_flops) for one parametric layer at length t.
 
     Parameters are the layer's own tensor sizes, so the report cannot
     disagree with the model; the work columns follow the rules above.
     """
-    params = sum(p.size for _, p in layer.named_parameters())
-    if isinstance(layer, LinearLayer):
+    params = sum(p.size for _, p in named_tensors(layer))
+    if isinstance(layer, Linear):
         c_in, c_out = layer.weight.shape
         return (params, 2 * c_in * c_out * t, c_out * t)
-    if isinstance(layer, LayerNormLayer):
+    if isinstance(layer, LayerNorm):
         return (params, 0, NORM_EW * layer.gamma.size * t)
-    if isinstance(layer, DepthwiseConvLayer):
+    if isinstance(layer, DepthwiseConv):
         k, width = layer.kernel.shape
         return (params, 2 * k * width * t, width * t)
-    if isinstance(layer, AttentionLayer):
-        width = layer.params.wq.shape[0]
-        heads = layer.params.rel_table.shape[0]
+    if isinstance(layer, AttentionParams):
+        width = layer.wq.shape[0]
+        heads = layer.rel_table.shape[0]
         flops = 8 * width * width * t + 4 * t * t * width
         ew = 4 * width * t                       # projection biases
         ew += SOFTMAX_EW * heads * t * t         # attention softmax
         ew += heads * t * t                      # logit scaling
         ew += heads * t * t                      # position bias add
         return (params, flops, ew)
-    if isinstance(layer, BiLstmLayer):
+    if isinstance(layer, BiLstm):
         c_in = layer.fw.w_ih.shape[0]
         hidden = layer.fw.w_hh.shape[0]
         flops = 2 * 2 * (c_in + hidden) * 4 * hidden * t
@@ -141,7 +146,7 @@ def _block_entries(prefix: str, block, t: int) -> list:
     if not isinstance(block, (ConvBlock, TransformerBlock, LstmBlock)):
         raise UsageError(f"no cost rule for block type {type(block).__name__}")
     entries = [CostEntry(f"{prefix}.{sub_name}", *_layer_costs(layer, t))
-               for sub_name, layer in block.sublayers()]
+               for sub_name, layer in sublayers(block)]
     if isinstance(block, LstmBlock):
         if block.shift is not None:
             entries.append(CostEntry(f"{prefix}.residual", 0, 0, 2 * block.rnn.fw.w_hh.shape[0] * t))
@@ -149,11 +154,11 @@ def _block_entries(prefix: str, block, t: int) -> list:
     width, mid = block.pw1.weight.shape
     residuals = 1
     if isinstance(block, TransformerBlock):
-        if block.mixer_kind == "pooling":
+        if block.mixer == "pooling":
             entries.append(CostEntry(f"{prefix}.pool", 0, 0, (POOL_WINDOW + 1) * width * t))
-        elif block.mixer_kind == "shift":
+        elif block.mixer == "shift":
             entries.append(CostEntry(f"{prefix}.mixer_shift", 0, 0, 0))
-        if block.mixer_kind != "none":
+        if block.mixer != "none":
             residuals = 2
     entries.append(CostEntry(f"{prefix}.gelu", 0, 0, GELU_EW * mid * t))
     entries.append(CostEntry(f"{prefix}.residual", 0, 0, residuals * width * t))

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, DimensionError, EmptyInputError, check_config_dict, check_field_types
+from ..data import batch_layout
+from ..errors import ConfigError, DimensionError, check_config_dict, check_field_types
 from ..seeding import substream
 from ..shift import ShiftConfig, shift_augment, shifted_channels, temporal_shift
 from ..tensor_autograd import (
@@ -198,182 +199,176 @@ def _normal(rng, std: float, shape: tuple[int, ...], dtype) -> Tensor:
     return Tensor(data, requires_grad=True, dtype=dtype)
 
 
-class LinearLayer:
-    def __init__(self, rng, c_in: int, c_out: int, dtype):
-        self.weight = _normal(rng, 1.0 / math.sqrt(c_in), (c_in, c_out), dtype)
-        self.bias = Tensor(np.zeros(c_out, dtype), requires_grad=True)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return linear(x, self.weight, self.bias)
-
-    def named_parameters(self):
-        return [("weight", self.weight), ("bias", self.bias)]
+def _zero(shape, dtype) -> Tensor:
+    """A trainable parameter of zeros: a bias, a norm shift or a position table."""
+    return Tensor(np.zeros(shape, dtype), requires_grad=True)
 
 
-class LayerNormLayer:
-    def __init__(self, width: int, dtype):
-        self.gamma = Tensor(np.ones(width, dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros(width, dtype), requires_grad=True)
+@dataclass
+class Linear:
+    """A dense layer, x @ weight + bias: weight (in, out), bias (out,)."""
 
-    def forward(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gamma, self.beta)
-
-    def named_parameters(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
+    weight: Tensor
+    bias: Tensor
 
 
-class DepthwiseConvLayer:
-    def __init__(self, rng, kernel: int, width: int, dtype):
-        self.kernel = _normal(rng, 1.0 / math.sqrt(kernel), (kernel, width), dtype)
-        self.bias = Tensor(np.zeros(width, dtype), requires_grad=True)
+@dataclass
+class LayerNorm:
+    """A LayerNorm over channels: scale `gamma` and shift `beta`, each (width,)."""
 
-    def forward(self, x: Tensor, lengths=None) -> Tensor:
-        return depthwise_conv1d(x, self.kernel, self.bias, lengths)
-
-    def named_parameters(self):
-        return [("kernel", self.kernel), ("bias", self.bias)]
+    gamma: Tensor
+    beta: Tensor
 
 
-class AttentionLayer:
-    def __init__(self, rng, width: int, heads: int, clip_dist: int, dtype):
-        std = 1.0 / math.sqrt(width)
+@dataclass
+class DepthwiseConv:
+    """A per-channel convolution over time: kernel (k, width), bias (width,)."""
 
-        def w():
-            return _normal(rng, std, (width, width), dtype)
-
-        def b():
-            return Tensor(np.zeros(width, dtype), requires_grad=True)
-
-        rel = Tensor(np.zeros((heads, 2 * clip_dist + 1), dtype), requires_grad=True)
-        self.params = AttentionParams(wq=w(), bq=b(), wk=w(), bk=b(), wv=w(), bv=b(),
-                                      wo=w(), bo=b(), rel_table=rel)
-
-    def forward(self, x: Tensor, lengths=None) -> Tensor:
-        return mhsa(x, self.params, lengths)
-
-    def named_parameters(self):
-        return named_tensors(self.params)
+    kernel: Tensor
+    bias: Tensor
 
 
-class BiLstmLayer:
-    def __init__(self, rng, c_in: int, hidden: int, dtype):
-        self.fw = self._direction(rng, c_in, hidden, dtype)
-        self.bw = self._direction(rng, c_in, hidden, dtype)
+@dataclass
+class BiLstm:
+    """A bidirectional LSTM: the forward and the backward direction."""
 
-    @staticmethod
-    def _direction(rng, c_in, hidden, dtype):
+    fw: LstmDirection
+    bw: LstmDirection
+
+
+def _linear(rng, c_in: int, c_out: int, dtype) -> Linear:
+    return Linear(_normal(rng, 1.0 / math.sqrt(c_in), (c_in, c_out), dtype), _zero(c_out, dtype))
+
+
+def _layer_norm(width: int, dtype) -> LayerNorm:
+    return LayerNorm(Tensor(np.ones(width, dtype), requires_grad=True), _zero(width, dtype))
+
+
+def _depthwise(rng, kernel: int, width: int, dtype) -> DepthwiseConv:
+    return DepthwiseConv(_normal(rng, 1.0 / math.sqrt(kernel), (kernel, width), dtype), _zero(width, dtype))
+
+
+def _attention(rng, width: int, heads: int, clip_dist: int, dtype) -> AttentionParams:
+    def w():
+        return _normal(rng, 1.0 / math.sqrt(width), (width, width), dtype)
+
+    return AttentionParams(wq=w(), bq=_zero(width, dtype), wk=w(), bk=_zero(width, dtype),
+                           wv=w(), bv=_zero(width, dtype), wo=w(), bo=_zero(width, dtype),
+                           rel_table=_zero((heads, 2 * clip_dist + 1), dtype))
+
+
+def _bilstm(rng, c_in: int, hidden: int, dtype) -> BiLstm:
+    def direction():
         b = np.zeros(4 * hidden, dtype)
         b[hidden:2 * hidden] = 1.0
-        return LstmDirection(
-            w_ih=_normal(rng, 1.0 / math.sqrt(c_in), (c_in, 4 * hidden), dtype),
-            w_hh=_normal(rng, 1.0 / math.sqrt(hidden), (hidden, 4 * hidden), dtype),
-            b=Tensor(b, requires_grad=True),
-        )
+        return LstmDirection(w_ih=_normal(rng, 1.0 / math.sqrt(c_in), (c_in, 4 * hidden), dtype),
+                             w_hh=_normal(rng, 1.0 / math.sqrt(hidden), (hidden, 4 * hidden), dtype),
+                             b=Tensor(b, requires_grad=True))
 
-    def forward(self, x: Tensor, lengths=None) -> Tensor:
-        return bilstm(x, self.fw, self.bw, lengths)
-
-    def named_parameters(self):
-        return [(f"{prefix}.{name}", p) for prefix, direction in (("fw", self.fw), ("bw", self.bw))
-                for name, p in named_tensors(direction)]
+    return BiLstm(fw=direction(), bw=direction())
 
 
 # ---------------------------------------------------------------------------
 # blocks
 # ---------------------------------------------------------------------------
 
+@dataclass
 class ConvBlock:
     """Residual block: x + PW2(GELU(PW1(Norm(DWConv(b))))), b = x shifted by `shift` if set."""
 
-    def __init__(self, rng, cfg: ModelConfig, dtype, shift: ShiftConfig | None):
-        width, mid = cfg.channels[0], cfg.channels[1]
-        self.shift = shift
-        self.dw = DepthwiseConvLayer(rng, cfg.kernel, width, dtype)
-        self.norm = LayerNormLayer(width, dtype)
-        self.pw1 = LinearLayer(rng, width, mid, dtype)
-        self.pw2 = LinearLayer(rng, mid, width, dtype)
+    dw: DepthwiseConv
+    norm: LayerNorm
+    pw1: Linear
+    pw2: Linear
+    shift: ShiftConfig | None
 
     def forward(self, x: Tensor, lengths=None) -> Tensor:
         # nested, so that unrecorded each activation is freed once the next is made
-        h = gelu(self.pw1.forward(self.norm.forward(self.dw.forward(
-            x if self.shift is None else temporal_shift(x, self.shift, lengths), lengths))))
-        return add(x, self.pw2.forward(h))
+        h = gelu(linear(layer_norm(depthwise_conv1d(
+            x if self.shift is None else temporal_shift(x, self.shift, lengths),
+            self.dw.kernel, self.dw.bias, lengths), self.norm.gamma, self.norm.beta),
+            self.pw1.weight, self.pw1.bias))
+        return add(x, linear(h, self.pw2.weight, self.pw2.bias))
 
-    def sublayers(self):
-        return [("dw", self.dw), ("norm", self.norm), ("pw1", self.pw1), ("pw2", self.pw2)]
 
-
+@dataclass
 class TransformerBlock:
     """Pre-norm block: x + Mixer(Norm(x)), then + MLP(Norm(.)).
 
-    The mixer is attention, average pooling minus identity, the parameter-free
-    temporal shift `cfg.shift`, or absent ("none", leaving a pointwise MLP
-    block). A residual-placement `shift` enters the mixer branch before its norm.
+    `mixer` is attention (`attn`), average pooling minus identity, the
+    parameter-free temporal shift `mixer_shift`, or "none", which drops the
+    mixer branch and its `norm1`, leaving a pointwise MLP block. A
+    residual-placement `shift` enters the mixer branch before its norm.
+    `norm1` and `attn` are None when the block has no use for them.
     """
 
-    def __init__(self, rng, cfg: ModelConfig, dtype, shift: ShiftConfig | None):
-        width, mid = cfg.channels[0], cfg.channels[1]
-        self.mixer_kind = cfg.mixer
-        self.mixer_shift = cfg.shift
-        self.shift = shift
-        self.norm1 = LayerNormLayer(width, dtype) if cfg.mixer != "none" else None
-        self.attn = (AttentionLayer(rng, width, cfg.heads, cfg.clip_dist, dtype)
-                     if cfg.mixer == "attention" else None)
-        self.norm2 = LayerNormLayer(width, dtype)
-        self.pw1 = LinearLayer(rng, width, mid, dtype)
-        self.pw2 = LinearLayer(rng, mid, width, dtype)
+    norm1: LayerNorm | None
+    attn: AttentionParams | None
+    norm2: LayerNorm
+    pw1: Linear
+    pw2: Linear
+    mixer: str
+    mixer_shift: ShiftConfig | None
+    shift: ShiftConfig | None
 
     def forward(self, x: Tensor, lengths=None) -> Tensor:
-        if self.mixer_kind != "none":
+        if self.mixer != "none":
             u = x if self.shift is None else temporal_shift(x, self.shift, lengths)
-            u = self.norm1.forward(u)
-            if self.mixer_kind == "attention":
-                m = self.attn.forward(u, lengths)
-            elif self.mixer_kind == "pooling":
+            u = layer_norm(u, self.norm1.gamma, self.norm1.beta)
+            if self.mixer == "attention":
+                m = mhsa(u, self.attn, lengths)
+            elif self.mixer == "pooling":
                 m = avg_pool_mixer(u, lengths)
             else:  # the shift is the token mixer
                 m = temporal_shift(u, self.mixer_shift, lengths)
             x = add(x, m)
-        v = gelu(self.pw1.forward(self.norm2.forward(x)))  # nested, as in ConvBlock
-        return add(x, self.pw2.forward(v))
-
-    def sublayers(self):
-        out = []
-        if self.norm1 is not None:
-            out.append(("norm1", self.norm1))
-        if self.attn is not None:
-            out.append(("attn", self.attn))
-        out.extend([("norm2", self.norm2), ("pw1", self.pw1), ("pw2", self.pw2)])
-        return out
+        # nested, as in ConvBlock
+        v = gelu(linear(layer_norm(x, self.norm2.gamma, self.norm2.beta), self.pw1.weight, self.pw1.bias))
+        return add(x, linear(v, self.pw2.weight, self.pw2.bias))
 
 
+@dataclass
 class LstmBlock:
     """A bidirectional LSTM, optionally shift-fed.
 
-    A residual-placement `shift` feeds the recurrent branch and adds a learned
-    projection shortcut of the unshifted input (the one shift variant that
-    costs extra parameters). Frames at or past `lengths` are padding to the
-    LSTM (see :func:`bilstm`) and to the shift, so outputs on real frames do
-    not depend on padding.
+    A residual-placement `shift` feeds the recurrent branch and adds `proj`,
+    a learned projection shortcut of the unshifted input (the one shift
+    variant that costs extra parameters); without it `proj` is None. Frames
+    at or past `lengths` are padding to the LSTM (see :func:`bilstm`) and to
+    the shift, so outputs on real frames do not depend on padding.
     """
 
-    def __init__(self, rng, cfg: ModelConfig, c_in: int, dtype, shift: ShiftConfig | None):
-        hidden = cfg.channels[1] // 2
-        self.shift = shift
-        self.rnn = BiLstmLayer(rng, c_in, hidden, dtype)
-        self.proj = LinearLayer(rng, c_in, cfg.channels[1], dtype) if shift is not None else None
+    rnn: BiLstm
+    proj: Linear | None
+    shift: ShiftConfig | None
 
     def forward(self, x: Tensor, lengths=None) -> Tensor:
         if self.shift is None:
-            return self.rnn.forward(x, lengths)
-        return add(self.proj.forward(x),
-                   self.rnn.forward(temporal_shift(x, self.shift, lengths), lengths))
+            return bilstm(x, self.rnn.fw, self.rnn.bw, lengths)
+        return add(linear(x, self.proj.weight, self.proj.bias),
+                   bilstm(temporal_shift(x, self.shift, lengths), self.rnn.fw, self.rnn.bw, lengths))
 
-    def sublayers(self):
-        out = [("rnn", self.rnn)]
-        if self.proj is not None:
-            out.append(("proj", self.proj))
-        return out
+
+def _block(rng, cfg: ModelConfig, index: int, dtype):
+    """Block `index` of the stack, its layers drawn in field order."""
+    width, mid = cfg.channels[0], cfg.channels[1]
+    shift = _branch_shift(cfg, index)
+    if cfg.family == "cnn":
+        return ConvBlock(dw=_depthwise(rng, cfg.kernel, width, dtype), norm=_layer_norm(width, dtype),
+                         pw1=_linear(rng, width, mid, dtype), pw2=_linear(rng, mid, width, dtype),
+                         shift=shift)
+    if cfg.family == "transformer":
+        return TransformerBlock(
+            norm1=_layer_norm(width, dtype) if cfg.mixer != "none" else None,
+            attn=(_attention(rng, width, cfg.heads, cfg.clip_dist, dtype)
+                  if cfg.mixer == "attention" else None),
+            norm2=_layer_norm(width, dtype), pw1=_linear(rng, width, mid, dtype),
+            pw2=_linear(rng, mid, width, dtype), mixer=cfg.mixer,
+            mixer_shift=cfg.shift if cfg.mixer == "shift" else None, shift=shift)
+    c_in = cfg.channels[0] if index == 0 else cfg.channels[1]
+    return LstmBlock(rnn=_bilstm(rng, c_in, cfg.channels[1] // 2, dtype),
+                     proj=_linear(rng, c_in, cfg.channels[1], dtype) if shift is not None else None,
+                     shift=shift)
 
 
 def _branch_shift(cfg: ModelConfig, index: int) -> ShiftConfig | None:
@@ -444,17 +439,8 @@ class SequenceClassifier:
         self.cfg = cfg
         self.layer_weights = Tensor(np.zeros(cfg.num_input_layers, dtype), requires_grad=True)
         self.trunk_shift = cfg.shift if cfg.shift is not None and cfg.shift.placement == "in_place" else None
-        self.blocks = []
-        for i in range(cfg.blocks):
-            shift = _branch_shift(cfg, i)
-            if cfg.family == "cnn":
-                self.blocks.append(ConvBlock(rng, cfg, dtype, shift))
-            elif cfg.family == "transformer":
-                self.blocks.append(TransformerBlock(rng, cfg, dtype, shift))
-            else:
-                c_in = cfg.channels[0] if i == 0 else cfg.channels[1]
-                self.blocks.append(LstmBlock(rng, cfg, c_in, dtype, shift))
-        self.head = LinearLayer(rng, cfg.out_width, cfg.num_classes, dtype)
+        self.blocks = [_block(rng, cfg, i, dtype) for i in range(cfg.blocks)]
+        self.head = _linear(rng, cfg.out_width, cfg.num_classes, dtype)
 
     def _check_input_shape(self, shape: tuple[int, ...]) -> None:
         if len(shape) != 4:
@@ -494,8 +480,10 @@ class SequenceClassifier:
 
     def forward(self, features: Tensor, lengths=None, training: bool = False,
                 augment_prob: float = 0.0, rng=None) -> Tensor:
-        x = self.forward_features(features, training, augment_prob, rng, lengths)
-        return self.head.forward(mean_pool_time(x, lengths))
+        return self._pool_head(self.forward_features(features, training, augment_prob, rng, lengths), lengths)
+
+    def _pool_head(self, x: Tensor, lengths) -> Tensor:
+        return linear(mean_pool_time(x, lengths), self.head.weight, self.head.bias)
 
     def predict(self, records) -> np.ndarray:
         """Eval-mode logits, (batch, classes), for a batch of records; records no graph.
@@ -512,20 +500,15 @@ class SequenceClassifier:
         on layers or channels, or that do not fit the model's layer count,
         width or dtype.
         """
-        if not records:
-            raise EmptyInputError("cannot predict an empty batch")
-        n_layers, _, width = records[0].data.shape
-        for rec in records:
-            if (rec.data.shape[0], rec.data.shape[2]) != (n_layers, width):
-                raise DimensionError(
-                    f"records disagree on layers/channels: {rec.data.shape} vs (L={n_layers}, C={width})")
+        n_layers, width = batch_layout(records)
         lengths = np.array([rec.data.shape[1] for rec in records], dtype=np.int64)
         self._check_input_shape((len(records), n_layers, int(lengths.max()), width))
-        _check_same_dtype(self.layer_weights, *records)  # reads each record's .data.dtype
+        if any(rec.data.dtype != self.layer_weights.dtype for rec in records):
+            raise DimensionError(f"mixed dtypes: records do not match the model's {self.layer_weights.dtype}")
         with no_grad():
             # the block loop holds the only reference to the trunk, so it is freed after block 0
-            x = self._run_blocks(self._mix_records(records, lengths), lengths)
-            return self.head.forward(mean_pool_time(x, lengths)).data
+            return self._pool_head(
+                self._run_blocks(self._mix_records(records, lengths), lengths), lengths).data
 
     def _mix_records(self, records, lengths: np.ndarray) -> Tensor:
         """The (batch, longest, channels) trunk: each record's layer mix in its
@@ -545,14 +528,12 @@ class SequenceClassifier:
         return ShiftConfig(alpha=0.25, direction="unidirectional", placement="residual")
 
     def named_parameters(self) -> "OrderedDict[str, Tensor]":
+        """Every parameter by its field path (`blocks.0.attn.wq`), in save order."""
         out: OrderedDict[str, Tensor] = OrderedDict()
         out["layer_mix.weights"] = self.layer_weights
         for i, block in enumerate(self.blocks):
-            for sub_name, layer in block.sublayers():
-                for p_name, p in layer.named_parameters():
-                    out[f"blocks.{i}.{sub_name}.{p_name}"] = p
-        for p_name, p in self.head.named_parameters():
-            out[f"head.{p_name}"] = p
+            out.update((f"blocks.{i}.{name}", p) for name, p in named_tensors(block))
+        out.update((f"head.{name}", p) for name, p in named_tensors(self.head))
         return out
 
     def num_parameters(self) -> int:

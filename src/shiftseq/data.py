@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check_field_types
+from .errors import ConfigError, DimensionError, EmptyInputError, check_field_types
 from .seeding import substream
 
 FSEQ_MAGIC = b"FSEQ"
@@ -88,6 +88,19 @@ class FeatureSequence:
             raise FseqRecordError(f"record data must be (L, T, C), got shape {self.data.shape}")
 
 
+def batch_layout(records) -> tuple[int, int]:
+    """The (layers, channels) every record of a batch shares: EmptyInputError
+    for no records, DimensionError for records that disagree."""
+    if not records:
+        raise EmptyInputError("a batch needs at least one record")
+    n_layers, _, width = records[0].data.shape
+    for rec in records:
+        if (rec.data.shape[0], rec.data.shape[2]) != (n_layers, width):
+            raise DimensionError(
+                f"records disagree on layers/channels: {rec.data.shape} vs (L={n_layers}, C={width})")
+    return n_layers, width
+
+
 @dataclass
 class FseqFile:
     k_cls: int
@@ -130,16 +143,16 @@ def write_fseq(path, records, k_cls: int, gen_config=None) -> None:
     record is checked before anything is written, and each payload is
     written from the record's own buffer, not from a serialized copy.
     """
-    if k_cls < 1:
-        raise FseqRecordError(f"k_cls must be at least 1, got {k_cls}")
+    if not 1 <= k_cls < 2**32:
+        raise FseqRecordError(f"k_cls must be in [1, 2**32), got {k_cls}")
     chunks = [FSEQ_MAGIC, struct.pack("<III", FSEQ_VERSION, k_cls, len(records))]
     offsets = []
     pos = 4 + 12
     for i, rec in enumerate(records):
         if not 0 <= rec.label < k_cls:
             raise FseqRecordError(f"record {i} label {rec.label} outside [0, {k_cls})")
-        if rec.group < 0:
-            raise FseqRecordError(f"record {i} group {rec.group} is negative")
+        if not 0 <= rec.group < 2**32:
+            raise FseqRecordError(f"record {i} group {rec.group} outside [0, 2**32)")
         length, t, c = rec.data.shape
         if t < 1 or length < 1 or c < 1:
             raise FseqRecordError(f"record {i} has empty dimensions {rec.data.shape}")

@@ -404,11 +404,12 @@ def rel_position_bias(table: Tensor, t: int) -> Tensor:
 
 @dataclass
 class AttentionParams:
-    """Projection weights for multi-head self-attention.
+    """Multi-head self-attention's parameters, and a model's attention layer.
 
-    `rel_table` (heads, 2*D+1), the only position signal, adds a learned
-    bias per head and clipped query-key distance to the attention logits;
-    its rows are the heads. A one-column table (D = 0) is order-blind.
+    Projections (C, C) with (C,) biases for queries, keys, values and
+    output. `rel_table` (heads, 2*D+1), the only position signal, adds a
+    learned bias per head and clipped query-key distance to the attention
+    logits; its rows are the heads. A one-column table (D = 0) is order-blind.
     """
 
     wq: Tensor
@@ -422,10 +423,18 @@ class AttentionParams:
     rel_table: Tensor
 
 
-def named_tensors(params) -> list:
-    """(field name, tensor) for each field of a parameter dataclass, in
-    declaration order: the order parameters are saved in."""
-    return [(f.name, getattr(params, f.name)) for f in dataclasses.fields(params)]
+def named_tensors(params):
+    """Yield (name, tensor) for every tensor of a parameter dataclass, in
+    field order: the order parameters are saved in. A name is the field path
+    to its tensor: a `Tensor` field's own name, and `<field>.<name>` for each
+    tensor of a dataclass field (`attn.wq`, `rnn.fw.w_ih`). Other fields (a
+    shift config, a string, an absent layer) yield nothing."""
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, Tensor):
+            yield f.name, value
+        elif dataclasses.is_dataclass(value):
+            yield from ((f"{f.name}.{name}", t) for name, t in named_tensors(value))
 
 
 def mhsa(x: Tensor, params: AttentionParams, lengths=None) -> Tensor:

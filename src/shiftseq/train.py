@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocks import SequenceClassifier, build_model
-from .data import assign_folds, write_atomic
+from .data import assign_folds, batch_layout, write_atomic
 from .errors import (ConfigError, DimensionError, EmptyInputError, TrainingDiverged, UsageError,
                      check_field_types)
 from .seeding import substream
@@ -241,13 +241,7 @@ def collate(records) -> tuple:
     every op that reads across time and out of pooling, so they do not
     change a record's output.
     """
-    if not records:
-        raise EmptyInputError("cannot collate an empty batch")
-    l0, c0 = records[0].data.shape[0], records[0].data.shape[2]
-    for rec in records:
-        if rec.data.shape[0] != l0 or rec.data.shape[2] != c0:
-            raise DimensionError(
-                f"records disagree on layers/channels: {rec.data.shape} vs (L={l0}, C={c0})")
+    l0, c0 = batch_layout(records)
     t_max = max(rec.data.shape[1] for rec in records)
     feats = np.zeros((len(records), l0, t_max, c0), dtype=np.float32)
     lengths = np.empty(len(records), dtype=np.int64)

@@ -109,9 +109,7 @@ def _block_case(family, **cfg_kw):
         model = build_model(cfg, seed=seed, dtype=np.float64)
         block = model.blocks[0]
         x = _t(rng, 2, 5, cfg.channels[0])
-        params = [p for layer_name, layer in block.sublayers()
-                  for name, p in layer.named_parameters()
-                  if f"{layer_name}.{name}" != _ZERO_GRADIENT.get(cfg.mixer)]
+        params = [p for name, p in named_tensors(block) if name != _ZERO_GRADIENT.get(cfg.mixer)]
         shift = model.trunk_shift  # in place, the classifier shifts every block input
         return (lambda *_: block.forward(temporal_shift(x, shift) if shift else x)), [x, *params]
     return build

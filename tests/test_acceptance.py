@@ -29,7 +29,7 @@ from shiftseq.data import (
     write_fseq,
 )
 from shiftseq.shift import ShiftConfig, temporal_shift
-from shiftseq.tensor_autograd import Tensor
+from shiftseq.tensor_autograd import Tensor, linear
 from shiftseq.train import (
     TrainConfig,
     compute_metrics,
@@ -417,7 +417,8 @@ def test_criterion_9_placement_semantics():
     for name, param in model.named_parameters().items():
         if ".rnn." in name:
             param.data[...] = 0.0
-    skip_only = model.blocks[0].proj.forward(Tensor(flat)).data
+    proj = model.blocks[0].proj
+    skip_only = linear(Tensor(flat), proj.weight, proj.bias).data
     assert np.array_equal(_features(model, x), skip_only)
 
     model = build_model(preset_config("shiftlstm", width=16,

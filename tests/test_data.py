@@ -277,6 +277,14 @@ def test_write_side_validation(tmp_path):
         FeatureSequence(0, 0, np.zeros((2, 2), dtype=np.float32))
 
 
+@pytest.mark.parametrize("k_cls, group", [(2**32, 0), (3, 2**32)])
+def test_write_fseq_rejects_header_values_beyond_u32(tmp_path, k_cls, group):
+    rec = FeatureSequence(0, group, np.zeros((1, 2, 2), dtype=np.float32))
+    with pytest.raises(FseqRecordError, match=r"2\*\*32"):
+        write_fseq(tmp_path / "a.fseq", [rec], k_cls=k_cls)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_declared_size_larger_than_file_is_rejected_before_allocation(tmp_path):
     path, raw = write_valid(tmp_path)
     # claim a gigantic time axis in the first record header

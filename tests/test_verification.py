@@ -126,8 +126,7 @@ def test_left_out_tensors_have_zero_gradient(seed):
         block = build_model(cfg, seed=seed, dtype=np.float64).blocks[0]
         x = _t(_seed_rng(seed), 2, 5, 8)
         _backward_through(block.forward(x), seed)
-        named = {f"{layer_name}.{name}": p for layer_name, layer in block.sublayers()
-                 for name, p in layer.named_parameters()}
+        named = dict(named_tensors(block))
         assert _zero_grad_ratio(named.pop(left_out), named.values()) <= 1e-12, left_out
 
 
