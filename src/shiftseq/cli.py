@@ -94,11 +94,11 @@ class _PresetSection:
 
 
 def _model_config(args, sections: dict, command: str, **sizes) -> ModelConfig:
-    """The model config of the config file's model section, else of --preset,
-    with the shift flags folded in. A preset takes the sizes its section does
-    not set from `sizes`, then from :func:`preset_config`'s defaults."""
-    if "model" not in sections and not args.preset:
-        raise ConfigError(f"{command} needs --preset or a config file with a model section")
+    """The model config of the config file's model section or of --preset (not
+    both), with the shift flags folded in. A preset takes the sizes its section
+    does not set from `sizes`, then from :func:`preset_config`'s defaults."""
+    if ("model" in sections) == bool(args.preset):
+        raise ConfigError(f"{command} needs exactly one of --preset or a config file with a model section")
     section = sections.get("model", {"preset": args.preset})
     if isinstance(section, dict) and "preset" in section:
         preset = {**sizes, **check_config_dict(section, _PresetSection, "preset model")}

@@ -67,11 +67,18 @@ class FseqTruncatedError(FseqError):
 
 
 class FseqRecordError(FseqError):
-    """A record header violates an invariant (label range, empty dims)."""
+    """A record header violates an invariant (integer fields, label range, empty dims)."""
 
 
 class FseqNonFiniteError(FseqError):
     """A record payload contains NaN or infinite values."""
+
+
+def _header_int(value, name: str) -> int:
+    """A header field as an int: a bool or a float raises, a numpy integer converts."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise FseqRecordError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -83,6 +90,8 @@ class FeatureSequence:
     data: np.ndarray
 
     def __post_init__(self):
+        self.label = _header_int(self.label, "label")
+        self.group = _header_int(self.group, "group")
         self.data = np.ascontiguousarray(self.data, dtype=np.float32)
         if self.data.ndim != 3:
             raise FseqRecordError(f"record data must be (L, T, C), got shape {self.data.shape}")
@@ -143,6 +152,7 @@ def write_fseq(path, records, k_cls: int, gen_config=None) -> None:
     record is checked before anything is written, and each payload is
     written from the record's own buffer, not from a serialized copy.
     """
+    k_cls = _header_int(k_cls, "k_cls")
     if not 1 <= k_cls < 2**32:
         raise FseqRecordError(f"k_cls must be in [1, 2**32), got {k_cls}")
     chunks = [FSEQ_MAGIC, struct.pack("<III", FSEQ_VERSION, k_cls, len(records))]

@@ -93,6 +93,13 @@ def _zero_padding(a: np.ndarray, lengths: np.ndarray) -> None:
         a[i, lengths[i]:] = 0.0
 
 
+def _frame_shift(t: int, d: int) -> tuple[slice, slice]:
+    """The frames written and the frames read, on a time axis of t frames,
+    when frame i reads frame i + d; both empty once |d| >= t."""
+    n = max(t - abs(d), 0)
+    return slice(max(-d, 0), max(-d, 0) + n), slice(max(d, 0), max(d, 0) + n)
+
+
 def _same_pad(x: np.ndarray, halo: int) -> np.ndarray:
     b, t, c = x.shape
     padded = _empty((b, t + 2 * halo, c), x.dtype)
@@ -141,12 +148,8 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, lengths=None) -> T
             # padded buffer and keeping its interior: tap j moves g by j - halo
             gx = _zeros(x.shape, x.dtype)
             for j in range(k):
-                d = j - halo
-                if abs(d) >= t:
-                    continue
-                n = t - abs(d)
-                prod = np.multiply(g[:, max(-d, 0):max(-d, 0) + n, :], kernel.data[j], out=tmp[:, :n])
-                gx[:, max(d, 0):max(d, 0) + n, :] += prod
+                dst, src = _frame_shift(t, halo - j)
+                gx[:, dst] += np.multiply(g[:, src], kernel.data[j], out=tmp[:, dst])
             _zero_padding(gx, lengths)
             accumulate_grad(x, gx, owned=True)
         accumulate_grad(kernel, gk, owned=True)
@@ -497,13 +500,10 @@ def avg_pool_mixer(x: Tensor, lengths=None) -> Tensor:
     counts = counts.astype(x.data.dtype)[:, :, None]
     xs = _copy(x.data)
     _zero_padding(xs, lengths)
-    sums = np.zeros_like(x.data)
+    out = np.zeros_like(x.data)
     for off in range(-r, r + 1):
-        if off >= 0:
-            sums[:, :t - off, :] += xs[:, off:, :]
-        else:
-            sums[:, -off:, :] += xs[:, :t + off, :]
-    out = sums
+        dst, src = _frame_shift(t, off)
+        out[:, dst] += xs[:, src]
     out /= counts
     out -= x.data
 
@@ -511,10 +511,8 @@ def avg_pool_mixer(x: Tensor, lengths=None) -> Tensor:
         gavg = g / counts
         gx = np.zeros_like(x.data)
         for off in range(-r, r + 1):
-            if off >= 0:
-                gx[:, off:, :] += gavg[:, :t - off, :]
-            else:
-                gx[:, :t + off, :] += gavg[:, -off:, :]
+            dst, src = _frame_shift(t, -off)
+            gx[:, dst] += gavg[:, src]
         _zero_padding(gx, lengths)
         gx -= g
         accumulate_grad(x, gx, owned=True)
@@ -544,15 +542,15 @@ def _gate_views(gates: np.ndarray, hidden: int):
 
 
 def _lstm_forward(xw: np.ndarray, w_hh: np.ndarray, out: np.ndarray,
-                  mask: np.ndarray, reverse: bool, save: bool = True):
-    """Run one direction's recurrence over the hoisted input projection `xw`.
+                  mask: np.ndarray, save: bool = True):
+    """Run the recurrence over the hoisted input projection `xw`, frame 0 first.
 
     Writes the hidden states into `out` (a (B, T, H) view). With `save` it
-    returns the (B, T, .) buffers BPTT reads: the activated (i, f, g, o)
-    gates, the cell state after each frame, and that state's tanh before
-    masking. Without, it keeps one frame's gates and returns None. A masked
-    frame ends with zero state, so the reverse direction starts fresh at
-    each record's last real frame and padded frames output zero.
+    returns the (B, T, .) buffers BPTT reads, in the order it ran: the
+    activated (i, f, g, o) gates, the cell state after each frame, and that
+    state's tanh before masking. Without, it keeps one frame's gates and
+    returns None. A masked frame ends with zero state, so a run over
+    time-reversed views starts fresh at each record's last real frame.
     """
     b, t, four_h = xw.shape
     hidden = four_h // 4
@@ -567,7 +565,7 @@ def _lstm_forward(xw: np.ndarray, w_hh: np.ndarray, out: np.ndarray,
     w_hh_t = np.ascontiguousarray(w_hh.T)
     h = np.zeros((b, hidden), dtype=xw.dtype)
     c = np.zeros((b, hidden), dtype=xw.dtype)
-    for step in (range(t - 1, -1, -1) if reverse else range(t)):
+    for step in range(t):
         pre = xw[:, step] + (w_hh_t @ h.T).T
         gates = gates_all[:, step] if save else frame_gates
         gates[:, :2 * hidden] = _sigmoid(pre[:, :2 * hidden])
@@ -587,21 +585,20 @@ def _lstm_forward(xw: np.ndarray, w_hh: np.ndarray, out: np.ndarray,
 
 
 def _lstm_backward(g: np.ndarray, saved, w_hh: np.ndarray,
-                   mask: np.ndarray, reverse: bool) -> np.ndarray:
-    """BPTT for one direction; returns d(pre-activation) for every frame, (B, T, 4H).
+                   mask: np.ndarray, dpre: np.ndarray) -> None:
+    """BPTT of :func:`_lstm_forward`: writes d(pre-activation) of every frame into `dpre` (B, T, 4H).
 
-    `g` is the gradient of this direction's hidden outputs and `saved` the
-    buffers :func:`_lstm_forward` returned.
+    `g` is the gradient of the hidden outputs and `saved` the buffers
+    :func:`_lstm_forward` returned; `g`, `mask` and `dpre` are views in the
+    recurrence's frame order.
     """
     gates_all, cells, tanh_cells = saved
     b, t, hidden = g.shape
-    dpre = _empty((b, t, 4 * hidden), g.dtype)
     dh_next = np.zeros((b, hidden), dtype=g.dtype)
     dc_next = np.zeros((b, hidden), dtype=g.dtype)
     zeros = np.zeros((b, hidden), dtype=g.dtype)
-    for step in (range(t) if reverse else range(t - 1, -1, -1)):
-        prev = step + 1 if reverse else step - 1
-        c_prev = cells[:, prev] if 0 <= prev < t else zeros
+    for step in range(t - 1, -1, -1):
+        c_prev = cells[:, step - 1] if step > 0 else zeros
         gi, gf, gg, go = _gate_views(gates_all[:, step], hidden)
         tanh_c = tanh_cells[:, step]
         dh = g[:, step] + dh_next
@@ -615,17 +612,6 @@ def _lstm_backward(g: np.ndarray, saved, w_hh: np.ndarray,
         d[:, 3 * hidden:] = dh * tanh_c * go * (1.0 - go)
         dc_next = dc * gf
         dh_next = (w_hh @ d.T).T  # faster than d @ w_hh.T, as in _lstm_forward
-    return dpre
-
-
-def _previous_hidden(out: np.ndarray, reverse: bool) -> np.ndarray:
-    """The hidden state each frame's step started from, as a (B*T, H) matrix."""
-    prev = _zeros(out.shape, out.dtype)
-    if reverse:
-        prev[:, :-1] = out[:, 1:]
-    else:
-        prev[:, 1:] = out[:, :-1]
-    return prev.reshape(-1, out.shape[2])
 
 
 def bilstm(x: Tensor, forward: LstmDirection, backward: LstmDirection,
@@ -643,6 +629,9 @@ def bilstm(x: Tensor, forward: LstmDirection, backward: LstmDirection,
     (B*T, C) @ (C, 4H) GEMM hoisted out of the recurrence; only h @ w_hh runs
     per frame. The backward pass is hand-written BPTT over the saved gate
     activations, finishing with whole-sequence GEMMs for w_ih, w_hh and x.
+    The reverse direction is the same recurrence and BPTT run on time-reversed
+    views (`a[:, ::-1]`) of its projection, output half, the mask, its output
+    gradient and its pre-activation gradient.
     The whole-sequence buffers are step buffers. The gate and cell buffers
     BPTT reads are kept only when the node is recorded: an unrecorded
     forward holds the output, one input projection and one frame's gates.
@@ -662,31 +651,31 @@ def bilstm(x: Tensor, forward: LstmDirection, backward: LstmDirection,
     mask = (np.arange(t)[None, :] < lengths[:, None]).astype(x.data.dtype)[:, :, None]
     x2 = x.data.reshape(b * t, c)
     out = _empty((b, t, 2 * hidden), x.dtype)
-    halves = ((forward, False, out[:, :, :hidden]), (backward, True, out[:, :, hidden:]))
+    halves = ((forward, 1, slice(0, hidden)), (backward, -1, slice(hidden, None)))  # time stride, channels
     parents = (x, forward.w_ih, forward.w_hh, forward.b, backward.w_ih, backward.w_hh, backward.b)
     save = _will_record(parents)
     xw = _empty((b, t, 4 * hidden), x.dtype)  # each direction's in turn; the backward reads neither
     saved = []
-    for p, reverse, h_out in halves:
+    for p, stride, half in halves:
         np.matmul(x2, p.w_ih.data, out=xw.reshape(b * t, 4 * hidden))
         xw += p.b.data
-        saved.append(_lstm_forward(xw, p.w_hh.data, h_out, mask, reverse, save))
+        saved.append(_lstm_forward(xw[:, ::stride], p.w_hh.data, out[:, ::stride, half], mask[:, ::stride], save))
 
     def bwd(g):
         gx = None
-        for (p, reverse, h_out), buffers, g_half in zip(
-                halves, saved, (g[:, :, :hidden], g[:, :, hidden:])):
-            dpre = _lstm_backward(g_half, buffers, p.w_hh.data, mask, reverse)
+        h_prev = _empty((b, t, hidden), x.dtype)  # the hidden state each frame's step started from
+        for (p, stride, half), buffers in zip(halves, saved):
+            dpre = _empty((b, t, 4 * hidden), g.dtype)
+            _lstm_backward(g[:, ::stride, half], buffers, p.w_hh.data, mask[:, ::stride], dpre[:, ::stride])
             dpre2 = dpre.reshape(b * t, 4 * hidden)
             accumulate_grad(p.w_ih, x2.T @ dpre2, owned=True)
-            accumulate_grad(p.w_hh, _previous_hidden(h_out, reverse).T @ dpre2, owned=True)
+            h_prev[:, ::stride][:, 0] = 0.0
+            h_prev[:, ::stride][:, 1:] = out[:, ::stride, half][:, :-1]
+            accumulate_grad(p.w_hh, h_prev.reshape(b * t, hidden).T @ dpre2, owned=True)
             accumulate_grad(p.b, dpre2.sum(axis=0), owned=True)
             if x.requires_grad:
                 dx = np.matmul(dpre2, p.w_ih.data.T, out=_empty((b, t, c), x.dtype).reshape(-1, c))
-                if gx is None:
-                    gx = dx
-                else:
-                    gx += dx
+                gx = dx if gx is None else np.add(gx, dx, out=gx)
         if gx is not None:
             accumulate_grad(x, gx.reshape(b, t, c), owned=True)
 

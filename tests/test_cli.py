@@ -273,6 +273,17 @@ def test_count_requires_model(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["count", "train"])
+def test_preset_flag_and_model_section_cannot_both_name_the_model(data_path, tmp_path, capsys, command):
+    """Neither source of the model is ignored: naming it twice is an error."""
+    cfg = write_config(tmp_path / "cfg.json", model={"preset": "transformer", "width": 16}, train=TRAIN_CFG)
+    argv = ["count"] if command == "count" else ["train", data_path, "--out", str(tmp_path / "run")]
+    assert main(argv + ["--config", cfg, "--preset", "cnn"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--preset" in err and "model section" in err
+    assert not os.path.exists(tmp_path / "run")
+
+
 def test_count_rejects_bad_frames(capsys):
     assert main(["count", "--preset", "cnn", "--frames", "0"]) == 1
     assert "frames" in capsys.readouterr().err
@@ -308,7 +319,8 @@ def test_unknown_train_key(workdir, data_path, tmp_path, capsys):
 ])
 def test_mistyped_config_value_exits_one(workdir, data_path, tmp_path, capsys, sections):
     cfg = write_config(tmp_path / "cfg.json", **sections)
-    assert main(["train", data_path, "--config", cfg, "--preset", "cnn",
+    preset = [] if "model" in sections else ["--preset", "cnn"]  # the model is named once
+    assert main(["train", data_path, "--config", cfg, *preset,
                  "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err

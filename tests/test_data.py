@@ -285,6 +285,34 @@ def test_write_fseq_rejects_header_values_beyond_u32(tmp_path, k_cls, group):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("label, group", [
+    (1.5, 0), (0, 2.5), (0, np.float64(2.0)), (True, 0), (0, False), (np.True_, 0)],
+    ids=["float-label", "float-group", "np-float-group", "bool-label", "bool-group", "np-bool-label"])
+def test_record_header_fields_must_be_integers(label, group):
+    """A float or bool label or group raises: unchecked, a 1.5 label trained as
+    class 1, True was written as 1, and a float escaped write_fseq as struct.error."""
+    with pytest.raises(FseqRecordError, match="must be an integer"):
+        FeatureSequence(label, group, np.zeros((1, 2, 2), dtype=np.float32))
+
+
+def test_record_header_fields_accept_numpy_integers(tmp_path):
+    rec = FeatureSequence(np.int64(2), np.uint32(3), np.zeros((1, 2, 2), dtype=np.float32))
+    assert (rec.label, rec.group) == (2, 3)
+    assert type(rec.label) is int and type(rec.group) is int
+    write_fseq(tmp_path / "a.fseq", [rec], k_cls=np.int64(4))
+    loaded = read_fseq(tmp_path / "a.fseq")
+    assert loaded.k_cls == 4 and (loaded.records[0].label, loaded.records[0].group) == (2, 3)
+    assert json.loads((tmp_path / "a.fseq.manifest.json").read_text())["k_cls"] == 4
+
+
+@pytest.mark.parametrize("k_cls", [3.0, 2.5, True, np.float64(3.0)], ids=["float", "fraction", "bool", "np-float"])
+def test_write_fseq_rejects_a_non_integer_k_cls(tmp_path, k_cls):
+    rec = FeatureSequence(0, 0, np.zeros((1, 2, 2), dtype=np.float32))
+    with pytest.raises(FseqRecordError, match="k_cls must be an integer"):
+        write_fseq(tmp_path / "a.fseq", [rec], k_cls=k_cls)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_declared_size_larger_than_file_is_rejected_before_allocation(tmp_path):
     path, raw = write_valid(tmp_path)
     # claim a gigantic time axis in the first record header

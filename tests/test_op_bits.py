@@ -42,7 +42,7 @@ from shiftseq.tensor_autograd import (
     sum_all,
     transpose,
 )
-from shiftseq.tensor_autograd.ops import _GELU_BLOCK, _lstm_backward, _lstm_forward, _previous_hidden
+from shiftseq.tensor_autograd.ops import _GELU_BLOCK
 
 DTYPES = [np.float32, np.float64]
 
@@ -235,6 +235,71 @@ def shift_ref(x, g, fwd, bwd_count, lengths=None):
         gx[:, 0, fwd:split] = 0.0
         gx[:, :, fwd:split] = np.where(real_frames(b, t, lengths), gx[:, :, fwd:split], 0.0)
     return out, [gx]
+
+
+def sigmoid_ref(v):
+    return 1.0 / (1.0 + np.exp(-v))
+
+
+def bilstm_ref(x, dirs, g, lengths=None):
+    """Both LSTM directions frame by frame, the reverse one from the last frame down.
+
+    Each frame adds the recurrent product to its input projection row, takes
+    the gates, then the cell and hidden states, and multiplies both states by
+    the frame's 0/1 mask. BPTT visits the frames in the opposite order. The
+    weight gradients are products over all (B*T) rows, each row paired with
+    the hidden state its frame started from: the previous frame's in the
+    forward direction, the next frame's in the reverse one.
+    """
+    b, t, c = x.shape
+    hidden = dirs[0][1].shape[0]
+    mask = real_frames(b, t, lengths).astype(x.dtype)
+    zeros = np.zeros((b, hidden), dtype=x.dtype)
+    x2 = x.reshape(b * t, c)
+    out = np.empty((b, t, 2 * hidden), dtype=x.dtype)
+    grads, dxs = [], []
+    for s, (w_ih, w_hh, bias) in enumerate(dirs):
+        frames = list(range(t)) if s == 0 else list(range(t - 1, -1, -1))
+        half = slice(s * hidden, (s + 1) * hidden)
+        xw = (x2 @ w_ih + bias).reshape(b, t, 4 * hidden)
+        w_hh_t = np.ascontiguousarray(w_hh.T)
+        h, cell = zeros, zeros
+        h_start = np.empty((b, t, hidden), dtype=x.dtype)
+        saved = {}
+        for f in frames:
+            h_start[:, f] = h
+            pre = xw[:, f] + (w_hh_t @ h.T).T
+            gi = sigmoid_ref(pre[:, :hidden])
+            gf = sigmoid_ref(pre[:, hidden:2 * hidden])
+            gg = np.tanh(pre[:, 2 * hidden:3 * hidden])
+            go = sigmoid_ref(pre[:, 3 * hidden:])
+            cell = gf * cell + gi * gg
+            tanh_c = np.tanh(cell)
+            h = go * tanh_c
+            cell = cell * mask[:, f]
+            h = h * mask[:, f]
+            out[:, f, half] = h
+            saved[f] = (gi, gf, gg, go, cell, tanh_c)
+        dpre = np.empty((b, t, 4 * hidden), dtype=x.dtype)
+        dh_next, dc_next = zeros, zeros
+        for k in range(t - 1, -1, -1):
+            f = frames[k]
+            gi, gf, gg, go, _, tanh_c = saved[f]
+            c_prev = saved[frames[k - 1]][4] if k > 0 else zeros
+            dh = (g[:, f, half] + dh_next) * mask[:, f]
+            dc_next = dc_next * mask[:, f]
+            dc = dc_next + dh * go * (1.0 - tanh_c * tanh_c)
+            d = dpre[:, f]
+            d[:, :hidden] = dc * gg * gi * (1.0 - gi)
+            d[:, hidden:2 * hidden] = dc * c_prev * gf * (1.0 - gf)
+            d[:, 2 * hidden:3 * hidden] = dc * gi * (1.0 - gg * gg)
+            d[:, 3 * hidden:] = dh * tanh_c * go * (1.0 - go)
+            dc_next = dc * gf
+            dh_next = (w_hh @ d.T).T
+        dpre2 = dpre.reshape(b * t, 4 * hidden)
+        grads += [x2.T @ dpre2, h_start.reshape(b * t, hidden).T @ dpre2, dpre2.sum(axis=0)]
+        dxs.append(dpre2 @ w_ih.T)
+    return out, [(dxs[0] + dxs[1]).reshape(b, t, c)] + grads
 
 
 def mhsa_composition(x, params, lengths=None):
@@ -495,7 +560,7 @@ def test_rel_position_bias(dtype):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("lengths", [None, np.array([4, 2])])
+@pytest.mark.parametrize("lengths", [None, [4, 2], [1, 4]])
 def test_bilstm(dtype, lengths):
     b, t, c, hidden = 2, 4, 3, 2
     x = arr((b, t, c), 1, dtype)
@@ -504,28 +569,45 @@ def test_bilstm(dtype, lengths):
     g = arr((b, t, 2 * hidden), 2, dtype)
 
     def fn(x, *flat):
-        return bilstm(x, LstmDirection(*flat[:3]), LstmDirection(*flat[3:]), lengths)
+        return bilstm(x, LstmDirection(*flat[:3]), LstmDirection(*flat[3:]),
+                      None if lengths is None else np.array(lengths))
 
     out, grads = run(fn, [x] + [a for d in dirs for a in d], g)
-    # the fused op's forward and BPTT helpers, with the accumulation written out
-    real = np.full(b, t) if lengths is None else lengths  # no lengths: every frame is real
-    mask = (np.arange(t)[None, :] < real[:, None]).astype(dtype)[:, :, None]
-    x2 = x.reshape(b * t, c)
-    want_out = np.empty((b, t, 2 * hidden), dtype=dtype)
-    want_grads, gx = [], None
-    for s, (w_ih, w_hh, bias) in enumerate(dirs):
-        h_out = want_out[:, :, s * hidden:(s + 1) * hidden]
-        xw = (x2 @ w_ih + bias).reshape(b, t, 4 * hidden)
-        saved = _lstm_forward(xw, w_hh, h_out, mask, reverse=bool(s))
-        dpre2 = _lstm_backward(g[:, :, s * hidden:(s + 1) * hidden], saved, w_hh, mask,
-                               bool(s)).reshape(b * t, 4 * hidden)
-        want_grads += [x2.T @ dpre2, _previous_hidden(h_out, bool(s)).T @ dpre2, dpre2.sum(axis=0)]
-        dx = dpre2 @ w_ih.T
-        gx = dx if gx is None else gx + dx
+    want_out, want_grads = bilstm_ref(x, dirs, g, lengths)
     assert_bits(out, want_out)
-    assert_bits(grads[0], gx.reshape(b, t, c))
-    for got, want in zip(grads[1:], want_grads):
+    for got, want in zip(grads, want_grads):
         assert_bits(got, want)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape,lengths", [
+    ((3, 7, 5, 4), None),
+    ((3, 7, 5, 4), [7, 1, 4]),
+    ((4, 9, 6, 3), [9, 3, 1, 8]),
+    ((2, 5, 4, 2), [1, 5]),
+    ((2, 1, 4, 2), None),
+    ((8, 50, 16, 8), None),
+    ((8, 50, 16, 8), [50, 1, 20, 49, 2, 50, 33, 7]),
+])
+def test_bilstm_reverse_half_is_the_forward_half_on_reversed_records(dtype, shape, lengths):
+    """The reverse direction is the forward recurrence run on each record's
+    real frames in reverse order: swapping the two directions' parameters and
+    reversing every record's real frames turns one half into the other."""
+    b, t, c, hidden = shape
+    x = arr((b, t, c), 1, dtype)
+    fw, bw = [LstmDirection(Tensor(arr((c, 4 * hidden), 10 + s, dtype, 0.5)),
+                            Tensor(arr((hidden, 4 * hidden), 20 + s, dtype, 0.5)),
+                            Tensor(arr((4 * hidden,), 30 + s, dtype, 0.5))) for s in range(2)]
+    n = np.full(b, t) if lengths is None else np.array(lengths)
+    x_rev = x.copy()
+    for i in range(b):
+        x_rev[i, :n[i]] = x[i, n[i] - 1::-1]
+    lengths = None if lengths is None else n
+    reverse_half = bilstm(Tensor(x), fw, bw, lengths).data[:, :, hidden:]
+    forward_half = bilstm(Tensor(x_rev), bw, fw, lengths).data[:, :, :hidden]
+    for i in range(b):
+        assert_bits(reverse_half[i, :n[i]], forward_half[i, n[i] - 1::-1])
+        assert not reverse_half[i, n[i]:].any() and not forward_half[i, n[i]:].any()
 
 
 def test_bilstm_under_no_grad_keeps_no_bptt_buffers():
