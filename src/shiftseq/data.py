@@ -81,18 +81,23 @@ def _header_int(value, name: str) -> int:
     return int(value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureSequence:
-    """One labeled sequence: `data` is (layers, frames, channels) float32."""
+    """One labeled sequence: `data` is (layers, frames, channels) float32.
+
+    Its fields are checked and converted when it is built, and it is frozen,
+    so no later assignment can give a record a label or group that
+    :func:`write_fseq` cannot write.
+    """
 
     label: int
     group: int
     data: np.ndarray
 
     def __post_init__(self):
-        self.label = _header_int(self.label, "label")
-        self.group = _header_int(self.group, "group")
-        self.data = np.ascontiguousarray(self.data, dtype=np.float32)
+        object.__setattr__(self, "label", _header_int(self.label, "label"))
+        object.__setattr__(self, "group", _header_int(self.group, "group"))
+        object.__setattr__(self, "data", np.ascontiguousarray(self.data, dtype=np.float32))
         if self.data.ndim != 3:
             raise FseqRecordError(f"record data must be (L, T, C), got shape {self.data.shape}")
 

@@ -117,6 +117,12 @@ class Optimizer:
     bit-identical to the per-parameter formula. It writes through flat
     views, so :meth:`step` first checks that every parameter is C-contiguous
     and every gradient has its parameter's shape and dtype.
+
+    :meth:`step` consumes the gradients: it sets each parameter's `.grad` to
+    None as soon as that parameter is updated, so a model holds no gradient
+    between its steps. A step the up-front check rejects changes nothing and
+    keeps every gradient. :meth:`zero_grad` drops gradients that a backward
+    left without a step.
     """
 
     def __init__(self, model: SequenceClassifier, cfg: TrainConfig):
@@ -155,6 +161,7 @@ class Optimizer:
                 n = j - i
                 _adam_block(flat[i:j], m[i:j], v[i:j], zero[:n] if g is None else g[i:j],
                             a[:n], b[:n], lr, c1, c2, decay)
+            p.grad = None  # consumed
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -46,6 +46,7 @@ from .tensor_autograd import (
     softmax,
     tanh,
 )
+from .tensor_autograd.ops import _attention_core
 
 TOL_ELEMENTWISE = 1e-5
 TOL_COMPOSED = 1e-4
@@ -163,6 +164,9 @@ def _suite_cases():
          lambda rng, _: (lambda tbl: rel_position_bias(tbl, 5), [_t(rng, 2, 7)])),
         ("op.mhsa_relative", TOL_COMPOSED, _mhsa_case()),
         ("op.mhsa_masked", TOL_COMPOSED, _mhsa_case(lengths=np.array([5, 3]))),
+        ("op.mhsa_core_masked", TOL_COMPOSED,
+         lambda rng, _: (lambda q, k, v, tbl: _attention_core(q, k, v, tbl, np.array([5, 3])),
+                         [_t(rng, 2, 5, 6), _t(rng, 2, 5, 6), _t(rng, 2, 5, 6), _t(rng, 2, 7)])),
         ("op.avg_pool_mixer", TOL_ELEMENTWISE,
          lambda rng, _: (avg_pool_mixer, [_t(rng, 2, 6, 4)])),
         ("op.avg_pool_mixer_masked", TOL_ELEMENTWISE,

@@ -680,7 +680,6 @@ def test_train_step_gradients_own_their_buffers(preset):
     loss, _ = model.loss(x, np.array([0, 2, 1]), lengths=np.array([9, 6, 9]), training=True,
                          augment_prob=1.0, rng=np.random.default_rng(0))
     backward(loss)
-    opt.step(1e-3)
     params = model.named_parameters()
     grads = list(params.items())
     for i, (name, p) in enumerate(grads):
@@ -692,6 +691,8 @@ def test_train_step_gradients_own_their_buffers(preset):
             assert not np.shares_memory(g, q.grad), (name, other)
         for other, q in grads:
             assert not np.shares_memory(g, q.data), (name, other)
+    opt.step(1e-3)  # which consumes every gradient
+    assert all(p.grad is None for p in params.values())
 
 
 # ---------------------------------------------------------------------------

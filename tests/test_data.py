@@ -295,6 +295,19 @@ def test_record_header_fields_must_be_integers(label, group):
         FeatureSequence(label, group, np.zeros((1, 2, 2), dtype=np.float32))
 
 
+@pytest.mark.parametrize("field, value", [("label", 1.5), ("label", True), ("group", 2.5),
+                                          ("data", np.zeros((2, 2), dtype=np.float32))])
+def test_record_fields_cannot_be_assigned_after_construction(tmp_path, field, value):
+    """A record is frozen: a float label set afterwards once made write_fseq
+    fail with a bare struct.error, and a True label was written as 1."""
+    rec = FeatureSequence(1, 0, np.zeros((1, 2, 2), dtype=np.float32))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(rec, field, value)
+        write_fseq(tmp_path / "a.fseq", [rec], k_cls=3)
+    assert list(tmp_path.iterdir()) == []
+    assert (rec.label, rec.group, rec.data.shape) == (1, 0, (1, 2, 2))
+
+
 def test_record_header_fields_accept_numpy_integers(tmp_path):
     rec = FeatureSequence(np.int64(2), np.uint32(3), np.zeros((1, 2, 2), dtype=np.float32))
     assert (rec.label, rec.group) == (2, 3)

@@ -549,6 +549,51 @@ def test_mhsa(dtype, lengths):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("t", [1, 2, 127, 129, 300])
+@pytest.mark.parametrize("b", [1, 3, 32])
+@pytest.mark.parametrize("masked", [False, True], ids=["full", "masked"])
+def test_mhsa_core_is_the_batched_composition(dtype, t, b, masked):
+    """The per-record core against the batched composition, across numpy's
+    128-element pairwise-sum block of the softmax rows, bit for bit."""
+    c, heads, clip = 4, 2, 64
+    lengths = np.random.default_rng(t * b).integers(1, t + 1, size=b) if masked else None
+    weights = [arr((c, c), 10 + i, dtype, 0.5) if i % 2 == 0 else arr((c,), 10 + i, dtype, 0.1)
+               for i in range(8)]
+    arrays = [arr((b, t, c), 1, dtype)] + weights + [arr((heads, 2 * clip + 1), 20, dtype)]
+    g = arr((b, t, c), 2, dtype)
+    out, grads = run(lambda x, *p: mhsa(x, AttentionParams(*p), lengths), arrays, g)
+    want_out, want_grads = run(lambda x, *p: mhsa_composition(x, AttentionParams(*p), lengths), arrays, g)
+    assert_bits(out, want_out)
+    for got, want in zip(grads, want_grads):
+        assert_bits(got, want)
+
+
+def attention_peak(b: int, t: int) -> int:
+    """Traced peak bytes of one float32 attention forward and backward, 2 heads of 2 channels."""
+    c, heads = 4, 2
+    params = AttentionParams(*[Tensor(arr((c, c) if i % 2 == 0 else (c,), 10 + i, np.float32, 0.5),
+                                      requires_grad=True) for i in range(8)],
+                             rel_table=Tensor(arr((heads, 129), 20, np.float32), requires_grad=True))
+    x, g = Tensor(arr((b, t, c), 1, np.float32)), Tensor(arr((b, t, c), 2, np.float32))
+    tracemalloc.start()
+    try:
+        backward(sum_all(mul(mhsa(x, params), g)))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mhsa_peak_at_1500_frames_does_not_grow_with_the_batch():
+    """One record's (H, T, T) buffers at a time: the batched composition
+    held several (B, H, T, T) ones, 18 MB per record here."""
+    t, heads = 1500, 2
+    one = heads * t * t * 4
+    peaks = [attention_peak(b, t) for b in (1, 4)]
+    assert peaks[0] < 7 * one
+    assert peaks[1] < peaks[0] + one / 8
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
 def test_rel_position_bias(dtype):
     table, g = arr((2, 5), 1, dtype), arr((2, 4, 4), 2, dtype)
     out, grads = run(lambda v: rel_position_bias(v, 4), [table], g)

@@ -31,6 +31,7 @@ from shiftseq.tensor_autograd import (
     softmax,
     sum_all,
 )
+from shiftseq.tensor_autograd.ops import _transposed
 
 
 def rnd(shape, seed, dtype=np.float64):
@@ -569,6 +570,16 @@ class TestBiLstm:
             return len(seen)
 
         assert reachable(5) == reachable(50)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 7), (130, 260), (768, 3072)])
+    def test_tiled_transpose_is_the_contiguous_transpose(self, shape, dtype):
+        """The recurrent weight's transposed copy, made tile by tile, on shapes
+        that are and are not tile multiples."""
+        w = rnd(shape, 94, dtype)
+        got, want = _transposed(w), np.ascontiguousarray(w.T)
+        assert got.flags.c_contiguous and got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 class TestMeanPoolTime:

@@ -278,10 +278,11 @@ def adam_step_ref(p, g, m, v, t, lr, weight_decay, optimizer):
 
 def step_against_ref(opt, ref, lr):
     """One Optimizer.step and one reference step; p, m and v must agree bit for bit."""
+    grads = {name: p.grad for name, p in opt.params.items()}  # the step consumes them
     opt.step(lr)
     for name, p in opt.params.items():
         rp, rm, rv = ref[name]
-        adam_step_ref(rp, p.grad, rm, rv, opt.t, lr, opt.cfg.weight_decay, opt.cfg.optimizer)
+        adam_step_ref(rp, grads[name], rm, rv, opt.t, lr, opt.cfg.weight_decay, opt.cfg.optimizer)
         for got, want in ((p.data, rp), (opt.m[name], rm), (opt.v[name], rv)):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), (name, opt.t)
@@ -347,6 +348,53 @@ def test_adam_step_allocates_under_a_quarter_of_a_parameter():
         tracemalloc.stop()
     assert peak < model.tensors["p0"].data.nbytes / 4
     assert opt.v["p1"].max() == 0.0 and opt.m["p0"].min() > 0.0
+
+
+@pytest.mark.parametrize("fault", ["shape", "dtype", "strided"])
+def test_a_rejected_step_keeps_every_gradient_and_parameter(fault):
+    rng = np.random.default_rng(6)
+    arrays = [rng.standard_normal(s).astype(np.float32) for s in [(3,), (_CHUNK + 3,), (4, 5)]]
+    if fault == "strided":
+        arrays[2] = np.asfortranarray(arrays[2])
+    model = Params(arrays)
+    opt = Optimizer(model, TrainConfig(optimizer="adamw", weight_decay=0.1))
+    ref = ref_state(model)
+    for p in model.tensors.values():
+        p.grad = rng.standard_normal(p.shape).astype(np.float32)
+    if fault == "shape":
+        model.tensors["p2"].grad = model.tensors["p2"].grad.reshape(5, 4)
+    elif fault == "dtype":
+        model.tensors["p2"].grad = model.tensors["p2"].grad.astype(np.float64)
+    grads = {name: (p.grad, p.grad.copy()) for name, p in model.tensors.items()}
+    with pytest.raises(DimensionError, match="'p2'"):
+        opt.step(1e-3)
+    assert opt.t == 0
+    for name, p in model.tensors.items():
+        kept, values = grads[name]
+        assert p.grad is kept and np.array_equal(p.grad, values), name
+        assert np.array_equal(p.data, ref[name][0]) and not opt.m[name].any(), name
+
+
+def test_a_model_holds_no_gradient_while_another_steps():
+    """Two models stepped in turn: the peak of B's step holds B's gradients,
+    and none of A's, which A's own step released."""
+    n = 1 << 20
+    a = Params([np.ones(n, np.float32), np.ones(n, np.float32)])
+    b = Params([np.ones(n // 8, np.float32)])
+    opts = [Optimizer(m, TrainConfig(optimizer="adamw", weight_decay=0.1)) for m in (a, b)]
+    tracemalloc.start()
+    try:
+        for model, opt in zip((a, b), opts):
+            for p in model.tensors.values():
+                p.grad = np.full(p.shape, 0.5, np.float32)
+            tracemalloc.reset_peak()
+            opt.step(1e-3)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    b_grad = b.tensors["p0"].data.nbytes
+    assert peak < 2 * b_grad < a.tensors["p0"].data.nbytes
+    assert current < b_grad / 4
 
 
 # prints, per preset at paper width, hashes of the eval logits and of the
