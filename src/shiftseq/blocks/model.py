@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import batch_layout
-from ..errors import ConfigError, DimensionError, check_config_dict, check_field_types
+from ..errors import ConfigError, DimensionError, UsageError, check_config_dict, check_field_types
 from ..seeding import substream
 from ..shift import ShiftConfig, shift_augment, shifted_channels, temporal_shift
 from ..tensor_autograd import (
@@ -52,8 +52,8 @@ from ..tensor_autograd import (
     softmax,
     track,
 )
-from ..tensor_autograd.engine import _check_same_dtype, _empty, _zeros
-from ..tensor_autograd.ops import POOL_WINDOW
+from ..tensor_autograd.engine import _zeros
+from ..tensor_autograd.ops import POOL_WINDOW, _check_lengths
 
 FAMILIES = ("cnn", "transformer", "lstm")
 MIXERS = ("attention", "pooling", "shift", "none")
@@ -387,53 +387,74 @@ def _branch_shift(cfg: ModelConfig, index: int) -> ShiftConfig | None:
 # classifier
 # ---------------------------------------------------------------------------
 
-def _mix_layers(layers: np.ndarray, w: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
-    """Add layers[i] * w[i] into `out` for every layer i, in layer order,
-    through the scratch `tmp`; `layers` has the layer axis first."""
-    for i in range(len(w)):
-        out += np.multiply(layers[i], w[i], out=tmp)
+def weighted_layer_sum(seqs, layer_weights: Tensor) -> Tensor:
+    """The softmax-weighted sum over layers of a batch of (layers, frames,
+    channels) record arrays: the (batch, longest, channels) trunk, one node.
 
-
-def weighted_layer_sum(x: Tensor, layer_weights: Tensor) -> Tensor:
-    """Softmax-weighted sum over the layer axis of a (B, L, T, C) tensor.
-
-    The mix after the softmax is one graph node. With w = softmax(layer_weights),
-    the forward adds x[:, i] * w[i] into the output in layer order, and the
-    backward sums each weight's gradient as (g * x[:, i]) over batch, then
-    time, then channels: the float order of a (L, 1, 1) broadcast product
-    and a sum over the layer axis, so the bits are theirs, without a
-    (B, L, T, C) temporary.
+    With w = softmax(layer_weights), the forward adds each record's x[i] * w[i],
+    in layer order, into its own frames of a zeroed trunk. The records get
+    no gradient. The backward sums each weight's as g * x[i] over records,
+    in batch order, into a +0.0-filled (longest, channels) scratch, then
+    over time, then channels: the float order of the layer-axis sum of a
+    (L, 1, 1) broadcast product over the zero-padded (B, L, T, C) stack, so
+    the bits are the stack's. (numpy's batch sum starts from +0.0, so it
+    never holds -0.0, and a padded frame's +0.0 changes no bit.)
     """
-    if x.ndim != 4:
-        raise DimensionError(f"weighted_layer_sum expects rank-4 input, got {x.shape}")
-    n_layers = x.shape[1]
+    n_layers, width = batch_layout(seqs)
     if layer_weights.shape != (n_layers,):
-        raise DimensionError(
-            f"layer weights shape {layer_weights.shape} does not match {n_layers} input layers")
-    _check_same_dtype(x, layer_weights)
+        raise DimensionError(f"features have {n_layers} layers, model expects {layer_weights.size}")
+    dtype = layer_weights.dtype
+    if any(a.dtype != dtype for a in seqs):
+        raise DimensionError(f"mixed dtypes: records do not match the model's {dtype}")
     w = softmax(layer_weights, axis=0)
-    b, _, t, c = x.shape
-    out = _zeros((b, t, c), x.dtype)  # as numpy's sum: a column of -0.0 sums to +0.0
-    _mix_layers(x.data.swapaxes(0, 1), w.data, out, _empty((b, t, c), x.dtype))
+    out = _zeros((len(seqs), max(a.shape[1] for a in seqs), width), dtype)
+    # scratch from np.empty, not the step pool: a (frames, channels) shape new
+    # to the pool would release its idle buffers in the middle of the step
+    tmp = np.empty(out.shape[1:], dtype)
+    for a, row in zip(seqs, out):
+        for i in range(n_layers):
+            row[:a.shape[1]] += np.multiply(a[i], w.data[i], out=tmp[:a.shape[1]])
 
     def bwd(g):
-        if x.requires_grad:
-            gx = _empty(x.shape, x.dtype)
-            for i in range(n_layers):
-                np.multiply(g, w.data[i], out=gx[:, i])
-            accumulate_grad(x, gx, owned=True)
-        if w.requires_grad:
-            tmp = _empty(g.shape, g.dtype)
-            gw = np.empty_like(w.data)
-            for i in range(n_layers):
-                gw[i] = np.multiply(g, x.data[:, i], out=tmp).sum(0).sum(0, keepdims=True).sum(1)[0]
-            accumulate_grad(w, gw, owned=True)
+        acc, tmp = np.empty(g.shape[1:], dtype), np.empty(g.shape[1:], dtype)
+        gw = np.empty_like(w.data)
+        for i in range(n_layers):
+            acc.fill(0.0)
+            for a, g_b in zip(seqs, g):
+                acc[:a.shape[1]] += np.multiply(g_b[:a.shape[1]], a[i], out=tmp[:a.shape[1]])
+            gw[i] = acc.sum(0, keepdims=True).sum(1)[0]
+        accumulate_grad(w, gw, owned=True)
 
-    return track(out, (x, w), bwd)
+    return track(out, (w,), bwd)
+
+
+def _record_views(features, lengths) -> list:
+    """Record b of a batch, features[b][:, :lengths[b]], for record arrays
+    or a (batch, layers, time, channels) array or Tensor; each record's own
+    frames by default. A Tensor that requires grad raises UsageError: the
+    layer mix gives features no gradient."""
+    if isinstance(features, Tensor):
+        if features.requires_grad:
+            raise UsageError("features get no gradient: pass arrays, or a Tensor that does not require grad")
+        features = features.data
+    if lengths is None:
+        return list(features)
+    batch_layout(features)
+    lengths = _check_lengths(lengths, len(features), max(a.shape[1] for a in features))
+    if any(t > a.shape[1] for a, t in zip(features, lengths)):
+        raise DimensionError(f"lengths {lengths.tolist()} run past a record's frames")
+    return [a[:, :t] for a, t in zip(features, lengths)]
+
+
+def _lengths(seqs) -> np.ndarray:
+    return np.array([a.shape[1] for a in seqs], dtype=np.int64)
 
 
 class SequenceClassifier:
-    """Weighted layer sum -> block stack -> masked mean pool -> linear head."""
+    """Weighted layer sum -> block stack -> masked mean pool -> linear head.
+
+    Every entry point takes a batch as :func:`_record_views` reads it.
+    """
 
     def __init__(self, cfg: ModelConfig, rng, dtype=np.float32):
         self.cfg = cfg
@@ -442,84 +463,48 @@ class SequenceClassifier:
         self.blocks = [_block(rng, cfg, i, dtype) for i in range(cfg.blocks)]
         self.head = _linear(rng, cfg.out_width, cfg.num_classes, dtype)
 
-    def _check_input_shape(self, shape: tuple[int, ...]) -> None:
-        if len(shape) != 4:
-            raise DimensionError(f"features must be (batch, layers, time, channels), got {shape}")
-        if shape[1] != self.cfg.num_input_layers:
-            raise DimensionError(
-                f"features have {shape[1]} layers, model expects {self.cfg.num_input_layers}")
-        if shape[3] != self.cfg.channels[0]:
-            raise DimensionError(
-                f"features have {shape[3]} channels, model expects {self.cfg.channels[0]}")
-
-    def forward_features(self, features: Tensor, training: bool = False,
+    def forward_features(self, features, training: bool = False,
                          augment_prob: float = 0.0, rng=None, lengths=None) -> Tensor:
         """Run everything up to (not including) pooling; returns (B, T, C_out).
 
         `training` only turns on shift augmentation (at `augment_prob`);
         the blocks run the same either way. An in-place shift, `trunk_shift`,
-        rewrites the trunk before every block, so skip paths see it too.
-        `lengths` (per-record real frame counts, default all frames) reaches
-        the augmentation, the trunk shift and every block. Every op that
-        reads across time honours it, so a record's real output frames do
-        not depend on the padding its batch adds; padded output frames hold
-        values that nothing downstream reads, and get zero gradient.
+        rewrites the trunk before every block, so skip paths see it too. The
+        records' lengths reach the augmentation, the trunk shift and every
+        block. Every op that reads across time honours them, so a record's
+        real output frames do not depend on the padding its batch adds;
+        padded output frames hold values that nothing downstream reads.
         """
-        self._check_input_shape(features.shape)
-        x = weighted_layer_sum(features, self.layer_weights)
-        if training and augment_prob > 0.0:
-            x = shift_augment(x, self.augment_config(), augment_prob, rng, lengths)
-        return self._run_blocks(x, lengths)
+        seqs = _record_views(features, lengths)
+        # nested, so that unrecorded the trunk is freed once block 0 has read it
+        return self._run_blocks(self._mix(seqs), _lengths(seqs), augment_prob if training else 0.0, rng)
 
-    def _run_blocks(self, x: Tensor, lengths) -> Tensor:
+    def _mix(self, seqs) -> Tensor:
+        x = weighted_layer_sum(seqs, self.layer_weights)
+        if x.shape[2] != self.cfg.channels[0]:
+            raise DimensionError(f"features have {x.shape[2]} channels, model expects {self.cfg.channels[0]}")
+        return x
+
+    def _run_blocks(self, x: Tensor, lengths, augment_prob: float, rng) -> Tensor:
+        if augment_prob > 0.0:
+            x = shift_augment(x, self.augment_config(), augment_prob, rng, lengths)
         for block in self.blocks:
             if self.trunk_shift is not None:
                 x = temporal_shift(x, self.trunk_shift, lengths)
             x = block.forward(x, lengths)
         return x
 
-    def forward(self, features: Tensor, lengths=None, training: bool = False,
+    def forward(self, features, lengths=None, training: bool = False,
                 augment_prob: float = 0.0, rng=None) -> Tensor:
-        return self._pool_head(self.forward_features(features, training, augment_prob, rng, lengths), lengths)
-
-    def _pool_head(self, x: Tensor, lengths) -> Tensor:
-        return linear(mean_pool_time(x, lengths), self.head.weight, self.head.bias)
+        seqs = _record_views(features, lengths)
+        x = self.forward_features(seqs, training, augment_prob, rng)
+        return linear(mean_pool_time(x, _lengths(seqs)), self.head.weight, self.head.bias)
 
     def predict(self, records) -> np.ndarray:
-        """Eval-mode logits, (batch, classes), for a batch of records; records no graph.
-
-        Each record's `data` is one (layers, frames, channels) float array,
-        as in :class:`~shiftseq.data.FeatureSequence`. The layer mix adds
-        each record's layers straight into its own real frames of a zeroed
-        (batch, longest, channels) trunk, in :func:`weighted_layer_sum`'s
-        float order, so no (batch, layers, time, channels) stack is built.
-        The trunk then runs the blocks, pooling and head of :meth:`forward`
-        with the records' lengths, so the logits are bit-equal to
-        :meth:`forward` on the zero-padded batch. It runs under
-        :func:`no_grad`, and raises DimensionError for records that disagree
-        on layers or channels, or that do not fit the model's layer count,
-        width or dtype.
-        """
-        n_layers, width = batch_layout(records)
-        lengths = np.array([rec.data.shape[1] for rec in records], dtype=np.int64)
-        self._check_input_shape((len(records), n_layers, int(lengths.max()), width))
-        if any(rec.data.dtype != self.layer_weights.dtype for rec in records):
-            raise DimensionError(f"mixed dtypes: records do not match the model's {self.layer_weights.dtype}")
+        """Eval-mode logits, (batch, classes), of :meth:`forward` on the
+        records' `data` arrays under :func:`no_grad`."""
         with no_grad():
-            # the block loop holds the only reference to the trunk, so it is freed after block 0
-            return self._pool_head(
-                self._run_blocks(self._mix_records(records, lengths), lengths), lengths).data
-
-    def _mix_records(self, records, lengths: np.ndarray) -> Tensor:
-        """The (batch, longest, channels) trunk: each record's layer mix in its
-        own real frames, +0.0 in the padded ones."""
-        dtype = self.layer_weights.dtype
-        w = softmax(self.layer_weights, axis=0).data
-        trunk = _zeros((len(records), int(lengths.max()), self.cfg.channels[0]), dtype)
-        tmp = _empty(trunk.shape[1:], dtype)
-        for i, (rec, t) in enumerate(zip(records, lengths)):
-            _mix_layers(rec.data, w, trunk[i, :t], tmp[:t])
-        return Tensor(trunk)
+            return self.forward([rec.data for rec in records]).data
 
     def augment_config(self) -> ShiftConfig:
         """The model's own shift config, or a moderate default for shift-less hosts."""
@@ -539,7 +524,7 @@ class SequenceClassifier:
     def num_parameters(self) -> int:
         return sum(p.size for p in self.named_parameters().values())
 
-    def loss(self, features: Tensor, labels, lengths=None, training: bool = True,
+    def loss(self, features, labels, lengths=None, training: bool = True,
              augment_prob: float = 0.0, rng=None) -> tuple[Tensor, Tensor]:
         logits = self.forward(features, lengths, training, augment_prob, rng)
         return cross_entropy(logits, labels), logits

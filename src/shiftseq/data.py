@@ -102,17 +102,20 @@ class FeatureSequence:
             raise FseqRecordError(f"record data must be (L, T, C), got shape {self.data.shape}")
 
 
-def batch_layout(records) -> tuple[int, int]:
-    """The (layers, channels) every record of a batch shares: EmptyInputError
-    for no records, DimensionError for records that disagree."""
-    if not records:
+def batch_layout(arrays) -> tuple[int, int]:
+    """The (layers, channels) every (layers, frames, channels) array of a
+    batch shares: EmptyInputError for none, DimensionError for another rank
+    or a disagreement."""
+    if len(arrays) == 0:
         raise EmptyInputError("a batch needs at least one record")
-    n_layers, _, width = records[0].data.shape
-    for rec in records:
-        if (rec.data.shape[0], rec.data.shape[2]) != (n_layers, width):
+    for a in arrays:
+        if np.ndim(a) != 3:
             raise DimensionError(
-                f"records disagree on layers/channels: {rec.data.shape} vs (L={n_layers}, C={width})")
-    return n_layers, width
+                f"features must be (batch, layers, time, channels), got a record of shape {np.shape(a)}")
+        if (a.shape[0], a.shape[2]) != (arrays[0].shape[0], arrays[0].shape[2]):
+            raise DimensionError(f"records disagree on layers/channels: {a.shape} "
+                                 f"vs (L={arrays[0].shape[0]}, C={arrays[0].shape[2]})")
+    return arrays[0].shape[0], arrays[0].shape[2]
 
 
 @dataclass

@@ -31,6 +31,14 @@ def _lead_axes(x: Tensor) -> tuple[int, ...]:
     return tuple(range(x.ndim - 1))
 
 
+def _integers(values, name: str) -> np.ndarray:
+    """`values` as int64: a float or bool array raises, not truncates."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu":
+        raise DimensionError(f"{name} must be integers, got dtype {values.dtype.name}")
+    return values.astype(np.int64, copy=False)
+
+
 def _check_lengths(lengths, b: int, t: int) -> np.ndarray:
     """Per-record real frame counts as int64, each in [1, t]; None means t each.
 
@@ -38,10 +46,7 @@ def _check_lengths(lengths, b: int, t: int) -> np.ndarray:
     """
     if lengths is None:
         return np.full(b, t, dtype=np.int64)
-    lengths = np.asarray(lengths)
-    if lengths.dtype.kind not in "iu":
-        raise DimensionError(f"lengths must be integers, got dtype {lengths.dtype.name}")
-    lengths = lengths.astype(np.int64, copy=False)
+    lengths = _integers(lengths, "lengths")
     if lengths.shape != (b,):
         raise DimensionError(f"lengths shape {lengths.shape} does not match batch {b}")
     if lengths.min(initial=1) < 1 or lengths.max(initial=1) > t:
@@ -789,7 +794,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     if logits.ndim != 2:
         raise DimensionError(f"cross_entropy expects rank-2 logits, got {logits.shape}")
     b, k = logits.shape
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _integers(labels, "labels")
     if labels.shape != (b,):
         raise DimensionError(f"labels shape {labels.shape} does not match batch {b}")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:

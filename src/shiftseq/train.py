@@ -18,7 +18,7 @@ from .data import assign_folds, batch_layout, write_atomic
 from .errors import (ConfigError, DimensionError, EmptyInputError, TrainingDiverged, UsageError,
                      check_field_types)
 from .seeding import substream
-from .tensor_autograd import Tensor, backward
+from .tensor_autograd import backward
 
 OPTIMIZERS = ("adam", "adamw")
 
@@ -244,11 +244,12 @@ def collate(records) -> tuple:
     """Pad records to the batch's longest sequence.
 
     Returns (features (B, L, Tmax, C) float32, lengths int64, labels int64).
-    Padded frames are zero. Passed `lengths`, the model keeps them out of
-    every op that reads across time and out of pooling, so they do not
-    change a record's output.
+    Padded frames are zero. The model reads such a batch with its `lengths`
+    as the records' own views, so its outputs are those of the records
+    themselves; training and evaluation pass the records and build no
+    padded stack.
     """
-    l0, c0 = batch_layout(records)
+    l0, c0 = batch_layout([rec.data for rec in records])
     t_max = max(rec.data.shape[1] for rec in records)
     feats = np.zeros((len(records), l0, t_max, c0), dtype=np.float32)
     lengths = np.empty(len(records), dtype=np.int64)
@@ -270,17 +271,16 @@ def predict_logits(model: SequenceClassifier, records, batch_size: int = 32) -> 
     """Eval-mode logits and labels for every record, in input order; records no graph.
 
     Records are batched in stable length order, so each batch pads little,
-    and each batch goes through :meth:`SequenceClassifier.predict`, which
-    mixes every record's layers straight into the trunk: no padded
-    (batch, layers, time, channels) stack is built. A record's logits do
-    not depend on its batch-mates (see
+    and each batch goes through :meth:`SequenceClassifier.predict`. A
+    record's logits do not depend on its batch-mates (see
     :meth:`SequenceClassifier.forward_features`). Equal-length records keep
-    input order, and so the batches and bits of input-order batching.
+    input order, and so the batches and bits of input-order batching. A
+    `batch_size` that is not an integer of at least 1 raises UsageError.
     """
     if not records:
         raise EmptyInputError("cannot evaluate an empty record list")
-    if batch_size < 1:
-        raise UsageError(f"batch_size must be at least 1, got {batch_size}")
+    if isinstance(batch_size, bool) or not isinstance(batch_size, (int, np.integer)) or batch_size < 1:
+        raise UsageError(f"batch_size must be an integer of at least 1, got {batch_size!r}")
     order = np.argsort([rec.data.shape[1] for rec in records], kind="stable")
     chunks = [model.predict([records[i] for i in order[idx]])
               for idx in _batches(len(records), batch_size)]
@@ -342,10 +342,9 @@ def train_fold(model_cfg, train_cfg: TrainConfig, train_records, test_records,
         order = substream(train_cfg.seed, "shuffle", fold, epoch).permutation(n)
         for idx in _batches(n, train_cfg.batch_size):
             batch = [train_records[order[i]] for i in idx]
-            feats, lengths, labels = collate(batch)
             lr = cosine_warmup_lr(step, total_steps, warmup_steps,
                                   train_cfg.peak_lr, train_cfg.min_lr_ratio)
-            loss, _ = model.loss(Tensor(feats), labels, lengths=lengths, training=True,
+            loss, _ = model.loss([rec.data for rec in batch], [rec.label for rec in batch], training=True,
                                  augment_prob=train_cfg.augment_prob, rng=augment_rng)
             loss_value = float(loss.item())
             if not math.isfinite(loss_value):

@@ -95,6 +95,12 @@ def _bilstm_case(lengths=None):
     return build
 
 
+def _layer_mix_case(rng, _seed):
+    """The layer mix of ragged records, 5 and 3 frames; only its weights get a gradient."""
+    seqs = [rng.standard_normal((3, 5, 4)), rng.standard_normal((3, 3, 4))]
+    return (lambda w: weighted_layer_sum(seqs, w)), [_t(rng, 3)]
+
+
 # Per mixer, the block parameter left out: its exact gradient is zero, so
 # its finite difference reads only roundoff against the 1e-8 floor.
 _ZERO_GRADIENT = {
@@ -179,8 +185,7 @@ def _suite_cases():
         ("op.cross_entropy", TOL_ELEMENTWISE,
          lambda rng, _: (lambda z: cross_entropy(z, np.array([0, 2, 1])),
                          [_t(rng, 3, 4)])),
-        ("op.weighted_layer_sum", TOL_ELEMENTWISE,
-         lambda rng, _: (weighted_layer_sum, [_t(rng, 2, 3, 4, 5), _t(rng, 3)])),
+        ("op.weighted_layer_sum", TOL_ELEMENTWISE, _layer_mix_case),
         ("op.temporal_shift_uni", TOL_SHIFT,
          lambda rng, _: (lambda x: temporal_shift(x, shift_uni), [_t(rng, 2, 5, 8)])),
         ("op.temporal_shift_bi", TOL_SHIFT,

@@ -27,7 +27,22 @@ from shiftseq.data import FeatureSequence, GenConfig
 from shiftseq.errors import ConfigError, DimensionError, EmptyInputError, UsageError
 from shiftseq.seeding import substream
 from shiftseq.shift import ShiftConfig, temporal_shift
-from shiftseq.tensor_autograd import Tensor, add, bilstm, gelu, layer_norm, linear, no_grad
+from shiftseq.tensor_autograd import (
+    Tensor,
+    add,
+    bilstm,
+    cross_entropy,
+    gelu,
+    layer_norm,
+    linear,
+    mean_pool_time,
+    mul,
+    no_grad,
+    reduce_sum,
+    reshape,
+    softmax,
+    sum_all,
+)
 from shiftseq.tensor_autograd.engine import backward
 from shiftseq.train import Optimizer, TrainConfig, collate, evaluate, predict_logits
 
@@ -266,26 +281,41 @@ def test_weighted_layer_sum_single_layer_is_identity():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((2, 1, 5, 4)).astype(np.float32)
     w = Tensor(np.zeros(1, dtype=np.float32))
-    out = weighted_layer_sum(Tensor(x), w)
+    out = weighted_layer_sum(list(x), w)
     assert np.array_equal(out.data, x[:, 0])
 
 
 def test_weighted_layer_sum_matches_manual_softmax_mix():
+    """Ragged records: each record's mix in its own frames, zero after them,
+    and the layer weights' gradient through the softmax."""
     rng = np.random.default_rng(1)
-    x = rng.standard_normal((3, 2, 4, 5))
-    w = np.array([np.log(3.0), 0.0])
-    out = weighted_layer_sum(Tensor(x), Tensor(w))
-    expected = 0.75 * x[:, 0] + 0.25 * x[:, 1]
-    np.testing.assert_allclose(out.data, expected, rtol=1e-12)
+    seqs = [rng.standard_normal((2, 4, 5)), rng.standard_normal((2, 2, 5))]
+    w = Tensor(np.array([np.log(3.0), 0.0]), requires_grad=True)
+    out = weighted_layer_sum(seqs, w)
+    assert out.shape == (2, 4, 5)
+    for row, x in zip(out.data, seqs):
+        t = x.shape[1]
+        np.testing.assert_allclose(row[:t], 0.75 * x[0] + 0.25 * x[1], rtol=1e-12)
+        assert np.array_equal(row[t:], np.zeros_like(row[t:]))
+    g = rng.standard_normal(out.shape)
+    backward(sum_all(mul(out, Tensor(g))))
+    s = np.array([sum(np.sum(gb[:x.shape[1]] * x[i]) for gb, x in zip(g, seqs)) for i in range(2)])
+    p = np.array([0.75, 0.25])
+    np.testing.assert_allclose(w.grad, p * (s - p @ s), rtol=1e-12)
 
 
 def test_weighted_layer_sum_shape_errors():
-    x = Tensor(np.zeros((2, 3, 4)))
-    with pytest.raises(DimensionError):
-        weighted_layer_sum(x, Tensor(np.zeros(3)))
-    x4 = Tensor(np.zeros((2, 3, 4, 5)))
-    with pytest.raises(DimensionError):
-        weighted_layer_sum(x4, Tensor(np.zeros(2)))
+    w = Tensor(np.zeros(3))
+    with pytest.raises(DimensionError, match="got a record of shape"):
+        weighted_layer_sum(np.zeros((2, 3, 4)), w)
+    with pytest.raises(DimensionError, match="5 layers, model expects 3"):
+        weighted_layer_sum(np.zeros((2, 5, 4, 5)), w)
+    with pytest.raises(DimensionError, match="disagree on layers/channels"):
+        weighted_layer_sum([np.zeros((3, 4, 5)), np.zeros((3, 4, 6))], w)
+    with pytest.raises(DimensionError, match="mixed dtypes"):
+        weighted_layer_sum([np.zeros((3, 4, 5), np.float32)], w)
+    with pytest.raises(EmptyInputError):
+        weighted_layer_sum([], w)
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +464,24 @@ def test_forward_rejects_wrong_feature_shapes():
         model.forward(Tensor(np.zeros((2, 2, 9, 4))))    # wrong channel count
 
 
+def test_record_lists_take_lengths_within_each_record():
+    rng = np.random.default_rng(4)
+    model = build_model(small_cfg(), seed=0)
+    records = [features(rng, b=1, t=t)[0] for t in (9, 4)]
+    with no_grad():
+        want = model.forward([records[0][:, :6], records[1][:, :4]]).data
+        assert np.array_equal(model.forward(records, np.array([6, 4])).data, want)
+        with pytest.raises(DimensionError, match="run past a record's frames"):
+            model.forward(records, np.array([6, 5]))
+
+
+def test_features_that_require_grad_are_rejected():
+    """The layer mix gives features no gradient, so asking for one is an error."""
+    model = build_model(small_cfg(), seed=0)
+    with pytest.raises(UsageError, match="features get no gradient"):
+        model.loss(Tensor(features(np.random.default_rng(3)), requires_grad=True), np.array([0, 1]))
+
+
 def test_residual_cnn_shifts_last_block_only():
     cfg = small_cfg("cnn", shift=ShiftConfig(alpha=0.25, placement="residual"))
     model = build_model(cfg, seed=0)
@@ -471,7 +519,7 @@ def test_zeroed_blocks_pass_input_through_unchanged(family, kw):
     model = build_model(small_cfg(family, **kw), seed=0)
     zero_block_params(model)
     x = features(np.random.default_rng(5))
-    mixed = weighted_layer_sum(Tensor(x), model.layer_weights)
+    mixed = weighted_layer_sum(list(x), model.layer_weights)
     out = model.forward_features(Tensor(x))
     assert np.max(np.abs(out.data - mixed.data)) == 0.0
 
@@ -481,7 +529,7 @@ def test_zeroed_in_place_model_is_pure_shift():
     model = build_model(cfg, seed=0)
     zero_block_params(model)
     x = features(np.random.default_rng(6))
-    mixed = weighted_layer_sum(Tensor(x), model.layer_weights)
+    mixed = weighted_layer_sum(list(x), model.layer_weights)
     expected = temporal_shift(temporal_shift(mixed, cfg.shift), cfg.shift)
     out = model.forward_features(Tensor(x))
     assert np.max(np.abs(out.data - expected.data)) == 0.0
@@ -500,7 +548,7 @@ def test_in_place_shift_is_a_shift_of_each_block_input(family, mixer, direction)
     x = Tensor(features(np.random.default_rng(8), b=3))
     lengths = np.array([9, 6, 4])
     with no_grad():
-        expected = weighted_layer_sum(x, plain.layer_weights)
+        expected = weighted_layer_sum([r[:, :t] for r, t in zip(x.data, lengths)], plain.layer_weights)
         for block in plain.blocks:
             expected = block.forward(temporal_shift(expected, shift, lengths), lengths)
         out = shifted.forward_features(x, lengths=lengths)
@@ -518,7 +566,7 @@ def test_shiftformer_block_matches_manual_composition():
                  "blocks.0.norm2.gamma", "blocks.0.norm2.beta"):
         p[name].data = rng.standard_normal(p[name].shape).astype(np.float32)
     x = Tensor(features(np.random.default_rng(7)))
-    mixed = weighted_layer_sum(x, model.layer_weights)
+    mixed = weighted_layer_sum(list(x.data), model.layer_weights)
     y = add(mixed, temporal_shift(
         layer_norm(mixed, p["blocks.0.norm1.gamma"], p["blocks.0.norm1.beta"]), shift))
     h = layer_norm(y, p["blocks.0.norm2.gamma"], p["blocks.0.norm2.beta"])
@@ -535,7 +583,7 @@ def test_lstm_residual_wiring():
     model = build_model(cfg, seed=1)
     block = model.blocks[0]
     x = Tensor(features(np.random.default_rng(8)))
-    mixed = weighted_layer_sum(x, model.layer_weights)
+    mixed = weighted_layer_sum(list(x.data), model.layer_weights)
     expected = add(linear(mixed, block.proj.weight, block.proj.bias),
                    bilstm(temporal_shift(mixed, shift), block.rnn.fw, block.rnn.bw))
     out = model.forward_features(x)
@@ -1092,6 +1140,90 @@ def test_predict_logits_peaks_below_the_padded_stack():
         tracemalloc.stop()
     stack = len(records) * 13 * max(lengths) * 32 * 4
     assert peak < stack
+
+
+def stack_mix(stack, layer_weights):
+    """The layer mix composed over a (B, L, T, C) stack: softmax, a
+    (L, 1, 1) reshape, a broadcast product and a sum over the layer axis."""
+    w = reshape(softmax(layer_weights, axis=0), (layer_weights.shape[0], 1, 1))
+    return reduce_sum(mul(Tensor(stack), w), axis=1)
+
+
+def step_bits(model, step):
+    """The loss, logits and every parameter gradient of one `step(model)`;
+    the gradients are taken off the model."""
+    loss, logits = step(model)
+    backward(loss)
+    grads = {}
+    for name, p in model.named_parameters().items():
+        grads[name], p.grad = p.grad, None
+    return [("loss", loss.data), ("logits", logits.data), *grads.items()]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("preset,kw", VARIANTS, ids=VARIANT_IDS)
+def test_train_step_on_records_is_the_step_on_their_collated_stack(preset, kw, dtype):
+    """One augmented training step on records, on their `collate`d batch,
+    and with the layer mix composed over that stack give the same loss,
+    logits and gradients, zero sign bits included."""
+    model = build_model(dataclasses.replace(
+        preset_config(preset, width=16, num_classes=3, num_input_layers=2), **kw), seed=0, dtype=dtype)
+    records = mixed_records(29, (9, 1, 12, 5, 1, 7))
+    feats, lengths, labels = collate(records)
+    feats = feats.astype(dtype)
+    seqs = [rec.data.astype(dtype) for rec in records]
+
+    def on_records(m):  # rng 3 draws 0.086 first, so the batch is shifted
+        return m.loss(seqs, labels, training=True, augment_prob=0.5, rng=np.random.default_rng(3))
+
+    def on_stack(m):
+        return m.loss(Tensor(feats), labels, lengths, training=True, augment_prob=0.5,
+                      rng=np.random.default_rng(3))
+
+    def composed(m):
+        x = m._run_blocks(stack_mix(feats, m.layer_weights), lengths, 0.5, np.random.default_rng(3))
+        logits = linear(mean_pool_time(x, lengths), m.head.weight, m.head.bias)
+        return cross_entropy(logits, labels), logits
+
+    want = step_bits(model, composed)
+    for step in (on_records, on_stack):
+        for (name, got), (_, ref) in zip(step_bits(model, step), want):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), (step.__name__, name)
+            assert np.array_equal(np.signbit(got), np.signbit(ref)), (step.__name__, name)
+
+
+def test_train_step_on_records_peaks_below_the_step_on_their_stack():
+    """One loss and backward on padded records peaks below the same step on
+    their collated stack by at least the stack's size."""
+    model = build_model(preset_config("shiftcnn", width=32, num_classes=4, num_input_layers=13),
+                        seed=0)
+    rng = np.random.default_rng(30)
+    records = [FeatureSequence(i % 4, 0, rng.standard_normal((13, t, 32), dtype=np.float32))
+               for i, t in enumerate((20, 400, 75, 310, 150, 260, 35, 190))]
+    stack_bytes = []
+
+    def on_records():
+        return model.loss([rec.data for rec in records], [rec.label for rec in records])[0]
+
+    def on_stack():
+        feats, lengths, labels = collate(records)
+        stack_bytes.append(feats.nbytes)
+        return model.loss(Tensor(feats), labels, lengths)[0]
+
+    def peak(step):
+        tracemalloc.start()
+        try:
+            backward(step())
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            for p in model.named_parameters().values():
+                p.grad = None
+
+    peak(on_records)  # fills the step buffer pool for both
+    records_peak, stack_peak = peak(on_records), peak(on_stack)
+    assert stack_bytes[-1] == 8 * 13 * 400 * 32 * 4
+    assert records_peak + stack_bytes[-1] <= stack_peak
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

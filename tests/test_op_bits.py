@@ -700,23 +700,24 @@ def test_frozen_input_gets_no_gradient(op):
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("shape", [(3, 5, 7, 9), (2, 1, 4, 3), (32, 1, 50, 64), (4, 13, 37, 48)])
 def test_weighted_layer_sum_matches_its_composition(dtype, shape):
-    x = arr(shape, 1, dtype)
-    x[0, :, 0, 0] = -0.0  # a column of negative zeros sums to +0.0
-    x[-1, :, 1, :] = 0.0
-    w = arr(shape[1:2], 3, dtype)
-    g = arr(shape[:1] + shape[2:], 2, dtype)
-    g[0, 0] = -0.0
-    out, grads = run(weighted_layer_sum, [x, w], g)
-    want_out, want_grads = run(layer_mix_composition, [x, w], g)
-    assert_bits(out, want_out)
-    assert_bits(grads[0], want_grads[0])  # features
-    assert_bits(grads[1], want_grads[1])  # layer weights
-
-
-@pytest.mark.parametrize("dtype", DTYPES)
-def test_weighted_layer_sum_frozen_features(dtype):
-    x, w, g = arr((2, 3, 4, 5), 1, dtype), arr((3,), 3, dtype), arr((2, 4, 5), 2, dtype)
-    _, frozen = run(weighted_layer_sum, [x, w], g, requires=[False, True])
-    _, want = run(layer_mix_composition, [x, w], g, requires=[False, True])
-    assert frozen[0] is None
-    assert_bits(frozen[1], want[1])
+    """The node on record arrays, of full and of ragged lengths (1 among
+    them), against the composition on their zero-padded stack: the output
+    and the layer weights' gradient, sign bits included."""
+    b, _, t, _ = shape
+    ragged = np.random.default_rng(4).integers(1, t + 1, b)
+    ragged[0], ragged[-1] = t, 1
+    for lengths in (np.full(b, t), ragged):
+        x = arr(shape, 1, dtype)
+        x[0, :, 0, 0] = -0.0  # a column of negative zeros sums to +0.0
+        x[-1, :, 0, :] = 0.0
+        x[1:, :, 1, :] = -0.0  # g * x is -0.0 over every record
+        for row, n in zip(x, lengths):
+            row[:, n:] = 0.0
+        w = arr(shape[1:2], 3, dtype)
+        g = arr(shape[:1] + shape[2:], 2, dtype)
+        g[0, 0] = -0.0
+        g[:, 1] = np.abs(g[:, 1])
+        out, grads = run(lambda w: weighted_layer_sum([r[:, :n] for r, n in zip(x, lengths)], w), [w], g)
+        want_out, want_grads = run(layer_mix_composition, [x, w], g, requires=[False, True])
+        assert_bits(out, want_out)
+        assert_bits(grads[0], want_grads[1])  # layer weights

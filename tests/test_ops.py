@@ -651,6 +651,19 @@ class TestCrossEntropy:
         with pytest.raises(DimensionError):
             cross_entropy(Tensor(np.zeros((1, 3))), [3])
 
+    @pytest.mark.parametrize("labels", [[1.7, 0.2], np.array([1.5, 2.9]), [1.0, 0.0], [True, False]],
+                             ids=["fractional", "float-array", "whole-floats", "bools"])
+    def test_labels_must_be_integers(self, labels):
+        """A float label is not truncated to a class, nor a bool read as 0 or 1."""
+        with pytest.raises(DimensionError, match="labels must be integers"):
+            cross_entropy(Tensor(np.zeros((2, 3))), labels)
+
+    def test_any_integer_labels_dtype_is_accepted(self):
+        logits = Tensor(rnd((2, 3), 79))
+        want = cross_entropy(logits, [2, 0]).data
+        for labels in (np.array([2, 0], np.int32), np.array([2, 0], np.uint8), (2, 0)):
+            assert np.array_equal(cross_entropy(logits, labels).data, want)
+
     def test_gradients_fd(self):
         report = grad_check(lambda x: cross_entropy(x, [0, 2, 1]),
                             [Tensor(rnd((3, 4), 78))], tol=1e-5)

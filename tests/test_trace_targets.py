@@ -47,12 +47,16 @@ def test_every_traced_target_resolves_in_the_package():
 def test_traced_flops_agree_with_count_flops(preset):
     """The trace books each FLOP op's work from the shapes of its positional
     arguments (`x` first, then a weight); summed over the ops outside any
-    other FLOP op, one forward books what `count_flops` counts."""
+    other FLOP op, one forward books what `count_flops` counts: at the
+    padded length, on a 4-D batch and on ragged records alike."""
     spans = load_spans()
     b, t, width, layers = 3, 11, 16, 2
     model = build_model(preset_config(preset, width=width, num_input_layers=layers), seed=0)
-    x = Tensor(np.random.default_rng(0).standard_normal((b, layers, t, width)).astype(np.float32))
-    tracer = spans.Tracer()
-    with spans.installed(tracer), no_grad():
-        model.forward(x)
-    assert tracer.counters["flops.top_level"] == b * count_flops(model, t).total_flops
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((b, layers, t, width)).astype(np.float32))
+    records = [rng.standard_normal((layers, n, width)).astype(np.float32) for n in (4, t, 1)]
+    for features in (x, records):
+        tracer = spans.Tracer()
+        with spans.installed(tracer), no_grad():
+            model.forward(features)
+        assert tracer.counters["flops.top_level"] == b * count_flops(model, t).total_flops

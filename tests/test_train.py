@@ -727,6 +727,16 @@ def test_predict_logits_rejects_batch_size_below_one(batch_size):
         evaluate(model, records, batch_size)
 
 
+
+@pytest.mark.parametrize("batch_size", [2.5, 2.0, True])
+def test_predict_logits_rejects_a_batch_size_that_is_not_an_integer(batch_size):
+    """A float is not a batch size, nor a bool a batch of one."""
+    model, records = build_model(tiny_model_cfg(), seed=0), tiny_dataset()[:3]
+    with pytest.raises(UsageError, match="batch_size must be an integer"):
+        predict_logits(model, records, batch_size)
+    with pytest.raises(UsageError, match="batch_size must be an integer"):
+        evaluate(model, records, batch_size)
+
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
