@@ -16,8 +16,8 @@ The package is organized around that claim:
 * ``accounting``: exact integer parameter and FLOP reports.
 * ``data``: a binary feature-sequence format and a synthetic task whose
   classes differ only in temporal order.
-* ``train``: Adam/AdamW, cosine-warmup schedule, leave-one-group-out
-  cross-validation, UA/WA metrics.
+* ``train``: AdamW (``weight_decay: 0`` is plain Adam), cosine-warmup
+  schedule, leave-one-group-out cross-validation, UA/WA metrics.
 * ``verification``: finite-difference checks for every operation.
 * ``cli``: the ``shiftseq`` command.
 """

@@ -32,7 +32,7 @@ from .blocks.model import (
     SequenceClassifier,
     TransformerBlock,
 )
-from .errors import UsageError
+from .errors import UsageError, as_integer
 from .tensor_autograd.ops import POOL_WINDOW, AttentionParams, named_tensors
 
 NORM_EW = 6
@@ -184,9 +184,7 @@ def _build_report(model: SequenceClassifier, t: int) -> CostReport:
 
 def count_flops(model: SequenceClassifier, frames: int) -> CostReport:
     """Per-sample cost report at sequence length `frames`."""
-    if not isinstance(frames, int) or frames <= 0:
-        raise UsageError(f"frames must be a positive integer, got {frames!r}")
-    return _build_report(model, frames)
+    return _build_report(model, as_integer(frames, UsageError, "frames must be a positive integer", 1))
 
 
 def count_params(model: SequenceClassifier) -> CostReport:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, EmptyInputError, check_field_types
+from .errors import ConfigError, DimensionError, EmptyInputError, as_integer, check_field_types
 from .seeding import substream
 
 FSEQ_MAGIC = b"FSEQ"
@@ -74,13 +74,6 @@ class FseqNonFiniteError(FseqError):
     """A record payload contains NaN or infinite values."""
 
 
-def _header_int(value, name: str) -> int:
-    """A header field as an int: a bool or a float raises, a numpy integer converts."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise FseqRecordError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class FeatureSequence:
     """One labeled sequence: `data` is (layers, frames, channels) float32.
@@ -95,8 +88,8 @@ class FeatureSequence:
     data: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "label", _header_int(self.label, "label"))
-        object.__setattr__(self, "group", _header_int(self.group, "group"))
+        object.__setattr__(self, "label", as_integer(self.label, FseqRecordError, "label must be an integer"))
+        object.__setattr__(self, "group", as_integer(self.group, FseqRecordError, "group must be an integer"))
         object.__setattr__(self, "data", np.ascontiguousarray(self.data, dtype=np.float32))
         if self.data.ndim != 3:
             raise FseqRecordError(f"record data must be (L, T, C), got shape {self.data.shape}")
@@ -160,7 +153,7 @@ def write_fseq(path, records, k_cls: int, gen_config=None) -> None:
     record is checked before anything is written, and each payload is
     written from the record's own buffer, not from a serialized copy.
     """
-    k_cls = _header_int(k_cls, "k_cls")
+    k_cls = as_integer(k_cls, FseqRecordError, "k_cls must be an integer")
     if not 1 <= k_cls < 2**32:
         raise FseqRecordError(f"k_cls must be in [1, 2**32), got {k_cls}")
     chunks = [FSEQ_MAGIC, struct.pack("<III", FSEQ_VERSION, k_cls, len(records))]

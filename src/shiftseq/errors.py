@@ -5,6 +5,9 @@ Format-specific parse errors live next to their formats (see
 """
 
 import dataclasses
+import math
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -25,6 +28,14 @@ class EmptyInputError(ValueError):
 
 class TrainingDiverged(RuntimeError):
     """Training produced a nonfinite loss; the message names the step."""
+
+
+def as_integer(value, error: type[Exception], what: str, minimum=-math.inf) -> int:
+    """`value` as an int if it is an int or NumPy integer of at least `minimum`;
+    otherwise, and for a bool, raise `error("<what>, got <value>")`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise error(f"{what}, got {value!r}")
+    return int(value)
 
 
 # the JSON values each config field annotation accepts; a bool is never a number

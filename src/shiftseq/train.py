@@ -1,4 +1,4 @@
-"""Adam/AdamW, LR schedule, metrics, and the cross-validation harness.
+"""AdamW (plain Adam at `weight_decay: 0`), LR schedule, metrics, and cross-validation.
 
 Training is deterministic given (configs, records, seed): initialization,
 per-epoch shuffling, and augmentation draw from independent named RNG
@@ -16,11 +16,9 @@ import numpy as np
 from .blocks import SequenceClassifier, build_model
 from .data import assign_folds, batch_layout, write_atomic
 from .errors import (ConfigError, DimensionError, EmptyInputError, TrainingDiverged, UsageError,
-                     check_field_types)
+                     as_integer, check_field_types)
 from .seeding import substream
 from .tensor_autograd import backward
-
-OPTIMIZERS = ("adam", "adamw")
 
 
 @dataclass(frozen=True)
@@ -30,6 +28,7 @@ class TrainConfig:
     A config is checked when it is built, so every instance is valid: a bad
     field raises ConfigError from the constructor (and from
     ``dataclasses.replace``). It is frozen and cannot be changed afterwards.
+    `optimizer` is only ever ``"adamw"``; plain Adam is `weight_decay` 0.
     """
 
     optimizer: str = "adamw"
@@ -44,8 +43,9 @@ class TrainConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
+        if self.optimizer != "adamw":
+            raise ConfigError(
+                f"optimizer must be 'adamw', got {self.optimizer!r}; weight_decay: 0 gives plain Adam")
         # chained comparisons are false for NaN, so these reject it too
         if not 0 < self.peak_lr < math.inf:
             raise ConfigError(f"peak_lr must be positive and finite, got {self.peak_lr}")
@@ -80,11 +80,12 @@ _CHUNK = 65536
 
 
 def _adam_block(p, m, v, g, a, b, lr, c1, c2, decay) -> None:
-    """One block of the Adam/AdamW update, in place; `a` and `b` are scratch.
+    """One block of the AdamW update, in place; `a` and `b` are scratch.
 
     The ufuncs, and their float order, are those of the per-parameter
-    formula `lr*(m/c1) / (sqrt(v/c2) + eps) [+ decay*p]`, so every block
-    rounds exactly as a whole-parameter update would.
+    formula `lr*(m/c1) / (sqrt(v/c2) + eps) + decay*p`, so every block
+    rounds exactly as a whole-parameter update would. At `decay` 0 the last
+    term is a signed zero, so no bit of a finite `p` differs from plain Adam.
     """
     m *= BETA1
     m += np.multiply(g, 1.0 - BETA1, out=a)
@@ -98,19 +99,18 @@ def _adam_block(p, m, v, g, a, b, lr, c1, c2, decay) -> None:
     np.sqrt(b, out=b)
     b += EPS
     a /= b
-    if decay is not None:
-        a += np.multiply(p, decay, out=b)
+    a += np.multiply(p, decay, out=b)
     p -= a
 
 
 class Optimizer:
-    """Adam over a model's parameters; AdamW when `cfg.optimizer == "adamw"`.
+    """AdamW over a model's parameters.
 
     Holds one first moment `m` and one second moment `v` per parameter and
-    updates them and `p.data` in place. Decoupled decay (AdamW) subtracts
-    lr*wd*theta alongside the moment step, both taken from the pre-step
-    parameters; plain adam ignores `weight_decay`. A parameter without a
-    gradient steps with g = 0: its moments decay, so it can still move.
+    updates them and `p.data` in place. Decoupled decay subtracts lr*wd*theta
+    alongside the moment step, both taken from the pre-step parameters. A
+    parameter without a gradient steps with g = 0: its moments decay, so it
+    can still move.
 
     The update walks each parameter in cache-sized blocks of `_CHUNK`
     elements through two scratch buffers per dtype, allocated once, and is
@@ -150,7 +150,7 @@ class Optimizer:
         self.t += 1
         c1 = 1.0 - BETA1 ** self.t
         c2 = 1.0 - BETA2 ** self.t
-        decay = lr * self.cfg.weight_decay if self.cfg.optimizer == "adamw" else None
+        decay = lr * self.cfg.weight_decay
         for name, p in self.params.items():
             m, v = self.m[name].reshape(-1), self.v[name].reshape(-1)
             a, b, zero = self._scratch[m.dtype]
@@ -221,6 +221,7 @@ def pair_recall_average(logits: np.ndarray, labels: np.ndarray, pair=(0, 1)) -> 
     Restricts predictions to the pair's logit columns, so other classes
     never absorb probability mass; chance level is exactly 0.5.
     """
+    logits, labels = np.asarray(logits), np.asarray(labels)
     a, b = pair
     mask = (labels == a) | (labels == b)
     if not np.any(mask):
@@ -279,8 +280,7 @@ def predict_logits(model: SequenceClassifier, records, batch_size: int = 32) -> 
     """
     if not records:
         raise EmptyInputError("cannot evaluate an empty record list")
-    if isinstance(batch_size, bool) or not isinstance(batch_size, (int, np.integer)) or batch_size < 1:
-        raise UsageError(f"batch_size must be an integer of at least 1, got {batch_size!r}")
+    as_integer(batch_size, UsageError, "batch_size must be an integer of at least 1", 1)
     order = np.argsort([rec.data.shape[1] for rec in records], kind="stable")
     chunks = [model.predict([records[i] for i in order[idx]])
               for idx in _batches(len(records), batch_size)]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .blocks import ModelConfig, build_model
 from .blocks.model import weighted_layer_sum
-from .errors import UsageError
+from .errors import UsageError, as_integer
 from .shift import ShiftConfig, temporal_shift
 from .tensor_autograd import (
     AttentionParams,
@@ -252,8 +252,7 @@ class SuiteReport:
 
 def run_grad_suite(num_seeds: int = 10) -> SuiteReport:
     """Run every case over `num_seeds` seeds; worst error per case is kept."""
-    if not isinstance(num_seeds, int) or isinstance(num_seeds, bool) or num_seeds < 1:
-        raise UsageError(f"num_seeds must be a positive integer, got {num_seeds!r}")
+    as_integer(num_seeds, UsageError, "num_seeds must be a positive integer", 1)
     entries = []
     for name, tol, case in _suite_cases():
         worst = 0.0

@@ -212,6 +212,14 @@ def test_count_flops_rejects_bad_frames():
         count_flops(model, -3)
     with pytest.raises(UsageError):
         count_flops(model, 2.5)
+    with pytest.raises(UsageError, match="True"):
+        count_flops(model, True)  # not a 1-frame report
+
+
+@pytest.mark.parametrize("frames", [np.int64(10), np.int32(10), np.uint16(10)])
+def test_count_flops_takes_numpy_integer_frames(frames):
+    model = small("cnn")
+    assert count_flops(model, frames) == count_flops(model, 10)
 
 
 def test_entry_lookup_raises_on_missing_name():

@@ -547,6 +547,23 @@ class TestStepBuffers:
         assert 0 < sets[-1] <= sets[0]
         assert max(sets) <= sets[0]
 
+    def test_a_new_length_releases_the_last_steps_buffers_mid_step(self, fresh_pool):
+        """The release comes with the first new shape, not at the end of a step,
+        so a step's peak never holds the last step's idle set beside its own."""
+        model = ss.build_model(ss.preset_config("shiftformer", width=64, num_input_layers=2), seed=0)
+        rng = np.random.default_rng(2)
+        labels = rng.integers(4, size=32)
+        loss, _ = model.loss(list(rng.standard_normal((32, 2, 60, 64), dtype=np.float32)), labels)
+        backward(loss)
+        del loss
+
+        def bytes_at_60_frames():
+            return sum(a.nbytes for (shape, _), bufs in engine._pool.items() if 60 in shape for a in bufs)
+
+        assert bytes_at_60_frames() > 0
+        loss, _ = model.loss(list(rng.standard_normal((32, 2, 40, 64), dtype=np.float32)), labels)
+        assert bytes_at_60_frames() == 0  # 27.5 MB without the release
+
 
 def _train_steps(preset: str, steps: int = 2):
     """Logits and parameter gradients of `steps` train steps at a pooled shape."""

@@ -75,6 +75,13 @@ def test_gen_data_deterministic(workdir, config_path, data_path, capsys):
     assert open(workdir / "b" / "data.fseq", "rb").read() != original
 
 
+def test_gen_data_rejects_a_negative_seed(tmp_path, capsys):
+    assert main(["gen-data", "--out", str(tmp_path / "data"), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "got -1" in err and "Traceback" not in err
+    assert not os.path.exists(tmp_path / "data")
+
+
 def test_gen_data_empty(tmp_path):
     cfg = write_config(tmp_path / "cfg.json",
                        data=dict(DATA_CFG, per_class_per_group=0))

@@ -32,6 +32,7 @@ from shiftseq.data import (
     write_fseq,
 )
 from shiftseq.errors import ConfigError, check_config_dict
+from shiftseq.seeding import substream
 from shiftseq.train import write_text
 
 
@@ -451,6 +452,27 @@ def test_gen_synthetic_is_deterministic(tmp_path):
         write_fseq(p, f.records, f.k_cls)
     assert pa.read_bytes() == pb.read_bytes()
     assert pa.read_bytes() != pc.read_bytes()
+
+
+@pytest.mark.parametrize("bad", [-1, np.int64(-2), 1.5, True, np.float64(1.0), "1", None])
+def test_substream_rejects_a_seed_or_index_that_is_not_a_count(bad):
+    """A bool or float is not silently read as the seed it truncates to."""
+    with pytest.raises(ConfigError, match="non-negative integers"):
+        substream(bad, "init")
+    with pytest.raises(ConfigError, match="non-negative integers"):
+        substream(0, "shuffle", 0, bad)
+
+
+def test_substream_takes_numpy_integers():
+    np.testing.assert_array_equal(substream(np.int64(3), "shuffle", np.int32(1), np.uint8(2)).random(4),
+                                  substream(3, "shuffle", 1, 2).random(4))
+
+
+def test_negative_seeds_raise_config_error_from_the_api():
+    with pytest.raises(ConfigError, match="got -1"):
+        gen_synthetic(GenConfig(), seed=-1)
+    with pytest.raises(ConfigError, match="got -1"):
+        build_model(preset_config("cnn", width=16), seed=-1)
 
 
 def test_gen_synthetic_counts_and_ranges():

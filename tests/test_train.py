@@ -101,7 +101,7 @@ def train_config_from_json(raw):
 
 
 def test_train_config_round_trip():
-    cfg = TrainConfig(optimizer="adam", epochs=7, warmup_epochs=2, augment_prob=0.5)
+    cfg = TrainConfig(weight_decay=0.0, epochs=7, warmup_epochs=2, augment_prob=0.5)
     assert train_config_from_json(dataclasses.asdict(cfg)) == cfg
     assert train_config_from_json({}) == TrainConfig()
     with pytest.raises(ConfigError, match="momentum"):
@@ -117,12 +117,21 @@ def test_train_config_from_dict_rejects_mistyped_values(raw):
         train_config_from_json(raw)
 
 
+def test_plain_adam_is_adamw_without_weight_decay():
+    """AdamW is the one update, so "adam" is refused with the setting that gives it."""
+    for build in (lambda: TrainConfig(optimizer="adam"),
+                  lambda: train_config_from_json({"optimizer": "adam", "weight_decay": 0})):
+        with pytest.raises(ConfigError, match="weight_decay: 0 gives plain Adam"):
+            build()
+    assert train_config_from_json({"weight_decay": 0}).optimizer == "adamw"
+
+
 def test_train_config_from_dict_takes_integers_for_floats():
     assert train_config_from_json({"peak_lr": 1, "weight_decay": 0}).peak_lr == 1
 
 
 # ---------------------------------------------------------------------------
-# adam / adamw
+# adamw, and plain adam at weight_decay 0
 # ---------------------------------------------------------------------------
 
 class OneParam:
@@ -135,9 +144,9 @@ class OneParam:
         return {"w": self.w}
 
 
-def adam_on(values, optimizer="adam", weight_decay=0.0):
+def adam_on(values, weight_decay=0.0):
     model = OneParam(values)
-    return model.w, Optimizer(model, TrainConfig(optimizer=optimizer, weight_decay=weight_decay))
+    return model.w, Optimizer(model, TrainConfig(weight_decay=weight_decay))
 
 
 def test_adam_zero_gradients_never_move_parameters():
@@ -157,22 +166,14 @@ def test_adam_first_step_hand_value():
 
 
 def test_adamw_pure_decay_step():
-    w, opt = adam_on([1.0], optimizer="adamw", weight_decay=0.1)
+    w, opt = adam_on([1.0], weight_decay=0.1)
     w.grad = np.array([0.0])
     opt.step(lr=0.1)
     np.testing.assert_allclose(w.data, [0.99], rtol=1e-12)
 
 
-def test_adam_ignores_weight_decay_without_decoupling():
-    w, opt = adam_on([1.0], optimizer="adam", weight_decay=0.5)
-    w.grad = np.array([0.0])
-    opt.step(lr=0.1)
-    np.testing.assert_array_equal(w.data, [1.0])
-
-
-def adam_reference(theta, grads_by_step, lr, wd=0.0, decoupled=False,
-                   b1=0.9, b2=0.999, eps=1e-8):
-    """Straightforward scalar-loop restatement of the update rule."""
+def adam_reference(theta, grads_by_step, lr, wd=0.0, b1=0.9, b2=0.999, eps=1e-8):
+    """Straightforward restatement of the update rule; plain Adam, with no decay term, at wd 0."""
     theta = theta.copy()
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
@@ -180,23 +181,24 @@ def adam_reference(theta, grads_by_step, lr, wd=0.0, decoupled=False,
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         step = lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
-        if decoupled:
+        if wd:
             step = step + lr * wd * theta
         theta = theta - step
     return theta
 
 
-@pytest.mark.parametrize("decoupled", [False, True])
-def test_adam_trajectory_matches_reference(decoupled):
+@pytest.mark.parametrize("decays", [False, True])
+def test_adam_trajectory_matches_reference(decays):
     rng = np.random.default_rng(0)
     theta0 = rng.standard_normal(7)
     grads = [rng.standard_normal(7) for _ in range(12)]
-    w, opt = adam_on(theta0, optimizer="adamw" if decoupled else "adam", weight_decay=0.1)
+    wd = 0.1 if decays else 0.0
+    w, opt = adam_on(theta0, weight_decay=wd)
     for g in grads:
         w.grad = g
         opt.step(lr=0.05)
     assert opt.t == len(grads)
-    expected = adam_reference(theta0, grads, lr=0.05, wd=0.1, decoupled=decoupled)
+    expected = adam_reference(theta0, grads, lr=0.05, wd=wd)
     np.testing.assert_allclose(w.data, expected, rtol=1e-12)
 
 
@@ -236,8 +238,8 @@ def test_adam_step_input_validation():
 def test_zero_lr_leaves_parameters_untouched():
     model = build_model(tiny_model_cfg(), seed=0)
     before = {n: p.data.copy() for n, p in model.named_parameters().items()}
-    for optimizer_name, wd in (("adam", 0.1), ("adamw", 0.0)):
-        cfg = TrainConfig(optimizer=optimizer_name, weight_decay=wd, epochs=1, warmup_epochs=0)
+    for wd in (0.0, 0.1):
+        cfg = TrainConfig(weight_decay=wd, epochs=1, warmup_epochs=0)
         opt = Optimizer(model, cfg)
         for p in model.named_parameters().values():
             p.grad = np.ones_like(p.data)
@@ -247,7 +249,7 @@ def test_zero_lr_leaves_parameters_untouched():
 
 
 # ---------------------------------------------------------------------------
-# adam, bit for bit against the unblocked update
+# adamw, bit for bit against the unblocked update
 # ---------------------------------------------------------------------------
 
 class Params:
@@ -260,11 +262,14 @@ class Params:
         return self.tensors
 
 
-def adam_step_ref(p, g, m, v, t, lr, weight_decay, optimizer):
-    """The per-parameter update as it stood before the update was blocked, verbatim."""
+def adam_step_ref(p, g, m, v, t, lr, weight_decay):
+    """The per-parameter update as it stood before the update was blocked.
+
+    At `weight_decay` 0 it is the plain-Adam formula: no decay term is added at all.
+    """
     c1 = 1.0 - BETA1 ** t
     c2 = 1.0 - BETA2 ** t
-    decay = lr * weight_decay if optimizer == "adamw" else None
+    decay = lr * weight_decay if weight_decay else None
     g = g if g is not None else np.zeros_like(p)
     m *= BETA1
     m += (1.0 - BETA1) * g
@@ -282,7 +287,7 @@ def step_against_ref(opt, ref, lr):
     opt.step(lr)
     for name, p in opt.params.items():
         rp, rm, rv = ref[name]
-        adam_step_ref(rp, grads[name], rm, rv, opt.t, lr, opt.cfg.weight_decay, opt.cfg.optimizer)
+        adam_step_ref(rp, grads[name], rm, rv, opt.t, lr, opt.cfg.weight_decay)
         for got, want in ((p.data, rp), (opt.m[name], rm), (opt.v[name], rv)):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), (name, opt.t)
@@ -295,28 +300,33 @@ def ref_state(model):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("optimizer", ["adam", "adamw"])
-def test_adam_step_is_bit_identical_to_the_unblocked_update(dtype, optimizer):
+@pytest.mark.parametrize("weight_decay", [0.0, 0.1], ids=["adam", "adamw"])
+def test_adam_step_is_bit_identical_to_the_unblocked_update(dtype, weight_decay):
+    """AdamW at weight_decay 0 steps exactly as plain Adam, and at 0.1 as the decoupled formula."""
     rng = np.random.default_rng(3)
     shapes = [(1,), (_CHUNK - 1,), (_CHUNK,), (5, (3 * _CHUNK + 7) // 5)]
     arrays = [rng.standard_normal(s).astype(dtype) for s in shapes]
     # a 0-d parameter steps in place, through its flat view
     arrays.append(np.asarray(rng.standard_normal(), dtype=dtype))
+    for a in arrays:
+        a.reshape(-1)[::4] = -0.0  # the decay term of a -0.0 parameter is -0.0, of a +0.0 one +0.0
+        a.reshape(-1)[2::4] = 0.0
     model = Params(arrays)
-    opt = Optimizer(model, TrainConfig(optimizer=optimizer, weight_decay=0.1))
+    opt = Optimizer(model, TrainConfig(weight_decay=weight_decay))
     ref = ref_state(model)
     # -0.0 moments: a step without gradient still adds +0.0, which clears the sign
     for name, (_, rm, rv) in ref.items():
         for state in (opt.m[name], opt.v[name], rm, rv):
             state.reshape(-1)[::3] = -0.0
-    for step in range(6):
+    for step in range(8):
         for i, p in enumerate(model.tensors.values()):
             if step == 0 or (step == 3 and i % 2 == 0):
                 p.grad = None
             else:
                 p.grad = rng.standard_normal(p.shape).astype(dtype)
                 p.grad.reshape(-1)[::5] = -0.0
-        step_against_ref(opt, ref, lr=1e-3 * (step + 1))
+        # every third step has lr 0, so the update and the decay term are both signed zeros
+        step_against_ref(opt, ref, lr=0.0 if step % 3 == 1 else 1e-3 * (step + 1))
 
 
 @pytest.mark.parametrize("p_dtype,g_dtype", [(np.float32, np.float64), (np.float64, np.float32)])
@@ -607,6 +617,8 @@ def test_pair_recall_average_forced_choice():
     assert pair_recall_average(logits, labels) == pytest.approx(0.5)
     with pytest.raises(EmptyInputError):
         pair_recall_average(logits, np.full(5, 3), pair=(0, 1))
+    # lists are read as arrays, not compared whole with each class
+    assert pair_recall_average(logits.tolist(), labels.tolist()) == pytest.approx(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -736,6 +748,13 @@ def test_predict_logits_rejects_a_batch_size_that_is_not_an_integer(batch_size):
         predict_logits(model, records, batch_size)
     with pytest.raises(UsageError, match="batch_size must be an integer"):
         evaluate(model, records, batch_size)
+
+
+@pytest.mark.parametrize("batch_size", [np.int64(2), np.int32(2)])
+def test_predict_logits_takes_a_numpy_integer_batch_size(batch_size):
+    model, records = build_model(tiny_model_cfg(), seed=0), tiny_dataset()[:3]
+    np.testing.assert_array_equal(predict_logits(model, records, batch_size)[0],
+                                  predict_logits(model, records, 2)[0])
 
 # ---------------------------------------------------------------------------
 # training loop

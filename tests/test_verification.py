@@ -88,9 +88,14 @@ def test_errors_are_finite_and_small(report):
         assert 0.0 <= entry.max_rel_err < entry.tol
 
 
-def test_seed_count_validation():
-    with pytest.raises(UsageError):
-        run_grad_suite(num_seeds=0)
+def test_seed_count_validation(monkeypatch):
+    for bad in (0, True, 1.0):
+        with pytest.raises(UsageError, match="num_seeds"):
+            run_grad_suite(num_seeds=bad)
+    # a NumPy integer is a seed count; one cheap case keeps this quick
+    monkeypatch.setattr(verification, "_suite_cases", lambda: _suite_cases()[:1])
+    report = run_grad_suite(num_seeds=np.int64(1))
+    assert report.num_seeds == 1 and len(report.entries) == 1
 
 
 @pytest.mark.parametrize("name,case", [(name, case) for name, _, case in _suite_cases()],
