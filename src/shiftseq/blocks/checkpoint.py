@@ -12,7 +12,7 @@ Layout (all integers little-endian u32 unless noted):
         ndim  u32, then ndim u32 dims
         data  prod(dims) float32 little-endian values
     nbuffers u32, always 0: no model keeps state beyond its parameters,
-             so a buffer record is rejected
+             so any other count is rejected
 
 Loading validates every length against the remaining byte count before
 allocating, so a truncated or corrupted file raises CheckpointError rather
@@ -59,23 +59,19 @@ def save_checkpoint(path, model: SequenceClassifier, extra: dict | None = None) 
         payload["extra"] = extra
     blob = json.dumps(payload, sort_keys=True).encode("utf-8")
 
-    def records(items):
-        chunks = [struct.pack("<I", len(items))]
-        for name, arr in items:
-            data = np.ascontiguousarray(arr, dtype="<f4")  # a float32 parameter itself
-            if not all_finite(data):
-                raise CheckpointError(f"record {name!r} holds a nonfinite value")
-            name_b = name.encode("utf-8")
-            chunks.append(struct.pack("<I", len(name_b)))
-            chunks.append(name_b)
-            chunks.append(struct.pack("<I", data.ndim))
-            chunks.append(struct.pack(f"<{data.ndim}I", *data.shape))
-            chunks.append(memoryview(data).cast("B"))
-        return chunks
-
-    parts = [MAGIC, struct.pack("<II", VERSION, len(blob)), blob]
-    parts.extend(records([(n, p.data) for n, p in model.named_parameters().items()]))
-    parts.extend(records([]))  # the always-empty buffer section
+    params = model.named_parameters()
+    parts = [MAGIC, struct.pack("<II", VERSION, len(blob)), blob, struct.pack("<I", len(params))]
+    for name, p in params.items():
+        data = np.ascontiguousarray(p.data, dtype="<f4")  # a float32 parameter itself
+        if not all_finite(data):
+            raise CheckpointError(f"record {name!r} holds a nonfinite value")
+        name_b = name.encode("utf-8")
+        parts.append(struct.pack("<I", len(name_b)))
+        parts.append(name_b)
+        parts.append(struct.pack("<I", data.ndim))
+        parts.append(struct.pack(f"<{data.ndim}I", *data.shape))
+        parts.append(memoryview(data).cast("B"))
+    parts.append(struct.pack("<I", 0))  # the always-empty buffer section
     write_atomic(path, parts)
 
 
@@ -109,7 +105,7 @@ def _read_records(r: ByteReader) -> "dict[str, np.ndarray]":
 def load_checkpoint(path) -> tuple[ModelConfig, "dict[str, np.ndarray]", dict]:
     """Parse a checkpoint; returns (config, params, extra).
 
-    Raises CheckpointError on any buffer record: the section must be empty.
+    A nonzero buffer count raises CheckpointError; no buffer record is read.
     """
     r = ByteReader.mapped(path, CheckpointError, "checkpoint")
     if bytes(r.take(4, "magic")) != MAGIC:
@@ -128,9 +124,9 @@ def load_checkpoint(path) -> tuple[ModelConfig, "dict[str, np.ndarray]", dict]:
     except ConfigError as e:
         raise CheckpointError(f"checkpoint carries an invalid model config: {e}") from e
     params = _read_records(r)
-    buffers = _read_records(r)
-    if buffers:
-        raise CheckpointError(f"models keep no buffers; the checkpoint holds {sorted(buffers)}")
+    n_buffers = r.u32("buffer count")
+    if n_buffers:
+        raise CheckpointError(f"models keep no buffers; the checkpoint claims {n_buffers} buffer records")
     r.finish("checkpoint payload")
     return cfg, params, payload.get("extra", {})
 

@@ -53,7 +53,7 @@ from ..tensor_autograd import (
     track,
 )
 from ..tensor_autograd.engine import _zeros
-from ..tensor_autograd.ops import POOL_WINDOW, _check_lengths
+from ..tensor_autograd.ops import _check_lengths
 
 FAMILIES = ("cnn", "transformer", "lstm")
 MIXERS = ("attention", "pooling", "shift", "none")
@@ -148,28 +148,14 @@ def config_to_dict(cfg: ModelConfig) -> dict:
 
 def config_from_dict(raw: dict) -> ModelConfig:
     """Strict inverse of :func:`config_to_dict`; unknown keys and mistyped
-    values are errors. Older configs' `"family": "shiftformer"` (with mixer
-    "shift") loads as the transformer family. Their `"norm": "layer"`,
-    `"pos": "relative"`, `"pool_window": 3` and shift `"boundary":
-    "zero_fill"` keys, each once the only value in use, are dropped, as is
-    their `max_len`, which sized only a position table no model has any
-    more; any other value of `norm`, `pos`, `pool_window` or `boundary` is
-    an unknown key.
-    """
-    if isinstance(raw, dict):
-        raw = {k: v for k, v in raw.items() if k != "max_len" and (k, v) not in (
-            ("norm", "layer"), ("pos", "relative"), ("pool_window", POOL_WINDOW))}
+    values are errors."""
     check_config_dict(raw, ModelConfig, "model")
     if "family" not in raw or "channels" not in raw:
         raise ConfigError("model config needs at least 'family' and 'channels'")
     kwargs = dict(raw)
-    if kwargs["family"] == "shiftformer" and kwargs.get("mixer") == "shift":
-        kwargs["family"] = "transformer"
     shift_raw = kwargs.pop("shift", None)
     if shift_raw is not None:
-        shift_raw = {k: v for k, v in shift_raw.items() if (k, v) != ("boundary", "zero_fill")}
-        check_config_dict(shift_raw, ShiftConfig, "shift")
-        shift_raw = ShiftConfig(**shift_raw)
+        shift_raw = ShiftConfig(**check_config_dict(shift_raw, ShiftConfig, "shift"))
     return ModelConfig(shift=shift_raw, **kwargs)
 
 
@@ -428,26 +414,25 @@ def weighted_layer_sum(seqs, layer_weights: Tensor) -> Tensor:
     return track(out, (w,), bwd)
 
 
-def _record_views(features, lengths) -> list:
+def _record_views(features, lengths) -> tuple[list, np.ndarray]:
     """Record b of a batch, features[b][:, :lengths[b]], for record arrays
-    or a (batch, layers, time, channels) array or Tensor; each record's own
-    frames by default. A Tensor that requires grad raises UsageError: the
-    layer mix gives features no gradient."""
+    or a (batch, layers, time, channels) array or Tensor, and the views'
+    frame counts; each record's own frames by default. A Tensor that
+    requires grad raises UsageError: the layer mix gives features no
+    gradient."""
     if isinstance(features, Tensor):
         if features.requires_grad:
             raise UsageError("features get no gradient: pass arrays, or a Tensor that does not require grad")
         features = features.data
     if lengths is None:
-        return list(features)
-    batch_layout(features)
-    lengths = _check_lengths(lengths, len(features), max(a.shape[1] for a in features))
-    if any(t > a.shape[1] for a, t in zip(features, lengths)):
-        raise DimensionError(f"lengths {lengths.tolist()} run past a record's frames")
-    return [a[:, :t] for a, t in zip(features, lengths)]
-
-
-def _lengths(seqs) -> np.ndarray:
-    return np.array([a.shape[1] for a in seqs], dtype=np.int64)
+        seqs = list(features)
+    else:
+        batch_layout(features)
+        lengths = _check_lengths(lengths, len(features), max(a.shape[1] for a in features))
+        if any(t > a.shape[1] for a, t in zip(features, lengths)):
+            raise DimensionError(f"lengths {lengths.tolist()} run past a record's frames")
+        seqs = [a[:, :t] for a, t in zip(features, lengths)]
+    return seqs, np.array([a.shape[1] for a in seqs], dtype=np.int64)
 
 
 class SequenceClassifier:
@@ -475,19 +460,16 @@ class SequenceClassifier:
         real output frames do not depend on the padding its batch adds;
         padded output frames hold values that nothing downstream reads.
         """
-        seqs = _record_views(features, lengths)
-        # nested, so that unrecorded the trunk is freed once block 0 has read it
-        return self._run_blocks(self._mix(seqs), _lengths(seqs), augment_prob if training else 0.0, rng)
+        seqs, lengths = _record_views(features, lengths)
+        return self._run(seqs, lengths, augment_prob if training else 0.0, rng)
 
-    def _mix(self, seqs) -> Tensor:
+    def _run(self, seqs, lengths, augment_prob: float, rng) -> Tensor:
         x = weighted_layer_sum(seqs, self.layer_weights)
         if x.shape[2] != self.cfg.channels[0]:
             raise DimensionError(f"features have {x.shape[2]} channels, model expects {self.cfg.channels[0]}")
-        return x
-
-    def _run_blocks(self, x: Tensor, lengths, augment_prob: float, rng) -> Tensor:
         if augment_prob > 0.0:
             x = shift_augment(x, self.augment_config(), augment_prob, rng, lengths)
+        # rebinding x frees each trunk, when unrecorded, once the next is made
         for block in self.blocks:
             if self.trunk_shift is not None:
                 x = temporal_shift(x, self.trunk_shift, lengths)
@@ -496,9 +478,9 @@ class SequenceClassifier:
 
     def forward(self, features, lengths=None, training: bool = False,
                 augment_prob: float = 0.0, rng=None) -> Tensor:
-        seqs = _record_views(features, lengths)
-        x = self.forward_features(seqs, training, augment_prob, rng)
-        return linear(mean_pool_time(x, _lengths(seqs)), self.head.weight, self.head.bias)
+        seqs, lengths = _record_views(features, lengths)
+        x = self._run(seqs, lengths, augment_prob if training else 0.0, rng)
+        return linear(mean_pool_time(x, lengths), self.head.weight, self.head.bias)
 
     def predict(self, records) -> np.ndarray:
         """Eval-mode logits, (batch, classes), of :meth:`forward` on the

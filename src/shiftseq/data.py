@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, EmptyInputError, as_integer, check_field_types
-from .seeding import substream
+from .seeding import check_seed, substream
 
 FSEQ_MAGIC = b"FSEQ"
 FSEQ_VERSION = 1
@@ -322,7 +322,7 @@ class GenConfig:
             raise ConfigError(f"channel groups [{a.start}, {a.stop}) and [{b.start}, {b.stop}) overlap")
         if self.min_gap < 1 or self.margin < 0:
             raise ConfigError("min_gap must be positive and margin non-negative")
-        if not valid_bump_pairs(self):
+        if _pair_rows(self) < 1:
             raise ConfigError(
                 f"no valid bump placements: frames={self.frames} cannot hold two bumps "
                 f"with margin {self.margin} and gap {self.min_gap}")
@@ -337,6 +337,22 @@ def valid_bump_pairs(gcfg: GenConfig) -> list:
     lo, hi = gcfg.margin, gcfg.frames - 1 - gcfg.margin
     return [(e, l) for e in range(lo, hi + 1) for l in range(lo, hi + 1)
             if l - e >= gcfg.min_gap]
+
+
+def _pair_rows(gcfg: GenConfig) -> int:
+    """m, the number of early centers with a valid pair: early center
+    margin + i has m - i late partners, so there are m(m+1)/2 pairs."""
+    return gcfg.frames - 2 * gcfg.margin - gcfg.min_gap
+
+
+def _bump_pair(gcfg: GenConfig, k: int) -> tuple:
+    """valid_bump_pairs(gcfg)[k], without building the list: counted from
+    the end, row j (the early center margin + m - 1 - j) holds j + 1 pairs."""
+    m = _pair_rows(gcfg)
+    r = m * (m + 1) // 2 - 1 - k
+    j = (math.isqrt(8 * r + 1) - 1) // 2
+    early = gcfg.margin + m - 1 - j
+    return early, early + gcfg.min_gap + j - (r - j * (j + 1) // 2)
 
 
 def _class_channel_groups(gcfg: GenConfig, label: int) -> tuple:
@@ -370,14 +386,17 @@ def render_record(gcfg: GenConfig, label: int, t_early: int, t_late: int,
 
 
 def gen_synthetic(gcfg: GenConfig, seed: int) -> FseqFile:
-    """Generate the full dataset; each record has its own RNG substream."""
-    pairs = valid_bump_pairs(gcfg)
+    """Generate the full dataset; each record has its own RNG substream.
+    A seed that is not a non-negative integer raises ConfigError, also when
+    the config asks for no records."""
+    check_seed(seed)
+    m = _pair_rows(gcfg)
     records = []
     for g in range(gcfg.groups):
         for cls in range(gcfg.num_classes):
             for j in range(gcfg.per_class_per_group):
                 rng = substream(seed, "datagen", g, cls, j)
-                t_early, t_late = pairs[int(rng.integers(len(pairs)))]
+                t_early, t_late = _bump_pair(gcfg, int(rng.integers(m * (m + 1) // 2)))
                 data = render_record(gcfg, cls, t_early, t_late, rng=rng)
                 records.append(FeatureSequence(label=cls, group=g, data=data))
     return FseqFile(k_cls=gcfg.num_classes, records=records)

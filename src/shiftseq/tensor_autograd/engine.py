@@ -154,11 +154,17 @@ def _copy(a: np.ndarray) -> np.ndarray:
 
 
 def _as_array(data, dtype) -> np.ndarray:
+    """`data` as a float32 or float64 array: `dtype` if given, else its own
+    float dtype, else float32. Data that is not bool, integer or real float
+    (complex, object, text, dates), or another `dtype`, raises DimensionError."""
     arr = np.asarray(data)
-    if dtype is not None:
-        arr = arr.astype(dtype, copy=False)
-    elif arr.dtype not in _FLOAT_DTYPES:
-        arr = arr.astype(np.float32)
+    if arr.dtype.kind not in "biuf":
+        raise DimensionError(f"a tensor holds real numbers, got {arr.dtype} data")
+    if dtype is None:
+        dtype = arr.dtype if arr.dtype in _FLOAT_DTYPES else np.float32
+    elif np.dtype(dtype) not in _FLOAT_DTYPES:
+        raise DimensionError(f"a tensor holds float32 or float64, got dtype {np.dtype(dtype)}")
+    arr = arr.astype(dtype, copy=False)
     if arr.ndim > _MAX_RANK:
         raise DimensionError(f"rank-{arr.ndim} array exceeds the supported maximum rank {_MAX_RANK}")
     return arr

@@ -373,12 +373,16 @@ class CrossValResult:
 
 def cross_validate(model_cfg, train_cfg: TrainConfig, records,
                    keep_curves: bool = False) -> CrossValResult:
-    """Leave-one-group-out: one fold per group, merged by fold index."""
+    """Leave-one-group-out: one fold per group, merged by fold index. Fewer
+    than 2 groups leave a fold nothing to train on and raise ConfigError."""
+    plans = assign_folds(records)
+    if len(plans) < 2:
+        raise ConfigError(f"leave-one-group-out needs at least 2 groups, got {len(plans)}")
     results = [train_fold(model_cfg, train_cfg,
                           [records[i] for i in plan.train_indices],
                           [records[i] for i in plan.test_indices],
                           fold=plan.fold, keep_curve=keep_curves)
-               for plan in assign_folds(records)]
+               for plan in plans]
     return CrossValResult(
         folds=results,
         mean_ua=float(np.mean([r.metrics.ua for r in results])),

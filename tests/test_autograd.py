@@ -47,6 +47,8 @@ class TestTensor:
         assert t.dtype == np.float32
         assert t.shape == (2, 2)
         assert not t.requires_grad
+        for data in (np.arange(6), np.array([True, False]), np.float16([1.5])):
+            np.testing.assert_array_equal(Tensor(data).data, data.astype(np.float32), strict=True)
 
     def test_float64_preserved(self):
         t = Tensor(np.zeros(3, dtype=np.float64))
@@ -55,6 +57,20 @@ class TestTensor:
     def test_rank_limit(self):
         with pytest.raises(DimensionError):
             Tensor(np.zeros((1, 1, 1, 1, 1)))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float16, bool, np.complex64])
+    def test_rejects_a_dtype_other_than_float32_or_float64(self, dtype):
+        with pytest.raises(DimensionError, match="float32 or float64"):
+            Tensor(np.arange(6), dtype=dtype)
+
+    @pytest.mark.parametrize("dtype", [None, np.float32, np.float64])
+    @pytest.mark.parametrize("data", [np.array([1 + 2j]), None, ["a"], np.datetime64("2020-01-01")],
+                             ids=["complex", "none", "text", "date"])
+    def test_rejects_data_that_is_not_real_numbers(self, data, dtype):
+        """A cast would drop the imaginary part with only a NumPy warning,
+        read None as NaN and a date as its day count."""
+        with pytest.raises(DimensionError, match="real numbers"):
+            Tensor(data, dtype=dtype)
 
     def test_item_rejects_nonscalar(self):
         with pytest.raises(UsageError):

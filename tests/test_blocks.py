@@ -26,7 +26,7 @@ from shiftseq.blocks.model import _DRAW_BLOCK
 from shiftseq.data import FeatureSequence, GenConfig
 from shiftseq.errors import ConfigError, DimensionError, EmptyInputError, UsageError
 from shiftseq.seeding import substream
-from shiftseq.shift import ShiftConfig, temporal_shift
+from shiftseq.shift import ShiftConfig, shift_augment, temporal_shift
 from shiftseq.tensor_autograd import (
     Tensor,
     add,
@@ -112,7 +112,7 @@ def test_validate_heads_must_divide_width():
 
 
 def test_validate_shiftformer_needs_shift_mixer():
-    """The shiftformer is a preset, not a family; old configs map only with the shift mixer."""
+    """The shiftformer is a preset, not a family."""
     with pytest.raises(ConfigError, match="family"):
         small_cfg("shiftformer", **SHIFT_MIXER)
     raw = config_to_dict(small_cfg("transformer", **SHIFT_MIXER))
@@ -177,19 +177,34 @@ def test_config_from_dict_rejects_unknown_shift_keys():
         config_from_dict(raw)
 
 
-@pytest.mark.parametrize("norm", ["group", "batch"])
-def test_config_from_dict_drops_only_the_legacy_layer_norm_key(norm):
-    """Older writers also stored `"pos": "relative"` and a `max_len`, which sized
-    only an absolute position table; any other position mode is gone."""
-    raw = config_to_dict(small_cfg())
-    assert config_from_dict(dict(raw, norm="layer")) == small_cfg()
-    assert config_from_dict(dict(raw, norm="layer", pos="relative", max_len=512)) == small_cfg()
-    assert config_from_dict(dict(raw, max_len=32)) == small_cfg()
-    with pytest.raises(ConfigError, match="norm"):
-        config_from_dict(dict(raw, norm=norm))
-    for pos in ("absolute", "none"):
-        with pytest.raises(ConfigError, match="pos"):
-            config_from_dict(dict(raw, pos=pos, max_len=512))
+# the six spellings of options retired during development, then other values of their keys
+RETIRED = [
+    pytest.param(dict(max_len=512), "max_len", id="max_len"),
+    pytest.param(dict(norm="layer"), "norm", id="norm-layer"),
+    pytest.param(dict(pos="relative"), "pos", id="pos-relative"),
+    pytest.param(dict(pool_window=3), "pool_window", id="pool_window-3"),
+    pytest.param(dict(boundary="zero_fill"), "boundary", id="boundary-zero_fill"),
+    pytest.param(dict(family="shiftformer"), "shiftformer", id="family-shiftformer"),
+]
+OTHER_VALUES = [
+    pytest.param(dict(norm=norm), "norm", id=f"norm-{norm}") for norm in ("group", "batch")
+] + [
+    pytest.param(dict(pos=pos), "pos", id=f"pos-{pos}") for pos in ("absolute", "none")
+] + [
+    pytest.param(dict(pool_window=w), "pool_window", id=f"pool_window-{w}") for w in (1, 5)
+]
+
+
+@pytest.mark.parametrize("edits,named", RETIRED + OTHER_VALUES)
+def test_config_from_dict_rejects_retired_keys(edits, named):
+    """Configs are read in the format `config_to_dict` writes; a retired
+    key or family is rejected by name, whatever its value."""
+    raw = config_to_dict(preset_config("shiftformer", width=8))
+    edits = dict(edits)
+    if "boundary" in edits:
+        raw["shift"]["boundary"] = edits.pop("boundary")
+    with pytest.raises(ConfigError, match=named):
+        config_from_dict(dict(raw, **edits))
 
 
 def test_config_from_dict_requires_family_and_channels():
@@ -220,17 +235,6 @@ def test_config_from_dict_takes_an_integer_alpha():
     raw = config_to_dict(small_cfg(shift=ShiftConfig(alpha=0.25)))
     raw["shift"]["alpha"] = 1
     assert config_from_dict(raw).shift.alpha == 1
-
-
-def test_config_from_dict_drops_only_the_legacy_pool_window():
-    """Older writers stored `"pool_window": 3`, the one window any model used."""
-    cfg = small_cfg("transformer", mixer="pooling")
-    raw = config_to_dict(cfg)
-    assert "pool_window" not in raw
-    assert config_from_dict(dict(raw, pool_window=3)) == cfg
-    for window in (1, 5):
-        with pytest.raises(ConfigError, match="pool_window"):
-            config_from_dict(dict(raw, pool_window=window))
 
 
 def test_model_config_fields():
@@ -969,7 +973,8 @@ def test_checkpoint_rejects_missing_parameters(tmp_path):
 
 
 def test_checkpoint_rejects_any_buffer_record(tmp_path):
-    """The buffer section is written empty; a record there has no model to go to."""
+    """The buffer section is written empty; a nonzero count is rejected by
+    its value, as a record there would have no model to go to."""
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, build_model(small_cfg(), seed=0))
     raw = path.read_bytes()
@@ -977,10 +982,14 @@ def test_checkpoint_rejects_any_buffer_record(tmp_path):
     name = b"blocks.0.norm.running_mean"
     record = struct.pack("<I", len(name)) + name + struct.pack("<II", 1, 8) + np.zeros(8, "<f4").tobytes()
     path.write_bytes(raw[:-4] + struct.pack("<I", 1) + record)
-    with pytest.raises(CheckpointError, match="running_mean"):
+    with pytest.raises(CheckpointError, match="claims 1 buffer record"):
         load_checkpoint(path)
-    with pytest.raises(CheckpointError, match="running_mean"):
+    with pytest.raises(CheckpointError, match="claims 1 buffer record"):
         build_from_checkpoint(path)
+    # the count is the error, read before the records it claims (here none)
+    path.write_bytes(raw[:-4] + struct.pack("<I", 7))
+    with pytest.raises(CheckpointError, match="claims 7 buffer records"):
+        load_checkpoint(path)
 
 
 def rewrite_model_config(path, boundary=None, **fields):
@@ -995,45 +1004,15 @@ def rewrite_model_config(path, boundary=None, **fields):
     path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[end:])
 
 
-def test_legacy_shiftformer_checkpoint_loads_bit_exactly(tmp_path):
-    """Older writers stored the shiftformer as its own family with a shift boundary."""
+@pytest.mark.parametrize("edits,named", RETIRED)
+def test_checkpoint_with_a_retired_key_is_rejected(tmp_path, edits, named):
     model = build_model(preset_config("shiftformer", width=16, num_input_layers=2), seed=5)
-    path = tmp_path / "legacy.ckpt"
+    path = tmp_path / "retired.ckpt"
     save_checkpoint(path, model)
-    rewrite_model_config(path, family="shiftformer", boundary="zero_fill")
-    loaded, _ = build_from_checkpoint(path)
-    assert loaded.cfg == model.cfg
-    assert loaded.cfg.family == "transformer" and loaded.cfg.mixer == "shift"
-    x = Tensor(features(np.random.default_rng(3), t=11, c=16))
-    np.testing.assert_array_equal(loaded.forward(x).data, model.forward(x).data)
-
-
-@pytest.mark.parametrize("preset", PRESETS)
-def test_legacy_layer_norm_key_loads_bit_exactly(tmp_path, preset):
-    """Older writers stored `"norm": "layer"`, `"pos": "relative"` and
-    `"max_len": 512`, once the choices every preset made."""
-    model = small_preset(preset, seed=8)
-    path = tmp_path / "legacy.ckpt"
-    save_checkpoint(path, model)
-    rewrite_model_config(path, norm="layer", pos="relative", max_len=512)
-    loaded, _ = build_from_checkpoint(path)
-    assert loaded.cfg == model.cfg
-    records = mixed_records(9)
-    np.testing.assert_array_equal(predict_logits(loaded, records, 2)[0],
-                                  predict_logits(model, records, 2)[0])
-
-
-def test_checkpoint_with_legacy_pool_window_loads_bit_exactly(tmp_path):
-    """Every config written before the window became a constant carries `"pool_window": 3`."""
-    model = small_preset("transformer", seed=8, mixer="pooling")
-    path = tmp_path / "legacy.ckpt"
-    save_checkpoint(path, model)
-    rewrite_model_config(path, pool_window=3)
-    loaded, _ = build_from_checkpoint(path)
-    assert loaded.cfg == model.cfg
-    records = mixed_records(9)
-    np.testing.assert_array_equal(predict_logits(loaded, records, 2)[0],
-                                  predict_logits(model, records, 2)[0])
+    rewrite_model_config(path, **edits)
+    for load in (load_checkpoint, build_from_checkpoint):
+        with pytest.raises(CheckpointError, match=f"invalid model config.*{named}"):
+            load(path)
 
 
 @pytest.mark.parametrize("edits", [
@@ -1181,7 +1160,12 @@ def test_train_step_on_records_is_the_step_on_their_collated_stack(preset, kw, d
                       rng=np.random.default_rng(3))
 
     def composed(m):
-        x = m._run_blocks(stack_mix(feats, m.layer_weights), lengths, 0.5, np.random.default_rng(3))
+        x = shift_augment(stack_mix(feats, m.layer_weights), m.augment_config(), 0.5,
+                          np.random.default_rng(3), lengths)
+        for block in m.blocks:
+            if m.trunk_shift is not None:
+                x = temporal_shift(x, m.trunk_shift, lengths)
+            x = block.forward(x, lengths)
         logits = linear(mean_pool_time(x, lengths), m.head.weight, m.head.bias)
         return cross_entropy(logits, labels), logits
 

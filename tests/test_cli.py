@@ -165,6 +165,17 @@ def test_train_requires_model(workdir, config_path, data_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_train_on_one_group_names_the_group_count(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", data=dict(DATA_CFG, groups=1), train=TRAIN_CFG)
+    assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "data")]) == 0
+    capsys.readouterr()
+    assert main(["train", str(tmp_path / "data" / "data.fseq"), "--config", cfg, "--preset", "cnn",
+                 "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "at least 2 groups, got 1" in err and "Traceback" not in err
+    assert not os.path.exists(tmp_path / "run")
+
+
 def test_train_channel_mismatch(workdir, data_path, tmp_path, capsys):
     cfg_path = write_config(
         tmp_path / "cfg.json",

@@ -2,12 +2,14 @@
 
 import dataclasses
 import errno
+import itertools
 import json
 import os
 import struct
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -367,6 +369,34 @@ def test_gen_config_from_dict_rejects_mistyped_values(raw):
         GenConfig(**check_config_dict(raw, GenConfig, "data"))
 
 
+@pytest.mark.parametrize("frames", [1, 2, 7, 13, 14, 20, 31])
+def test_bump_pair_decodes_every_index_of_the_pair_list(frames):
+    """A config builds exactly when `valid_bump_pairs` is non-empty, and the
+    generator's decode of a drawn index is the list's entry there."""
+    for margin, min_gap in itertools.product(range(7), range(1, 8)):
+        fields = dict(frames=frames, margin=margin, min_gap=min_gap)
+        pairs = valid_bump_pairs(SimpleNamespace(**fields))
+        if not pairs:
+            with pytest.raises(ConfigError, match="placements"):
+                tiny_gen_cfg(**fields)
+            continue
+        gcfg = tiny_gen_cfg(**fields)
+        assert [shiftseq.data._bump_pair(gcfg, k) for k in range(len(pairs))] == pairs
+
+
+def test_gen_config_checks_placement_without_listing_pairs():
+    """The pair list holds about frames**2 / 2 entries; the check needs none.
+    1,000 frames come first: their list alone would take tens of MB."""
+    for frames in (1_000, 100_000):
+        tracemalloc.start()
+        try:
+            GenConfig(frames=frames)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, frames
+
+
 def test_gen_config_rejects_wrong_class_count():
     with pytest.raises(ConfigError):
         tiny_gen_cfg(num_classes=3)
@@ -473,6 +503,24 @@ def test_negative_seeds_raise_config_error_from_the_api():
         gen_synthetic(GenConfig(), seed=-1)
     with pytest.raises(ConfigError, match="got -1"):
         build_model(preset_config("cnn", width=16), seed=-1)
+
+
+def test_gen_synthetic_places_each_record_at_its_drawn_pair():
+    gcfg = tiny_gen_cfg(groups=2, per_class_per_group=2)
+    pairs = valid_bump_pairs(gcfg)
+    records = iter(gen_synthetic(gcfg, seed=4).records)
+    for g, cls, j in itertools.product(range(2), range(4), range(2)):
+        rng = substream(4, "datagen", g, cls, j)
+        early, late = pairs[int(rng.integers(len(pairs)))]
+        np.testing.assert_array_equal(next(records).data, render_record(gcfg, cls, early, late, rng=rng))
+
+
+@pytest.mark.parametrize("per_class_per_group", [0, 1])
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_gen_synthetic_checks_its_seed_whatever_it_draws(per_class_per_group, seed):
+    """A config that asks for no records draws nothing, yet rejects the same seeds."""
+    with pytest.raises(ConfigError, match="non-negative integers"):
+        gen_synthetic(tiny_gen_cfg(per_class_per_group=per_class_per_group), seed=seed)
 
 
 def test_gen_synthetic_counts_and_ranges():

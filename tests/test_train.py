@@ -862,6 +862,13 @@ def test_cross_validate_means_and_rows():
         assert 0.0 <= float(fields["ua"]) <= 1.0
 
 
+def test_cross_validate_needs_two_groups():
+    """Leave-one-group-out over one group leaves its fold nothing to train on."""
+    records = [rec for rec in tiny_dataset() if rec.group == 1]
+    with pytest.raises(ConfigError, match="at least 2 groups, got 1"):
+        cross_validate(tiny_model_cfg(), TrainConfig(epochs=1, warmup_epochs=0), records)
+
+
 def test_format_curves_lines():
     records = tiny_dataset()
     cfg = TrainConfig(epochs=1, warmup_epochs=0, batch_size=24, seed=1)
