@@ -35,7 +35,7 @@ import numpy as np
 
 from .model import ModelConfig, SequenceClassifier, build_model, config_from_dict, config_to_dict
 from ..data import ByteReader, all_finite, write_atomic
-from ..errors import ConfigError
+from ..errors import ConfigError, decode_json
 
 MAGIC = b"SSCK"
 VERSION = 1
@@ -113,10 +113,7 @@ def load_checkpoint(path) -> tuple[ModelConfig, "dict[str, np.ndarray]", dict]:
     version = r.u32("version")
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    try:
-        payload = json.loads(bytes(r.take(r.u32("config"), "config")).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CheckpointError(f"checkpoint config is not valid JSON: {e}") from e
+    payload = decode_json(bytes(r.take(r.u32("config"), "config")), CheckpointError, "checkpoint config")
     if not isinstance(payload, dict) or "model" not in payload:
         raise CheckpointError("checkpoint config lacks a 'model' entry")
     try:

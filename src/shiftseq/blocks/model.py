@@ -66,11 +66,12 @@ class ModelConfig:
     channels is (in, mid, out) for the cnn/transformer families with
     out == in, and (in, 2*hidden) for the lstm family. `mixer` selects the
     transformer token mixer; "none" drops the mixing sub-layer entirely,
-    leaving a per-frame pointwise MLP; the cnn and lstm families take only
-    the default. `kernel` applies to the cnn family and `heads`/`clip_dist`
-    to the attention mixer, whose only position signal is a learned bias
-    per head and query-key distance clipped to `clip_dist`. Every block
-    normalizes with LayerNorm.
+    leaving a per-frame pointwise MLP. `kernel` applies to the cnn family
+    and `heads`/`clip_dist` to the attention mixer, whose only position
+    signal is a learned bias per head and query-key distance clipped to
+    `clip_dist`. A field the built model does not read (`mixer` outside the
+    transformer family, `kernel` outside cnn, `heads`/`clip_dist` without
+    attention) must keep its default. Every block normalizes with LayerNorm.
 
     A config is checked when it is built, so every instance is valid: a bad
     or inconsistent field raises ConfigError from the constructor (and from
@@ -108,13 +109,21 @@ class ModelConfig:
                 raise ConfigError(f"channels must enter and leave blocks at the same width, got {self.channels}")
         if self.blocks < 1:
             raise ConfigError(f"blocks must be at least 1, got {self.blocks}")
-        if self.family == "cnn" and (self.kernel < 1 or self.kernel % 2 == 0):
-            raise ConfigError(f"kernel must be odd and positive, got {self.kernel}")
         if self.mixer not in MIXERS:
             raise ConfigError(f"mixer must be one of {MIXERS}, got {self.mixer!r}")
-        # every saved config carries the default mixer, whatever its family
-        if self.family != "transformer" and self.mixer != "attention":
-            raise ConfigError(f"mixer {self.mixer!r} needs the transformer family, got {self.family!r}")
+        # a field the built model does not read keeps its default
+        attention = self.family == "transformer" and self.mixer == "attention"
+        read = {"mixer": self.family == "transformer", "kernel": self.family == "cnn",
+                "heads": attention, "clip_dist": attention}
+        defaults = {f.name: f.default for f in dataclasses.fields(self)}
+        for name, is_read in read.items():
+            value = getattr(self, name)
+            if not is_read and value != defaults[name]:
+                raise ConfigError(
+                    f"{name}={value!r} is not read by family {self.family!r} with mixer "
+                    f"{self.mixer!r}; it must keep its default {defaults[name]!r}")
+        if self.kernel < 1 or self.kernel % 2 == 0:
+            raise ConfigError(f"kernel must be odd and positive, got {self.kernel}")
         if self.mixer == "none" and self.shift is not None and self.shift.placement == "residual":
             raise ConfigError("a residual shift needs a token mixer branch to run on; mixer is 'none'")
         if self.mixer == "shift":
@@ -123,11 +132,10 @@ class ModelConfig:
             if self.shift.placement != "residual":
                 raise ConfigError(
                     f"shift.placement must be 'residual' when the shift is the token mixer, got {self.shift.placement!r}")
-        if self.mixer == "attention" and self.family == "transformer":
-            if self.heads < 1 or self.channels[0] % self.heads != 0:
-                raise ConfigError(f"heads must divide channels[0]={self.channels[0]}, got heads={self.heads}")
-            if self.clip_dist < 1:
-                raise ConfigError(f"clip_dist must be at least 1, got {self.clip_dist}")
+        if attention and (self.heads < 1 or self.channels[0] % self.heads != 0):
+            raise ConfigError(f"heads must divide channels[0]={self.channels[0]}, got heads={self.heads}")
+        if self.clip_dist < 1:
+            raise ConfigError(f"clip_dist must be at least 1, got {self.clip_dist}")
         if self.shift is not None:
             shifted_channels(self.shift, self.channels[0])
         if self.num_classes < 2:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -52,6 +51,7 @@ from .errors import (
     TrainingDiverged,
     UsageError,
     check_config_dict,
+    decode_json,
 )
 from .shift import ShiftConfig, temporal_shift
 from .tensor_autograd import Tensor
@@ -70,11 +70,8 @@ DIRECTION_FLAGS = {"uni": "unidirectional", "bi": "bidirectional"}
 
 
 def _load_config(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
+    with open(path, "rb") as f:
+        raw = decode_json(f.read(), ConfigError, f"config file {path}")
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     unknown = sorted(set(raw) - {"model", "train", "data"})
@@ -177,8 +174,7 @@ def _resolve_train_configs(args, fseq):
 def cmd_train(args) -> int:
     fseq = read_fseq(args.data)
     model_cfg, train_cfg = _resolve_train_configs(args, fseq)
-    result = cross_validate(model_cfg, train_cfg, fseq.records,
-                            keep_curves=args.curves)
+    result = cross_validate(model_cfg, train_cfg, fseq.records)
     os.makedirs(args.out, exist_ok=True)
     text = format_metrics(result)
     write_text(os.path.join(args.out, "metrics.txt"), text)

@@ -5,6 +5,7 @@ Format-specific parse errors live next to their formats (see
 """
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -42,6 +43,16 @@ def as_integer(value, error: type[Exception], what: str, minimum=-math.inf) -> i
 _JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
                "str": ((str,), "a string"), "tuple[int, ...]": ((list,), "a list"),
                "ShiftConfig | None": ((dict, type(None)), "a mapping or null")}
+
+
+def decode_json(data: bytes, error: type[Exception], what: str):
+    """The value of the UTF-8 JSON `data`. A byte that is not UTF-8, malformed
+    JSON, nesting deeper than the parser's recursion limit and an integer past
+    Python's digit limit all raise `error("<what> is not valid JSON: ...")`."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as e:  # ValueError covers the decode errors
+        raise error(f"{what} is not valid JSON: {e}") from e
 
 
 def check_config_dict(raw, cls, section: str) -> dict:

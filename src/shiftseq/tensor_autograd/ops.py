@@ -159,41 +159,6 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor, bias: Tensor, lengths=None) -> T
     return track(out, (x, kernel, bias), bwd)
 
 
-def conv1d_full(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
-    """Channel-mixing temporal convolution with zero same-padding.
-
-    out[b,t,o] = sum_{k,i} x[b, t+k-(K-1)/2, i] * kernel[k,i,o] + bias[o]
-    """
-    if x.ndim != 3:
-        raise DimensionError(f"conv1d_full expects rank-3 input, got {x.shape}")
-    if kernel.ndim != 3 or kernel.shape[1] != x.shape[2]:
-        raise DimensionError(f"conv kernel {kernel.shape} does not fit input {x.shape}")
-    if bias.ndim != 1 or bias.shape[0] != kernel.shape[2]:
-        raise DimensionError(f"conv bias {bias.shape} does not fit kernel {kernel.shape}")
-    k = kernel.shape[0]
-    if k % 2 == 0:
-        raise ConfigError(f"conv1d_full kernel size must be odd, got {k}")
-    t = x.shape[1]
-    halo = (k - 1) // 2
-    xp = _same_pad(x.data, halo)
-    out = np.zeros(x.shape[:2] + (kernel.shape[2],), dtype=x.data.dtype)
-    for j in range(k):
-        out += np.matmul(xp[:, j:j + t, :], kernel.data[j])
-    out += bias.data
-
-    def bwd(g):
-        gxp = np.zeros_like(xp)
-        gk = np.zeros_like(kernel.data)
-        for j in range(k):
-            gxp[:, j:j + t, :] += np.matmul(g, kernel.data[j].T)
-            gk[j] = np.einsum("bti,bto->io", xp[:, j:j + t, :], g)
-        accumulate_grad(x, gxp[:, halo:halo + t, :])
-        accumulate_grad(kernel, gk)
-        accumulate_grad(bias, g.sum(axis=(0, 1)))
-
-    return track(out, (x, kernel, bias), bwd)
-
-
 def _affine(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray, out=None) -> np.ndarray:
     """gamma * xhat + beta, written into `out` when one is given."""
     out = np.multiply(xhat, gamma, out=out)
@@ -241,60 +206,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             accumulate_grad(x, _norm_input_grad(g, gamma.data, xhat, inv, -1, tmp), owned=True)
 
     return track(out, (x, gamma, beta), bwd)
-
-
-def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
-                 running_mean: np.ndarray, running_var: np.ndarray,
-                 training: bool = False) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Normalize per channel over the (batch, time) axes.
-
-    Training mode normalizes by batch statistics and returns running stats
-    blended with momentum BN_MOMENTUM (variance stored unbiased, as is
-    conventional); eval mode normalizes by the running stats and returns
-    them unchanged. Both add NORM_EPS to the variance.
-    """
-    if x.ndim != 3:
-        raise DimensionError(f"batch_norm1d expects rank-3 input, got {x.shape}")
-    c = x.shape[2]
-    for name, arr in (("gamma", gamma.data), ("beta", beta.data),
-                      ("running_mean", running_mean), ("running_var", running_var)):
-        if arr.shape != (c,):
-            raise DimensionError(f"batch_norm1d {name} shape {arr.shape} does not fit input {x.shape}")
-    eps = np.asarray(NORM_EPS, dtype=x.data.dtype)
-    if training:
-        n = x.shape[0] * x.shape[1]
-        if n < 2:
-            raise DimensionError("batch_norm1d training mode needs more than one (batch, time) sample")
-        mu = x.data.mean(axis=(0, 1))
-        xhat = x.data - mu  # centred, then scaled in place
-        out = np.multiply(xhat, xhat)  # the squares for the variance, then the output
-        var = out.mean(axis=(0, 1))
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat *= inv
-        new_mean = (1.0 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mu
-        new_var = (1.0 - BN_MOMENTUM) * running_var + BN_MOMENTUM * var * (n / (n - 1))
-    else:
-        inv = 1.0 / np.sqrt(running_var + eps)
-        xhat = x.data - running_mean
-        xhat *= inv
-        out = None
-        new_mean, new_var = running_mean, running_var
-    out = _affine(xhat, gamma.data, beta.data, out=out)
-
-    def bwd(g):
-        tmp = np.multiply(g, xhat)
-        accumulate_grad(gamma, tmp.sum(axis=(0, 1)), owned=True)
-        accumulate_grad(beta, g.sum(axis=(0, 1)), owned=True)
-        if not x.requires_grad:
-            return
-        if training:
-            gx = _norm_input_grad(g, gamma.data, xhat, inv, (0, 1), tmp)
-        else:
-            gx = np.multiply(g, gamma.data)
-            gx *= inv
-        accumulate_grad(x, gx, owned=True)
-
-    return track(out, (x, gamma, beta), bwd), new_mean, new_var
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -389,27 +300,6 @@ def _rel_index(t: int, d: int) -> np.ndarray:
     np.clip(idx, -d, d, out=idx)
     idx += d
     return idx
-
-
-def rel_position_bias(table: Tensor, t: int) -> Tensor:
-    """Expand a per-head table indexed by clipped signed distance to (H, T, T).
-
-    table has shape (heads, 2*D+1); entry [h, clip(q-k, -D, D) + D] is added
-    to the attention logit for query frame q and key frame k.
-    """
-    if table.ndim != 2 or table.shape[1] % 2 == 0:
-        raise DimensionError(f"relative bias table must be (heads, 2*D+1), got {table.shape}")
-    idx = _rel_index(t, (table.shape[1] - 1) // 2)
-    out = table.data[:, idx]
-
-    def bwd(g):
-        gt = np.zeros_like(table.data)
-        heads = table.shape[0]
-        hidx = np.arange(heads)[:, None, None]
-        np.add.at(gt, (hidx, idx[None, :, :]), g)
-        accumulate_grad(table, gt, owned=True)
-
-    return track(out, (table,), bwd)
 
 
 @dataclass
@@ -813,3 +703,120 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         accumulate_grad(logits, glogits, owned=True)
 
     return track(out, (logits,), bwd)
+
+
+# ---------------------------------------------------------------------------
+# ops no model runs
+# ---------------------------------------------------------------------------
+# No model runs these ops, and the package does not export them. They stay
+# only because the benchmark's tracer (perfbench/spans.py) wraps each one by
+# name; the grad suite checks each of them.
+
+def conv1d_full(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+    """Channel-mixing temporal convolution with zero same-padding.
+
+    out[b,t,o] = sum_{k,i} x[b, t+k-(K-1)/2, i] * kernel[k,i,o] + bias[o]
+    """
+    if x.ndim != 3:
+        raise DimensionError(f"conv1d_full expects rank-3 input, got {x.shape}")
+    if kernel.ndim != 3 or kernel.shape[1] != x.shape[2]:
+        raise DimensionError(f"conv kernel {kernel.shape} does not fit input {x.shape}")
+    if bias.ndim != 1 or bias.shape[0] != kernel.shape[2]:
+        raise DimensionError(f"conv bias {bias.shape} does not fit kernel {kernel.shape}")
+    k = kernel.shape[0]
+    if k % 2 == 0:
+        raise ConfigError(f"conv1d_full kernel size must be odd, got {k}")
+    t = x.shape[1]
+    halo = (k - 1) // 2
+    xp = _same_pad(x.data, halo)
+    out = np.zeros(x.shape[:2] + (kernel.shape[2],), dtype=x.data.dtype)
+    for j in range(k):
+        out += np.matmul(xp[:, j:j + t, :], kernel.data[j])
+    out += bias.data
+
+    def bwd(g):
+        gxp = np.zeros_like(xp)
+        gk = np.zeros_like(kernel.data)
+        for j in range(k):
+            gxp[:, j:j + t, :] += np.matmul(g, kernel.data[j].T)
+            gk[j] = np.einsum("bti,bto->io", xp[:, j:j + t, :], g)
+        accumulate_grad(x, gxp[:, halo:halo + t, :])
+        accumulate_grad(kernel, gk)
+        accumulate_grad(bias, g.sum(axis=(0, 1)))
+
+    return track(out, (x, kernel, bias), bwd)
+
+
+def batch_norm1d(x: Tensor, gamma: Tensor, beta: Tensor,
+                 running_mean: np.ndarray, running_var: np.ndarray,
+                 training: bool = False) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Normalize per channel over the (batch, time) axes.
+
+    Training mode normalizes by batch statistics and returns running stats
+    blended with momentum BN_MOMENTUM (variance stored unbiased, as is
+    conventional); eval mode normalizes by the running stats and returns
+    them unchanged. Both add NORM_EPS to the variance.
+    """
+    if x.ndim != 3:
+        raise DimensionError(f"batch_norm1d expects rank-3 input, got {x.shape}")
+    c = x.shape[2]
+    for name, arr in (("gamma", gamma.data), ("beta", beta.data),
+                      ("running_mean", running_mean), ("running_var", running_var)):
+        if arr.shape != (c,):
+            raise DimensionError(f"batch_norm1d {name} shape {arr.shape} does not fit input {x.shape}")
+    eps = np.asarray(NORM_EPS, dtype=x.data.dtype)
+    if training:
+        n = x.shape[0] * x.shape[1]
+        if n < 2:
+            raise DimensionError("batch_norm1d training mode needs more than one (batch, time) sample")
+        mu = x.data.mean(axis=(0, 1))
+        xhat = x.data - mu  # centred, then scaled in place
+        out = np.multiply(xhat, xhat)  # the squares for the variance, then the output
+        var = out.mean(axis=(0, 1))
+        inv = 1.0 / np.sqrt(var + eps)
+        xhat *= inv
+        new_mean = (1.0 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mu
+        new_var = (1.0 - BN_MOMENTUM) * running_var + BN_MOMENTUM * var * (n / (n - 1))
+    else:
+        inv = 1.0 / np.sqrt(running_var + eps)
+        xhat = x.data - running_mean
+        xhat *= inv
+        out = None
+        new_mean, new_var = running_mean, running_var
+    out = _affine(xhat, gamma.data, beta.data, out=out)
+
+    def bwd(g):
+        tmp = np.multiply(g, xhat)
+        accumulate_grad(gamma, tmp.sum(axis=(0, 1)), owned=True)
+        accumulate_grad(beta, g.sum(axis=(0, 1)), owned=True)
+        if not x.requires_grad:
+            return
+        if training:
+            gx = _norm_input_grad(g, gamma.data, xhat, inv, (0, 1), tmp)
+        else:
+            gx = np.multiply(g, gamma.data)
+            gx *= inv
+        accumulate_grad(x, gx, owned=True)
+
+    return track(out, (x, gamma, beta), bwd), new_mean, new_var
+
+
+def rel_position_bias(table: Tensor, t: int) -> Tensor:
+    """Expand a per-head table indexed by clipped signed distance to (H, T, T).
+
+    table has shape (heads, 2*D+1); entry [h, clip(q-k, -D, D) + D] is added
+    to the attention logit for query frame q and key frame k.
+    """
+    if table.ndim != 2 or table.shape[1] % 2 == 0:
+        raise DimensionError(f"relative bias table must be (heads, 2*D+1), got {table.shape}")
+    idx = _rel_index(t, (table.shape[1] - 1) // 2)
+    out = table.data[:, idx]
+
+    def bwd(g):
+        gt = np.zeros_like(table.data)
+        heads = table.shape[0]
+        hidx = np.arange(heads)[:, None, None]
+        np.add.at(gt, (hidx, idx[None, :, :]), g)
+        accumulate_grad(table, gt, owned=True)
+
+    return track(out, (table,), bwd)

@@ -9,7 +9,7 @@ parameter trajectories and metrics files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -318,11 +318,11 @@ class FoldResult:
     metrics: Metrics
     final_loss: float
     model: SequenceClassifier
-    curve: list = field(default_factory=list)  # (step, lr, loss) triples
+    curve: list  # (step, lr, loss) of every step
 
 
 def train_fold(model_cfg, train_cfg: TrainConfig, train_records, test_records,
-               fold: int = 0, keep_curve: bool = False) -> FoldResult:
+               fold: int = 0) -> FoldResult:
     """Train one fold, after checking its held-out records as :func:`evaluate` does, and evaluate them."""
     if not train_records:
         raise EmptyInputError("train_fold needs at least one training record")
@@ -353,8 +353,7 @@ def train_fold(model_cfg, train_cfg: TrainConfig, train_records, test_records,
             optimizer.zero_grad()
             backward(loss)
             optimizer.step(lr)
-            if keep_curve:
-                curve.append((step, lr, loss_value))
+            curve.append((step, lr, loss_value))
             final_loss = loss_value
             step += 1
 
@@ -371,8 +370,7 @@ class CrossValResult:
     mean_loss: float
 
 
-def cross_validate(model_cfg, train_cfg: TrainConfig, records,
-                   keep_curves: bool = False) -> CrossValResult:
+def cross_validate(model_cfg, train_cfg: TrainConfig, records) -> CrossValResult:
     """Leave-one-group-out: one fold per group, merged by fold index. Fewer
     than 2 groups leave a fold nothing to train on and raise ConfigError."""
     plans = assign_folds(records)
@@ -381,7 +379,7 @@ def cross_validate(model_cfg, train_cfg: TrainConfig, records,
     results = [train_fold(model_cfg, train_cfg,
                           [records[i] for i in plan.train_indices],
                           [records[i] for i in plan.test_indices],
-                          fold=plan.fold, keep_curve=keep_curves)
+                          fold=plan.fold)
                for plan in plans]
     return CrossValResult(
         folds=results,

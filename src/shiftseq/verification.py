@@ -24,29 +24,21 @@ from .tensor_autograd import (
     Tensor,
     add,
     avg_pool_mixer,
-    batch_norm1d,
     bilstm,
-    concat,
-    conv1d_full,
     cross_entropy,
     depthwise_conv1d,
     gelu,
     grad_check,
     layer_norm,
     linear,
-    matmul,
-    mean_all,
     mean_pool_time,
     mhsa,
     mul,
     named_tensors,
-    reduce_sum,
-    rel_position_bias,
-    sigmoid,
     softmax,
-    tanh,
 )
-from .tensor_autograd.ops import _attention_core
+from .tensor_autograd.engine import concat, matmul, mean_all, reduce_sum, sigmoid, tanh
+from .tensor_autograd.ops import _attention_core, batch_norm1d, conv1d_full, rel_position_bias
 
 TOL_ELEMENTWISE = 1e-5
 TOL_COMPOSED = 1e-4

@@ -15,9 +15,14 @@ from shiftseq.tensor_autograd import Tensor
 
 
 def small(family="cnn", **kw):
-    base = dict(channels=(8, 16, 8), blocks=2, kernel=3, heads=2,
-                num_classes=3, num_input_layers=2, clip_dist=4)
-    if family == "lstm":
+    """A small model config; kernel is set only for cnn and heads/clip_dist
+    only for an attention transformer, as every other field keeps its default."""
+    base = dict(channels=(8, 16, 8), blocks=2, num_classes=3, num_input_layers=2)
+    if family == "cnn":
+        base.update(kernel=3)
+    elif family == "transformer" and kw.get("mixer", "attention") == "attention":
+        base.update(heads=2, clip_dist=4)
+    elif family == "lstm":
         base = dict(channels=(8, 12), blocks=1, num_classes=3, num_input_layers=2)
     base.update(kw)
     return build_model(ModelConfig(family=family, **base), seed=0)

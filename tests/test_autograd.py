@@ -15,11 +15,15 @@ from shiftseq.tensor_autograd import (
     accumulate_grad,
     add,
     backward,
-    concat,
     grad_check,
-    matmul,
     mul,
     no_grad,
+    sum_all,
+    track,
+)
+from shiftseq.tensor_autograd.engine import (
+    concat,
+    matmul,
     reduce_sum,
     reshape,
     scale,
@@ -28,9 +32,7 @@ from shiftseq.tensor_autograd import (
     slice_channels,
     slice_rows,
     stack_time,
-    sum_all,
     tanh,
-    track,
     transpose,
 )
 from shiftseq.tensor_autograd import engine

@@ -38,12 +38,10 @@ from shiftseq.tensor_autograd import (
     mean_pool_time,
     mul,
     no_grad,
-    reduce_sum,
-    reshape,
     softmax,
     sum_all,
 )
-from shiftseq.tensor_autograd.engine import backward
+from shiftseq.tensor_autograd.engine import backward, reduce_sum, reshape
 from shiftseq.train import Optimizer, TrainConfig, collate, evaluate, predict_logits
 
 
@@ -53,9 +51,14 @@ SHIFT_MIXER = dict(mixer="shift", shift=ShiftConfig(alpha=0.25, direction="bidir
 
 
 def small_cfg(family="cnn", **kw):
-    base = dict(channels=(8, 16, 8), blocks=2, kernel=3, heads=2,
-                num_classes=3, num_input_layers=2, clip_dist=4)
-    if family == "lstm":
+    """A small model config; kernel is set only for cnn and heads/clip_dist
+    only for an attention transformer, as every other field keeps its default."""
+    base = dict(channels=(8, 16, 8), blocks=2, num_classes=3, num_input_layers=2)
+    if family == "cnn":
+        base.update(kernel=3)
+    elif family == "transformer" and kw.get("mixer", "attention") == "attention":
+        base.update(heads=2, clip_dist=4)
+    elif family == "lstm":
         base = dict(channels=(8, 12), blocks=1, num_classes=3, num_input_layers=2)
     base.update(kw)
     return ModelConfig(family=family, **base)
@@ -142,6 +145,35 @@ def test_validate_mixer_only_on_transformer_family(family, mixer):
     small_cfg(family, mixer="attention")
     with pytest.raises(ConfigError, match="mixer"):
         small_cfg(family, mixer=mixer)
+
+
+# the (family, mixer, field) cases in which the built model reads the field
+READ_FIELDS = {("cnn", "attention", "kernel"), ("transformer", "attention", "heads"),
+               ("transformer", "attention", "clip_dist")} | {
+    ("transformer", mixer, "mixer") for mixer in ("attention", "pooling", "shift", "none")}
+
+
+@pytest.mark.parametrize("field", ["mixer", "kernel", "heads", "clip_dist"])
+@pytest.mark.parametrize("family,mixer", [("cnn", "attention"), ("lstm", "attention"),
+                                          ("transformer", "attention"), ("transformer", "pooling"),
+                                          ("transformer", "shift"), ("transformer", "none")])
+def test_a_field_the_model_does_not_read_keeps_its_default(family, mixer, field):
+    """Another valid value of a field either changes the built model's
+    parameter shapes or raises ConfigError naming the field: no value is
+    accepted and then ignored."""
+    shift = ShiftConfig(alpha=0.25, placement="residual") if mixer == "shift" else None
+    cfg = ModelConfig(family=family, channels=(8, 12) if family == "lstm" else (8, 16, 8),
+                      mixer=mixer, shift=shift, num_input_layers=1)
+    value = {"mixer": "pooling" if mixer == "attention" else "attention",
+             "kernel": 3, "heads": 2, "clip_dist": 4}[field]
+    assert value != getattr(cfg, field)
+    if (family, mixer, field) in READ_FIELDS:
+        def shapes(c):
+            return {name: p.shape for name, p in build_model(c, seed=None).named_parameters().items()}
+        assert shapes(dataclasses.replace(cfg, **{field: value})) != shapes(cfg)
+    else:
+        with pytest.raises(ConfigError, match=f"^{field}={value!r} is not read by family '{family}'"):
+            dataclasses.replace(cfg, **{field: value})
 
 
 def test_validate_residual_shift_needs_a_mixer_branch():
@@ -1012,6 +1044,16 @@ def test_checkpoint_with_a_retired_key_is_rejected(tmp_path, edits, named):
     rewrite_model_config(path, **edits)
     for load in (load_checkpoint, build_from_checkpoint):
         with pytest.raises(CheckpointError, match=f"invalid model config.*{named}"):
+            load(path)
+
+
+def test_checkpoint_with_an_unread_field_off_its_default_is_rejected(tmp_path):
+    """A cnn reads no attention heads, so a cnn checkpoint's config may not set them."""
+    path = tmp_path / "cnn.ckpt"
+    save_checkpoint(path, build_model(preset_config("cnn", width=16, num_input_layers=2), seed=5))
+    rewrite_model_config(path, heads=2)
+    for load in (load_checkpoint, build_from_checkpoint):
+        with pytest.raises(CheckpointError, match="invalid model config: heads=2 is not read"):
             load(path)
 
 

@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 
 import shiftseq
-from shiftseq.blocks import build_model, load_checkpoint, preset_config, save_checkpoint
-from shiftseq.cli import main
+from shiftseq.blocks import CheckpointError, build_model, load_checkpoint, preset_config, save_checkpoint
+from shiftseq.cli import _load_config, main
 from shiftseq.data import read_fseq
+from shiftseq.errors import ConfigError
 from shiftseq.shift import ShiftConfig, temporal_shift
 from shiftseq.tensor_autograd import Tensor
 
@@ -260,6 +261,17 @@ def test_count_rejects_a_mixer_the_model_would_ignore(capsys, preset, mixer):
     assert "error:" in capsys.readouterr().err
 
 
+def test_mixer_flag_off_attention_needs_default_heads(tmp_path, capsys):
+    """heads and clip_dist are read only by attention, so a config that sets
+    them cannot switch to another mixer and keep them."""
+    model = {"family": "transformer", "channels": [16, 64, 16], "heads": 4}
+    cfg = write_config(tmp_path / "cfg.json", model=model)
+    assert main(["count", "--config", cfg]) == 0
+    assert main(["count", "--config", cfg, "--mixer", "pooling"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: heads=4 is not read by family 'transformer' with mixer 'pooling'")
+
+
 def test_count_draws_no_init(monkeypatch, capsys):
     """count reads shapes only, so neither model draws its weights."""
     def no_draw(*args):
@@ -380,6 +392,37 @@ def test_malformed_json(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["count", "--config", str(path)]) == 1
     assert "JSON" in capsys.readouterr().err
+
+
+# JSON that the decoder fails on in ways other than a JSONDecodeError
+BAD_UTF8 = b'{"model": {"preset": "cnn\xff"}}'
+DEEP = b"[" * 200_000
+LONG_INT = b'{"train": {"seed": ' + b"9" * 5000 + b"}}"
+
+
+@pytest.mark.parametrize("blob", [BAD_UTF8, DEEP, LONG_INT], ids=["non-utf8", "deep", "long-int"])
+def test_undecodable_config_file_exits_one(tmp_path, capsys, blob):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(blob)
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        _load_config(str(path))
+    assert main(["count", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {path} is not valid JSON") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("blob", [DEEP, LONG_INT], ids=["deep", "long-int"])
+def test_undecodable_checkpoint_config_exits_one(data_path, tmp_path, capsys, blob):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, build_model(preset_config("cnn", width=16, num_input_layers=1), seed=0))
+    raw = path.read_bytes()
+    end = 12 + int.from_bytes(raw[8:12], "little")
+    path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[end:])
+    with pytest.raises(CheckpointError, match="checkpoint config is not valid JSON"):
+        load_checkpoint(path)
+    assert main(["eval", str(path), data_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint config is not valid JSON") and "Traceback" not in err
 
 
 def test_unknown_flag_exits_two(capsys):

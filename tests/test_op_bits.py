@@ -22,27 +22,21 @@ from shiftseq.tensor_autograd import (
     add,
     avg_pool_mixer,
     backward,
-    batch_norm1d,
     bilstm,
     cross_entropy,
     depthwise_conv1d,
     gelu,
     layer_norm,
     linear,
-    matmul,
     mean_pool_time,
     mhsa,
     mul,
     no_grad,
-    reduce_sum,
-    rel_position_bias,
-    reshape,
-    scale,
     softmax,
     sum_all,
-    transpose,
 )
-from shiftseq.tensor_autograd.ops import _GELU_BLOCK
+from shiftseq.tensor_autograd.engine import matmul, reduce_sum, reshape, scale, transpose
+from shiftseq.tensor_autograd.ops import _GELU_BLOCK, batch_norm1d, rel_position_bias
 
 DTYPES = [np.float32, np.float64]
 

@@ -14,9 +14,7 @@ from shiftseq.tensor_autograd import (
     Tensor,
     avg_pool_mixer,
     backward,
-    batch_norm1d,
     bilstm,
-    conv1d_full,
     cross_entropy,
     depthwise_conv1d,
     gelu,
@@ -27,11 +25,10 @@ from shiftseq.tensor_autograd import (
     mhsa,
     mul,
     named_tensors,
-    rel_position_bias,
     softmax,
     sum_all,
 )
-from shiftseq.tensor_autograd.ops import _transposed
+from shiftseq.tensor_autograd.ops import _transposed, batch_norm1d, conv1d_full, rel_position_bias
 
 
 def rnd(shape, seed, dtype=np.float64):

@@ -833,7 +833,7 @@ def test_train_fold_checks_held_out_records_before_any_step(monkeypatch, held_ou
 def test_curves_follow_the_schedule():
     records = tiny_dataset()[:32]
     cfg = TrainConfig(epochs=2, warmup_epochs=1, batch_size=16, seed=0)
-    result = train_fold(tiny_model_cfg(), cfg, records, records, keep_curve=True)
+    result = train_fold(tiny_model_cfg(), cfg, records, records)
     assert len(result.curve) == 4  # 2 steps/epoch * 2 epochs
     for step, lr, loss in result.curve:
         assert lr == cosine_warmup_lr(step, 4, 2, cfg.peak_lr)
@@ -872,7 +872,7 @@ def test_cross_validate_needs_two_groups():
 def test_format_curves_lines():
     records = tiny_dataset()
     cfg = TrainConfig(epochs=1, warmup_epochs=0, batch_size=24, seed=1)
-    result = cross_validate(tiny_model_cfg(), cfg, records, keep_curves=True)
+    result = cross_validate(tiny_model_cfg(), cfg, records)
     lines = format_curves(result).splitlines()
     assert len(lines) == sum(len(r.curve) for r in result.folds) > 0
     assert all(line.startswith("fold=") and " step=" in line and " lr=" in line
