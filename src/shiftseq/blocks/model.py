@@ -52,8 +52,8 @@ from ..tensor_autograd import (
     softmax,
     track,
 )
-from ..tensor_autograd.engine import _zeros
-from ..tensor_autograd.ops import _check_lengths
+from ..tensor_autograd.engine import _will_record, _zeros
+from ..tensor_autograd.ops import _check_lengths, _pack, _unpack, frame_rows
 
 FAMILIES = ("cnn", "transformer", "lstm")
 MIXERS = ("attention", "pooling", "shift", "none")
@@ -276,13 +276,13 @@ class ConvBlock:
     pw2: Linear
     shift: ShiftConfig | None
 
-    def forward(self, x: Tensor, lengths=None) -> Tensor:
+    def forward(self, x: Tensor, lengths=None, rows=None) -> Tensor:
         # nested, so that unrecorded each activation is freed once the next is made
-        h = gelu(linear(layer_norm(depthwise_conv1d(
+        h = gelu(linear(layer_norm(_pack(depthwise_conv1d(
             x if self.shift is None else temporal_shift(x, self.shift, lengths),
-            self.dw.kernel, self.dw.bias, lengths), self.norm.gamma, self.norm.beta),
+            self.dw.kernel, self.dw.bias, lengths), rows), self.norm.gamma, self.norm.beta),
             self.pw1.weight, self.pw1.bias))
-        return add(x, linear(h, self.pw2.weight, self.pw2.bias))
+        return _unpack(add(_pack(x, rows), linear(h, self.pw2.weight, self.pw2.bias)), rows)
 
 
 @dataclass
@@ -305,20 +305,21 @@ class TransformerBlock:
     mixer_shift: ShiftConfig | None
     shift: ShiftConfig | None
 
-    def forward(self, x: Tensor, lengths=None) -> Tensor:
+    def forward(self, x: Tensor, lengths=None, rows=None) -> Tensor:
+        xr = _pack(x, rows)
         if self.mixer != "none":
-            u = x if self.shift is None else temporal_shift(x, self.shift, lengths)
-            u = layer_norm(u, self.norm1.gamma, self.norm1.beta)
+            u = xr if self.shift is None else _pack(temporal_shift(x, self.shift, lengths), rows)
+            u = _unpack(layer_norm(u, self.norm1.gamma, self.norm1.beta), rows)
             if self.mixer == "attention":
-                m = mhsa(u, self.attn, lengths)
+                m = mhsa(u, self.attn, lengths, rows)
             elif self.mixer == "pooling":
                 m = avg_pool_mixer(u, lengths)
             else:  # the shift is the token mixer
                 m = temporal_shift(u, self.mixer_shift, lengths)
-            x = add(x, m)
+            xr = add(xr, _pack(m, rows))
         # nested, as in ConvBlock
-        v = gelu(linear(layer_norm(x, self.norm2.gamma, self.norm2.beta), self.pw1.weight, self.pw1.bias))
-        return add(x, linear(v, self.pw2.weight, self.pw2.bias))
+        v = gelu(linear(layer_norm(xr, self.norm2.gamma, self.norm2.beta), self.pw1.weight, self.pw1.bias))
+        return _unpack(add(xr, linear(v, self.pw2.weight, self.pw2.bias)), rows)
 
 
 @dataclass
@@ -336,11 +337,11 @@ class LstmBlock:
     proj: Linear | None
     shift: ShiftConfig | None
 
-    def forward(self, x: Tensor, lengths=None) -> Tensor:
+    def forward(self, x: Tensor, lengths=None, rows=None) -> Tensor:
         if self.shift is None:
-            return bilstm(x, self.rnn.fw, self.rnn.bw, lengths)
-        return add(linear(x, self.proj.weight, self.proj.bias),
-                   bilstm(temporal_shift(x, self.shift, lengths), self.rnn.fw, self.rnn.bw, lengths))
+            return bilstm(x, self.rnn.fw, self.rnn.bw, lengths, rows)
+        branch = bilstm(temporal_shift(x, self.shift, lengths), self.rnn.fw, self.rnn.bw, lengths, rows)
+        return _unpack(add(linear(_pack(x, rows), self.proj.weight, self.proj.bias), _pack(branch, rows)), rows)
 
 
 def _block(rng, cfg: ModelConfig, index: int, dtype):
@@ -467,6 +468,14 @@ class SequenceClassifier:
         block. Every op that reads across time honours them, so a record's
         real output frames do not depend on the padding its batch adds;
         padded output frames hold values that nothing downstream reads.
+
+        Unrecorded, a padded batch runs its per-frame ops (every `linear`,
+        `layer_norm`, `gelu` and residual `add`, attention's projections and
+        the LSTM's input projection) on its real frames alone, with the bits
+        they get in the padded layout (see
+        :class:`~shiftseq.tensor_autograd.ops.FrameRows`). No padded value
+        then reaches a real frame, even a NaN, and the output's padded
+        frames are +0.0.
         """
         seqs, lengths = _record_views(features, lengths)
         return self._run(seqs, lengths, augment_prob if training else 0.0, rng)
@@ -477,11 +486,16 @@ class SequenceClassifier:
             raise DimensionError(f"features have {x.shape[2]} channels, model expects {self.cfg.channels[0]}")
         if augment_prob > 0.0:
             x = shift_augment(x, self.augment_config(), augment_prob, rng, lengths)
+        # an unrecorded padded batch runs its per-frame work on the real frames
+        # only; a recorded or full one runs it on every frame and copies nothing
+        rows = None
+        if lengths.min() < x.shape[1] and not _will_record(tuple(self.named_parameters().values())):
+            rows = frame_rows(lengths, x.shape[1])
         # rebinding x frees each trunk, when unrecorded, once the next is made
         for block in self.blocks:
             if self.trunk_shift is not None:
                 x = temporal_shift(x, self.trunk_shift, lengths)
-            x = block.forward(x, lengths)
+            x = block.forward(x, lengths, rows)
         return x
 
     def forward(self, features, lengths=None, training: bool = False,

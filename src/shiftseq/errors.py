@@ -48,9 +48,21 @@ _JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"
 def decode_json(data: bytes, error: type[Exception], what: str):
     """The value of the UTF-8 JSON `data`. A byte that is not UTF-8, malformed
     JSON, nesting deeper than the parser's recursion limit and an integer past
-    Python's digit limit all raise `error("<what> is not valid JSON: ...")`."""
+    Python's digit limit all raise `error("<what> is not valid JSON: ...")`;
+    an object that repeats a key raises `error("<what> repeats the key ...")`,
+    where Python's parser would keep the last value."""
+    def unique_keys(pairs):
+        out = {}
+        for key, value in pairs:
+            if key in out:
+                raise error(f"{what} repeats the key {key!r}")
+            out[key] = value
+        return out
+
     try:
-        return json.loads(data.decode("utf-8"))
+        return json.loads(data.decode("utf-8"), object_pairs_hook=unique_keys)
+    except error:
+        raise
     except (ValueError, RecursionError) as e:  # ValueError covers the decode errors
         raise error(f"{what} is not valid JSON: {e}") from e
 

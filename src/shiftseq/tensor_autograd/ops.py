@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, DimensionError
+from ..errors import ConfigError, DimensionError, UsageError
 from .engine import (
     Tensor,
     _copy,
@@ -92,6 +92,65 @@ def _zero_padding(a: np.ndarray, lengths: np.ndarray) -> None:
     only the records shorter than axis 1: a full-length batch costs nothing."""
     for i in np.flatnonzero(lengths < a.shape[1]):
         a[i, lengths[i]:] = 0.0
+
+
+@dataclass(frozen=True)
+class FrameRows:
+    """The real frames of a padded (batch, frames, C) layout: record b's
+    first lengths[b] frames, as the positions `index` of those rows among
+    the layout's batch·frames rows, in batch then time order.
+
+    Per-frame ops (`linear`, `layer_norm`, `gelu`, `add`) run on the packed
+    (N, C) rows of :func:`_pack` with the bits those rows get in the
+    padded layout: they work row by row, and a GEMM over a subset of its
+    rows gives those rows' bits of the whole GEMM when it has at least two.
+    Packing and unpacking record no graph, so only an unrecorded forward
+    may use them.
+    """
+
+    index: np.ndarray
+    lengths: np.ndarray
+    frames: int
+
+    def spread(self, a: np.ndarray) -> None:
+        """Move the packed rows a[:N] of a (batch·frames, C) array to their
+        frames, in place, and set the padded rows to +0.0. Records go last
+        first: each row moves to a position at or past its own, and past
+        every packed row not yet moved."""
+        ends = np.cumsum(self.lengths)
+        for b in range(len(self.lengths) - 1, -1, -1):
+            n, start = int(self.lengths[b]), b * self.frames
+            a[start:start + n] = a[ends[b] - n:ends[b]]
+            a[start + n:start + self.frames] = 0.0
+
+
+def frame_rows(lengths: np.ndarray, t: int) -> FrameRows:
+    """The real frames of a batch of records of `lengths` padded to `t` frames."""
+    return FrameRows(np.flatnonzero(np.arange(t) < lengths[:, None]), lengths, t)
+
+
+def _unrecorded(x: Tensor) -> None:
+    if x.requires_grad:
+        raise UsageError("packed frame rows record no graph; run them under no_grad")
+
+
+def _pack(x: Tensor, rows: FrameRows | None) -> Tensor:
+    """The (N, C) real rows of a (B, T, C) `x`, or `x` itself when `rows` is None."""
+    if rows is None:
+        return x
+    _unrecorded(x)
+    return Tensor(x.data.reshape(-1, x.shape[-1])[rows.index])
+
+
+def _unpack(r: Tensor, rows: FrameRows | None) -> Tensor:
+    """(N, C) real rows back in the (B, T, C) layout, padded rows +0.0, or
+    `r` itself when `rows` is None."""
+    if rows is None:
+        return r
+    _unrecorded(r)
+    out = np.zeros((len(rows.lengths) * rows.frames, r.shape[-1]), r.dtype)
+    out[rows.index] = r.data
+    return Tensor(out.reshape(len(rows.lengths), rows.frames, -1))
 
 
 def _frame_shift(t: int, d: int) -> tuple[slice, slice]:
@@ -337,7 +396,8 @@ def named_tensors(params):
             yield from ((f"{f.name}.{name}", t) for name, t in named_tensors(value))
 
 
-def _attention_core(q: Tensor, k: Tensor, v: Tensor, table: Tensor, lengths: np.ndarray) -> Tensor:
+def _attention_core(q: Tensor, k: Tensor, v: Tensor, table: Tensor, lengths: np.ndarray,
+                    rows: FrameRows | None = None) -> Tensor:
     """softmax(q kᵀ / sqrt(d) + bias + key mask) v per head, one record at a time.
 
     q, k and v are (B, T, C) projections whose channels split into the
@@ -350,6 +410,13 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, table: Tensor, lengths: np.
     added in batch order and applied to the table with one `np.add.at`.
     Every value is bit-identical to composing the engine's matmul, scale,
     add and softmax nodes over the batch with :func:`rel_position_bias`.
+
+    Given the batch's real `rows` (unrecorded only), record i's softmax and
+    product with v[i] run on its first max(lengths[i], 2) queries, and its
+    other output rows are left unwritten. q[i] k[i]ᵀ still takes every
+    query: OpenBLAS gives the first n query rows alone other bits (at 8
+    heads of 96 channels, every n up to 20 of 60 rows), while a product
+    with v[i] of two rows or more keeps them; one row runs through GEMV.
     """
     if {q.dtype, k.dtype, v.dtype, table.dtype} != {q.dtype}:
         raise DimensionError(f"mixed dtypes in one op: attention table {table.dtype.name} "
@@ -364,11 +431,13 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, table: Tensor, lengths: np.
         """Record i of a (B, T, C) array as an (H, T, C/H) view, head first."""
         return a[i].reshape(t, heads, c // heads).transpose(1, 0, 2)
 
-    def probs(i: int, bias: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Record i's (H, T, T) attention probabilities, written into `out`."""
+    def probs(i: int, bias: np.ndarray, out: np.ndarray, n: int = t) -> np.ndarray:
+        """Record i's (H, n, T) attention probabilities of its first n
+        queries, written into `out`, an (H, T, T) buffer."""
         np.matmul(rec(q.data, i), rec(k.data, i).transpose(0, 2, 1), out=out)
+        out = out[:, :n]
         out *= s
-        out += bias
+        out += bias[:, :n]
         out += key_bias[i]
         out -= out.max(axis=-1, keepdims=True)
         np.exp(out, out=out)
@@ -379,7 +448,8 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, table: Tensor, lengths: np.
     bias = table.data[:, _rel_index(t, d)]
     p = _empty((heads, t, t), q.dtype)
     for i in range(b):
-        np.matmul(probs(i, bias, p), rec(v.data, i), out=rec(out, i))
+        n = t if rows is None else min(max(int(lengths[i]), 2), t)
+        np.matmul(probs(i, bias, p, n), rec(v.data, i), out=rec(out, i)[:, :n])
 
     def bwd(g):
         gq, gk, gv = (_empty((b, t, c), q.dtype) for _ in range(3))
@@ -409,7 +479,7 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, table: Tensor, lengths: np.
     return track(out, (q, k, v, table), bwd)
 
 
-def mhsa(x: Tensor, params: AttentionParams, lengths=None) -> Tensor:
+def mhsa(x: Tensor, params: AttentionParams, lengths=None, rows: FrameRows | None = None) -> Tensor:
     """Multi-head scaled dot-product self-attention.
 
     The head count is the row count of `params.rel_table`, and positions
@@ -423,6 +493,10 @@ def mhsa(x: Tensor, params: AttentionParams, lengths=None) -> Tensor:
     core between them is one node (:func:`_attention_core`) that runs one
     record at a time and recomputes its probabilities in the backward, so
     attention holds (H, T, T) buffers, not (B, H, T, T) ones.
+
+    Given the batch's real `rows` (unrecorded only), the projections run on
+    those rows, the core reads +0.0 projections on padded frames and mixes
+    values for real queries only, and the output's padded rows are +0.0.
     """
     if x.ndim != 3:
         raise DimensionError(f"mhsa expects rank-3 input, got {x.shape}")
@@ -433,11 +507,11 @@ def mhsa(x: Tensor, params: AttentionParams, lengths=None) -> Tensor:
     if params.rel_table.ndim != 2 or params.rel_table.shape[1] % 2 == 0:
         raise DimensionError(f"relative bias table must be (heads, 2*D+1), got {params.rel_table.shape}")
     lengths = _check_lengths(lengths, b, t)
-    q = linear(x, params.wq, params.bq)
-    k = linear(x, params.wk, params.bk)
-    v = linear(x, params.wv, params.bv)
-    mixed = _attention_core(q, k, v, params.rel_table, lengths)
-    return linear(mixed, params.wo, params.bo)
+    xr = _pack(x, rows)
+    q, k, v = (_unpack(linear(xr, w, bias), rows)
+               for w, bias in ((params.wq, params.bq), (params.wk, params.bk), (params.wv, params.bv)))
+    mixed = _attention_core(q, k, v, params.rel_table, lengths, rows)
+    return _unpack(linear(_pack(mixed, rows), params.wo, params.bo), rows)
 
 
 POOL_WINDOW = 3  # frames averaged by the pooling token mixer
@@ -595,7 +669,7 @@ def _lstm_backward(g: np.ndarray, saved, w_hh: np.ndarray,
 
 
 def bilstm(x: Tensor, forward: LstmDirection, backward: LstmDirection,
-           lengths=None) -> Tensor:
+           lengths=None, rows: FrameRows | None = None) -> Tensor:
     """Bidirectional LSTM over time; per-direction outputs concatenated on channels.
 
     Standard gates (sigmoid input/forget/output, tanh cell) with zero initial
@@ -615,6 +689,9 @@ def bilstm(x: Tensor, forward: LstmDirection, backward: LstmDirection,
     The whole-sequence buffers are step buffers. The gate and cell buffers
     BPTT reads are kept only when the node is recorded: an unrecorded
     forward holds the output, one input projection and one frame's gates.
+    Given the batch's real `rows` (unrecorded only), the input projection
+    runs on those rows, padded frames project to +0.0, and the output's
+    padded rows are +0.0.
     """
     if x.ndim != 3:
         raise DimensionError(f"bilstm expects rank-3 input, got {x.shape}")
@@ -635,11 +712,17 @@ def bilstm(x: Tensor, forward: LstmDirection, backward: LstmDirection,
     parents = (x, forward.w_ih, forward.w_hh, forward.b, backward.w_ih, backward.w_hh, backward.b)
     save = _will_record(parents)
     xw = _empty((b, t, 4 * hidden), x.dtype)  # each direction's in turn; the backward reads neither
+    xr = x2 if rows is None else _pack(x, rows).data  # the rows projected, into the first rows of xw
+    proj = xw.reshape(b * t, 4 * hidden)[:len(xr)]
     saved = []
     for p, stride, half in halves:
-        np.matmul(x2, p.w_ih.data, out=xw.reshape(b * t, 4 * hidden))
-        xw += p.b.data
+        np.matmul(xr, p.w_ih.data, out=proj)
+        proj += p.b.data
+        if rows is not None:
+            rows.spread(xw.reshape(b * t, 4 * hidden))
         saved.append(_lstm_forward(xw[:, ::stride], p.w_hh.data, out[:, ::stride, half], mask[:, ::stride], save))
+    if rows is not None:
+        _zero_padding(out, lengths)
 
     def bwd(g):
         gx = None

@@ -22,6 +22,7 @@ from shiftseq.blocks import (
     save_checkpoint,
     weighted_layer_sum,
 )
+from shiftseq.blocks import model as model_module
 from shiftseq.blocks.model import _DRAW_BLOCK
 from shiftseq.data import FeatureSequence, GenConfig
 from shiftseq.errors import ConfigError, DimensionError, EmptyInputError, UsageError
@@ -42,6 +43,7 @@ from shiftseq.tensor_autograd import (
     sum_all,
 )
 from shiftseq.tensor_autograd.engine import backward, reduce_sum, reshape
+from shiftseq.tensor_autograd.ops import frame_rows
 from shiftseq.train import Optimizer, TrainConfig, collate, evaluate, predict_logits
 
 
@@ -577,7 +579,9 @@ def test_zeroed_in_place_model_is_pure_shift():
                                           ("lstm", "attention")])
 def test_in_place_shift_is_a_shift_of_each_block_input(family, mixer, direction):
     """In-place placement equals the unshifted model, same seed, run block by
-    block with each block's input shifted, both honouring the padding."""
+    block with each block's input shifted, both honouring the padding and
+    both running per-frame work on the real frames, as unrecorded padded
+    batches do."""
     shift = ShiftConfig(alpha=0.25, direction=direction, placement="in_place")
     shifted = build_model(small_cfg(family, mixer=mixer, blocks=2, shift=shift), seed=4)
     plain = build_model(small_cfg(family, mixer=mixer, blocks=2), seed=4)
@@ -585,8 +589,9 @@ def test_in_place_shift_is_a_shift_of_each_block_input(family, mixer, direction)
     lengths = np.array([9, 6, 4])
     with no_grad():
         expected = weighted_layer_sum([r[:, :t] for r, t in zip(x.data, lengths)], plain.layer_weights)
+        rows = frame_rows(lengths, 9)
         for block in plain.blocks:
-            expected = block.forward(temporal_shift(expected, shift, lengths), lengths)
+            expected = block.forward(temporal_shift(expected, shift, lengths), lengths, rows)
         out = shifted.forward_features(x, lengths=lengths)
     assert np.array_equal(out.data, expected.data)
 
@@ -679,6 +684,42 @@ def test_logits_do_not_depend_on_batch_padding(variant, training):
         for i, rec in enumerate(alone):
             own = model.forward(Tensor(rec), lengths[i:i + 1], **run_mode(training))
             np.testing.assert_allclose(padded.data[i], own.data[0], rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("variant", PADDING_VARIANTS)
+def test_blocks_on_real_rows_never_read_padded_frames(variant):
+    """Unrecorded, a block given its batch's real rows reads no padded frame:
+    with NaN there, its real output frames are the bits of zero padding run
+    through the padded layout, and its padded output frames are +0.0."""
+    model = randomised_model(variant)
+    lengths = np.array([10, 30, 17])
+    rows = frame_rows(lengths, 30)
+    zero = np.random.default_rng(33).standard_normal((3, 30, 16)).astype(np.float32)
+    nan = zero.copy()
+    for i, t in enumerate(lengths):
+        zero[i, t:], nan[i, t:] = 0.0, np.nan
+    with no_grad():
+        for block in model.blocks:
+            want = block.forward(Tensor(zero), lengths).data
+            got = block.forward(Tensor(nan), lengths, rows).data
+            for i, t in enumerate(lengths):
+                np.testing.assert_array_equal(got[i, :t], want[i, :t])
+                assert not got[i, t:].any() and not np.signbit(got[i, t:]).any()
+
+
+def test_only_an_unrecorded_padded_batch_packs_rows(monkeypatch):
+    """A full batch, and a recorded forward, run every frame and copy nothing."""
+    model = randomised_model("transformer")
+    _, batch = padded_batch(np.random.default_rng(34), [10, 30, 17])
+    packed = []
+    monkeypatch.setattr(model_module, "frame_rows", lambda *a: packed.append(a) or frame_rows(*a))
+    with no_grad():
+        model.forward(Tensor(batch), np.array([30, 30, 30]))
+    model.forward(Tensor(batch), np.array([10, 30, 17]))
+    assert packed == []
+    with no_grad():
+        model.forward(Tensor(batch), np.array([10, 30, 17]))
+    assert len(packed) == 1
 
 
 @pytest.mark.parametrize("preset", PRESETS)
@@ -1098,18 +1139,13 @@ VARIANTS = [(p, {}) for p in PRESETS] + [("transformer", {"mixer": "pooling"})]
 VARIANT_IDS = list(PRESETS) + ["transformer-pooling"]
 
 
-@pytest.mark.parametrize("preset,kw", VARIANTS, ids=VARIANT_IDS)
-def test_eval_logits_under_no_grad_match_graph_building_forward(preset, kw):
-    """`predict_logits` mixes each record's layers into the trunk itself;
-    its logits are the bits of `collate` and a graph-building `forward`,
-    single-frame records included."""
-    model = small_preset(preset, **kw)
-    records = mixed_records(20, (9, 1, 5, 12, 7, 1, 3))
-    logits, _ = predict_logits(model, records, batch_size=2)
+def assert_eval_logits_are_graph_logits(model, records, batch_size=2):
+    """`predict_logits` gives the bits of `collate` and a graph-building `forward`."""
+    logits, _ = predict_logits(model, records, batch_size=batch_size)
     graph = []
     order = np.argsort([rec.data.shape[1] for rec in records], kind="stable")
-    for start in range(0, len(records), 2):  # the batches predict_logits runs
-        feats, lengths, _ = collate([records[i] for i in order[start:start + 2]])
+    for start in range(0, len(records), batch_size):  # the batches predict_logits runs
+        feats, lengths, _ = collate([records[i] for i in order[start:start + batch_size]])
         out = model.forward(Tensor(feats), lengths=lengths, training=False)
         assert out.requires_grad and out._parents
         with no_grad():
@@ -1118,6 +1154,51 @@ def test_eval_logits_under_no_grad_match_graph_building_forward(preset, kw):
         graph.append(out.data)
     assert logits.dtype == np.float32
     np.testing.assert_array_equal(logits[order], np.concatenate(graph))
+
+
+@pytest.mark.parametrize("preset,kw", VARIANTS, ids=VARIANT_IDS)
+def test_eval_logits_under_no_grad_match_graph_building_forward(preset, kw):
+    """`predict_logits` mixes each record's layers into the trunk itself,
+    and runs a padded batch's per-frame work on its real frames alone; its
+    logits are the bits of `collate` and a graph-building `forward`,
+    single-frame records included."""
+    assert_eval_logits_are_graph_logits(small_preset(preset, **kw), mixed_records(20, (9, 1, 5, 12, 7, 1, 3)))
+
+
+WIDE_VARIANTS = VARIANTS + [("transformer", {"mixer": "none"})]
+WIDE_VARIANT_IDS = VARIANT_IDS + ["transformer-none"]
+# sorted and cut in twos: (1, 1) is full, 2 rows; (1, 2) is the least padded
+# batch, 3 packed rows and a 1-frame record; then (2, 4) and (9, 30)
+WIDE_LENGTHS = (9, 1, 2, 1, 30, 4, 2, 1)
+
+
+@pytest.mark.parametrize("preset,kw", WIDE_VARIANTS, ids=WIDE_VARIANT_IDS)
+def test_eval_logits_match_graph_building_forward_at_paper_width(preset, kw):
+    """At width 768 BLAS runs the kernels of the paper shape, not those of
+    width 16, and the packed GEMMs keep their bits there too."""
+    cfg = preset_config(preset, width=768, num_classes=4, num_input_layers=2)
+    model = build_model(dataclasses.replace(cfg, **kw), seed=0)
+    rng = np.random.default_rng(31)
+    records = [FeatureSequence(i % 4, 0, rng.standard_normal((2, t, 768), dtype=np.float32))
+               for i, t in enumerate(WIDE_LENGTHS)]
+    assert_eval_logits_are_graph_logits(model, records)
+
+
+@pytest.mark.parametrize("preset,kw", WIDE_VARIANTS, ids=WIDE_VARIANT_IDS)
+def test_unrecorded_float64_logits_match_graph_building_forward(preset, kw):
+    """Records hold float32, so a float64 model's evaluation is its
+    unrecorded `forward` on float64 record arrays, batched as
+    `predict_logits` batches."""
+    cfg = preset_config(preset, width=32, num_classes=4, num_input_layers=2)
+    model = build_model(dataclasses.replace(cfg, **kw), seed=0, dtype=np.float64)
+    rng = np.random.default_rng(32)
+    seqs = sorted((rng.standard_normal((2, t, 32)) for t in WIDE_LENGTHS), key=lambda a: a.shape[1])
+    for start in range(0, len(seqs), 2):
+        with no_grad():
+            bare = model.forward(seqs[start:start + 2])
+        graph = model.forward(seqs[start:start + 2])
+        assert graph.requires_grad and bare.dtype == np.float64
+        np.testing.assert_array_equal(bare.data, graph.data)
 
 
 def test_predict_raises_typed_errors():

@@ -425,6 +425,32 @@ def test_undecodable_checkpoint_config_exits_one(data_path, tmp_path, capsys, bl
     assert err.startswith("error: checkpoint config is not valid JSON") and "Traceback" not in err
 
 
+def test_config_file_repeating_a_key_exits_one(tmp_path, capsys):
+    """json.loads would keep the second "model" section and drop the first."""
+    path = tmp_path / "cfg.json"
+    path.write_text('{"model": {"family": "cnn", "channels": [16, 64, 16]}, '
+                    '"model": {"family": "lstm", "channels": [16, 32]}}')
+    with pytest.raises(ConfigError, match="repeats the key 'model'"):
+        _load_config(str(path))
+    assert main(["count", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: config file {path} repeats the key 'model'\n" and captured.out == ""
+
+
+def test_checkpoint_config_repeating_a_key_raises(data_path, tmp_path, capsys):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, build_model(preset_config("cnn", width=16, num_input_layers=1), seed=0))
+    raw = path.read_bytes()
+    end = 12 + int.from_bytes(raw[8:12], "little")
+    model = json.dumps(json.loads(raw[12:end])["model"]).encode()
+    blob = b'{"model": ' + model + b', "extra": {"fold": 0, "fold": 1}}'
+    path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[end:])
+    with pytest.raises(CheckpointError, match="checkpoint config repeats the key 'fold'"):
+        load_checkpoint(path)
+    assert main(["eval", str(path), data_path]) == 1
+    assert capsys.readouterr().err.startswith("error: checkpoint config repeats the key 'fold'")
+
+
 def test_unknown_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--preset", "cnn", "--bogus"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from shiftseq.blocks import ModelConfig, build_model
-from shiftseq.errors import ConfigError, DimensionError
+from shiftseq.errors import ConfigError, DimensionError, UsageError
 from shiftseq.shift import ShiftConfig, temporal_shift
 from shiftseq.tensor_autograd import (
     AttentionParams,
@@ -28,7 +28,15 @@ from shiftseq.tensor_autograd import (
     softmax,
     sum_all,
 )
-from shiftseq.tensor_autograd.ops import _transposed, batch_norm1d, conv1d_full, rel_position_bias
+from shiftseq.tensor_autograd.ops import (
+    _pack,
+    _transposed,
+    _unpack,
+    batch_norm1d,
+    conv1d_full,
+    frame_rows,
+    rel_position_bias,
+)
 
 
 def rnd(shape, seed, dtype=np.float64):
@@ -769,3 +777,24 @@ def test_any_integer_lengths_dtype_is_accepted(name):
     want = f(x, np.array([5, 2, 4], dtype=np.int64)).data
     for lengths in ([5, 2, 4], np.array([5, 2, 4], dtype=np.int32), np.array([5, 2, 4], dtype=np.uint8)):
         assert np.array_equal(f(x, lengths).data, want)
+
+
+def test_frame_rows_pack_and_unpack_the_real_frames():
+    rows = frame_rows(np.array([2, 3, 1]), 3)
+    x = np.arange(36, dtype=np.float32).reshape(3, 3, 4)
+    packed = _pack(Tensor(x), rows)
+    np.testing.assert_array_equal(packed.data, np.concatenate([x[0, :2], x[1], x[2, :1]]))
+    back = _unpack(packed, rows).data
+    want = x.copy()
+    want[0, 2:] = want[2, 1:] = 0.0
+    np.testing.assert_array_equal(back, want)
+    assert not np.signbit(back).any()
+    assert _pack(Tensor(x), None).data is x
+
+
+def test_frame_rows_refuse_a_recorded_tensor():
+    rows = frame_rows(np.array([2, 3]), 3)
+    with pytest.raises(UsageError, match="no_grad"):
+        _pack(Tensor(np.ones((2, 3, 4)), requires_grad=True), rows)
+    with pytest.raises(UsageError, match="no_grad"):
+        _unpack(Tensor(np.ones((5, 4)), requires_grad=True), rows)

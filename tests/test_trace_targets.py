@@ -4,6 +4,7 @@ wraps must exist and every FLOP it books must match `count_flops`, so a
 deletion or a reordered signature under `src/` that would break the trace
 fails here too."""
 
+import contextlib
 import importlib
 import types
 from pathlib import Path
@@ -47,16 +48,29 @@ def test_every_traced_target_resolves_in_the_package():
 def test_traced_flops_agree_with_count_flops(preset):
     """The trace books each FLOP op's work from the shapes of its positional
     arguments (`x` first, then a weight); summed over the ops outside any
-    other FLOP op, one forward books what `count_flops` counts: at the
-    padded length, on a 4-D batch and on ragged records alike."""
+    other FLOP op, one forward books what `count_flops` counts at the padded
+    length: on a full 4-D batch, and recorded on ragged records. Unrecorded,
+    ragged records run the blocks' pointwise layers, top-level `linear`
+    calls, on their real frames, and the trace books those at the real
+    frames; attention and the LSTM it books at the padded length."""
     spans = load_spans()
     b, t, width, layers = 3, 11, 16, 2
     model = build_model(preset_config(preset, width=width, num_input_layers=layers), seed=0)
     rng = np.random.default_rng(0)
     x = Tensor(rng.standard_normal((b, layers, t, width)).astype(np.float32))
-    records = [rng.standard_normal((layers, n, width)).astype(np.float32) for n in (4, t, 1)]
-    for features in (x, records):
+    lengths = (4, t, 1)
+    records = [rng.standard_normal((layers, n, width)).astype(np.float32) for n in lengths]
+
+    def booked(features, recorded):
         tracer = spans.Tracer()
-        with spans.installed(tracer), no_grad():
+        with spans.installed(tracer), contextlib.nullcontext() if recorded else no_grad():
             model.forward(features)
-        assert tracer.counters["flops.top_level"] == b * count_flops(model, t).total_flops
+        return tracer.counters["flops.top_level"]
+
+    padded = b * count_flops(model, t).total_flops
+    assert booked(x, recorded=False) == padded
+    assert booked(records, recorded=True) == padded
+    per_frame = {e.name: e.flops for e in count_flops(model, 1).entries}
+    ragged = sum(per_frame[e.name] * sum(lengths) if e.name.endswith((".pw1", ".pw2")) else b * e.flops
+                 for e in count_flops(model, t).entries)
+    assert booked(records, recorded=False) == ragged

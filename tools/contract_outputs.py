@@ -19,7 +19,11 @@ shiftseq`` on this checkout's ``src/``) and the public API:
 * ``count/<preset>.txt``: ``count --frames 100`` for the six presets;
 * ``gradcheck.txt``: ``gradcheck --seeds 2``;
 * ``checkpoints/<model>-<dtype>.ckpt``: freshly initialized float32 and
-  float64 models of every preset and of five variants, at width 32.
+  float64 models of every preset and of five variants, at width 32;
+* ``eval-wide/<preset>.txt``: ``float.hex`` of ``predict_logits`` (batch 3)
+  of every preset, freshly initialized at width 768 with 2 input layers, on
+  6 seeded records of 1-60 frames, one line per record. Width 32 and width
+  768 run different OpenBLAS kernels.
 
 Every file is deterministic, so ``diff -r`` of two OUTDIRs made from two
 checkouts lists exactly the outputs a change moved. Commands run with
@@ -49,6 +53,7 @@ from shiftseq import (  # noqa: E402
     save_checkpoint,
     write_fseq,
 )
+from shiftseq.train import predict_logits  # noqa: E402
 
 DATA = {"num_layers": 2, "channels": 32, "frames": 50, "groups": 2, "per_class_per_group": 6}
 LONG_DATA = {"num_layers": 2, "channels": 32, "frames": 300, "groups": 2, "per_class_per_group": 3}
@@ -56,6 +61,7 @@ TRAIN = {"epochs": 2, "batch_size": 8, "warmup_epochs": 1}
 MODELS = {name: ["--preset", name] for name in PRESETS}
 MODELS["transformer-pooling"] = ["--preset", "transformer", "--mixer", "pooling"]
 LONG_MODELS = ("transformer", "shiftformer")
+WIDE_LENGTHS = (1, 60, 2, 23, 41, 7)  # eval-wide/'s records, batched in threes by length
 
 
 def _variants() -> dict:
@@ -135,6 +141,16 @@ def main(argv: list[str]) -> int:
         for dtype in (np.float32, np.float64):
             save_checkpoint(os.path.join(out, "checkpoints", f"{name}-{np.dtype(dtype).name}.ckpt"),
                             build_model(cfg, seed=5, dtype=dtype))
+
+    os.makedirs(os.path.join(out, "eval-wide"), exist_ok=True)
+    rng = np.random.default_rng(7)
+    records = [FeatureSequence(i % 4, 0, rng.standard_normal((2, t, 768), dtype=np.float32))
+               for i, t in enumerate(WIDE_LENGTHS)]
+    for name in PRESETS:
+        model = build_model(preset_config(name, width=768, num_input_layers=2), seed=5)
+        logits, _ = predict_logits(model, records, 3)
+        with open(os.path.join(out, "eval-wide", f"{name}.txt"), "w", encoding="utf-8") as f:
+            f.writelines(" ".join(float(v).hex() for v in row) + "\n" for row in logits)
     return 0
 
 
