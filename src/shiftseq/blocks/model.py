@@ -52,7 +52,7 @@ from ..tensor_autograd import (
     softmax,
     track,
 )
-from ..tensor_autograd.engine import _will_record, _zeros
+from ..tensor_autograd.engine import _zeros
 from ..tensor_autograd.ops import _check_lengths, _pack, _unpack, frame_rows
 
 FAMILIES = ("cnn", "transformer", "lstm")
@@ -281,8 +281,8 @@ class ConvBlock:
         h = gelu(linear(layer_norm(_pack(depthwise_conv1d(
             x if self.shift is None else temporal_shift(x, self.shift, lengths),
             self.dw.kernel, self.dw.bias, lengths), rows), self.norm.gamma, self.norm.beta),
-            self.pw1.weight, self.pw1.bias))
-        return _unpack(add(_pack(x, rows), linear(h, self.pw2.weight, self.pw2.bias)), rows)
+            self.pw1.weight, self.pw1.bias, rows))
+        return _unpack(add(_pack(x, rows), linear(h, self.pw2.weight, self.pw2.bias, rows)), rows)
 
 
 @dataclass
@@ -318,8 +318,8 @@ class TransformerBlock:
                 m = temporal_shift(u, self.mixer_shift, lengths)
             xr = add(xr, _pack(m, rows))
         # nested, as in ConvBlock
-        v = gelu(linear(layer_norm(xr, self.norm2.gamma, self.norm2.beta), self.pw1.weight, self.pw1.bias))
-        return _unpack(add(xr, linear(v, self.pw2.weight, self.pw2.bias)), rows)
+        v = gelu(linear(layer_norm(xr, self.norm2.gamma, self.norm2.beta), self.pw1.weight, self.pw1.bias, rows))
+        return _unpack(add(xr, linear(v, self.pw2.weight, self.pw2.bias, rows)), rows)
 
 
 @dataclass
@@ -341,7 +341,7 @@ class LstmBlock:
         if self.shift is None:
             return bilstm(x, self.rnn.fw, self.rnn.bw, lengths, rows)
         branch = bilstm(temporal_shift(x, self.shift, lengths), self.rnn.fw, self.rnn.bw, lengths, rows)
-        return _unpack(add(linear(_pack(x, rows), self.proj.weight, self.proj.bias), _pack(branch, rows)), rows)
+        return _unpack(add(linear(_pack(x, rows), self.proj.weight, self.proj.bias, rows), _pack(branch, rows)), rows)
 
 
 def _block(rng, cfg: ModelConfig, index: int, dtype):
@@ -469,13 +469,13 @@ class SequenceClassifier:
         real output frames do not depend on the padding its batch adds;
         padded output frames hold values that nothing downstream reads.
 
-        Unrecorded, a padded batch runs its per-frame ops (every `linear`,
-        `layer_norm`, `gelu` and residual `add`, attention's projections and
-        the LSTM's input projection) on its real frames alone, with the bits
-        they get in the padded layout (see
-        :class:`~shiftseq.tensor_autograd.ops.FrameRows`). No padded value
-        then reaches a real frame, even a NaN, and the output's padded
-        frames are +0.0.
+        A padded batch, recorded or not, runs its per-frame ops (every
+        `linear`, `layer_norm`, `gelu` and residual `add`, attention's
+        projections and the LSTM's input projection) on its real frames
+        alone, with the bits they get in the padded layout, gradients
+        included (see :class:`~shiftseq.tensor_autograd.ops.FrameRows`). No
+        padded value then reaches a real frame, even a NaN, and the output's
+        padded frames are +0.0.
         """
         seqs, lengths = _record_views(features, lengths)
         return self._run(seqs, lengths, augment_prob if training else 0.0, rng)
@@ -486,11 +486,9 @@ class SequenceClassifier:
             raise DimensionError(f"features have {x.shape[2]} channels, model expects {self.cfg.channels[0]}")
         if augment_prob > 0.0:
             x = shift_augment(x, self.augment_config(), augment_prob, rng, lengths)
-        # an unrecorded padded batch runs its per-frame work on the real frames
-        # only; a recorded or full one runs it on every frame and copies nothing
-        rows = None
-        if lengths.min() < x.shape[1] and not _will_record(tuple(self.named_parameters().values())):
-            rows = frame_rows(lengths, x.shape[1])
+        # a padded batch runs its per-frame work on the real frames only; a
+        # full one runs it on every frame and copies nothing
+        rows = frame_rows(lengths, x.shape[1]) if lengths.min() < x.shape[1] else None
         # rebinding x frees each trunk, when unrecorded, once the next is made
         for block in self.blocks:
             if self.trunk_shift is not None:

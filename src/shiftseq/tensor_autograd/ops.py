@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, DimensionError, UsageError
+from ..errors import ConfigError, DimensionError
 from .engine import (
     Tensor,
     _copy,
@@ -25,10 +25,6 @@ from .engine import (
     accumulate_grad,
     track,
 )
-
-
-def _lead_axes(x: Tensor) -> tuple[int, ...]:
-    return tuple(range(x.ndim - 1))
 
 
 def _integers(values, name: str) -> np.ndarray:
@@ -54,13 +50,17 @@ def _check_lengths(lengths, b: int, t: int) -> np.ndarray:
     return lengths
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor, rows: FrameRows | None = None) -> Tensor:
     """x @ w + b over the trailing channel axis; x may be (N, Cin) or (B, T, Cin).
 
     Batch and time fold into the rows of one GEMM, (B·T, Cin) @ (Cin, Cout),
     in the forward and in the input gradient, rather than B GEMMs of T rows.
     Each output row is the same dot products, so the bits are those of the
     batched `np.matmul`. The output and the input gradient are step buffers.
+
+    Given the batch's real `rows`, x is their packed (N, Cin) rows, and the
+    weight and bias gradients sum x and the output gradient put back at
+    their frames (:meth:`FrameRows.scatter`), in the padded layout's order.
     """
     if x.ndim not in (2, 3):
         raise DimensionError(f"linear expects rank-2 or rank-3 input, got {x.shape}")
@@ -81,6 +81,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             accumulate_grad(x, gx, owned=True)
         # re-derived, not saved: a view of x.data, or a copy only while it is needed
         x2 = x.data.reshape(-1, x.shape[-1])
+        if rows is not None:
+            x2, g2 = rows.scatter(x2), rows.scatter(g2)
         accumulate_grad(w, x2.T @ g2, owned=True)
         accumulate_grad(b, g2.sum(axis=0), owned=True)
 
@@ -104,13 +106,19 @@ class FrameRows:
     (N, C) rows of :func:`_pack` with the bits those rows get in the
     padded layout: they work row by row, and a GEMM over a subset of its
     rows gives those rows' bits of the whole GEMM when it has at least two.
-    Packing and unpacking record no graph, so only an unrecorded forward
-    may use them.
+    :func:`_pack` and :func:`_unpack` record, so training runs this path too.
     """
 
     index: np.ndarray
     lengths: np.ndarray
     frames: int
+
+    def scatter(self, a: np.ndarray) -> np.ndarray:
+        """The packed (N, C) rows `a` at their frames of a new (batch·frames,
+        C) array whose padded rows are +0.0."""
+        out = np.zeros((len(self.lengths) * self.frames, a.shape[-1]), a.dtype)
+        out[self.index] = a
+        return out
 
     def spread(self, a: np.ndarray) -> None:
         """Move the packed rows a[:N] of a (batch·frames, C) array to their
@@ -129,28 +137,22 @@ def frame_rows(lengths: np.ndarray, t: int) -> FrameRows:
     return FrameRows(np.flatnonzero(np.arange(t) < lengths[:, None]), lengths, t)
 
 
-def _unrecorded(x: Tensor) -> None:
-    if x.requires_grad:
-        raise UsageError("packed frame rows record no graph; run them under no_grad")
-
-
 def _pack(x: Tensor, rows: FrameRows | None) -> Tensor:
-    """The (N, C) real rows of a (B, T, C) `x`, or `x` itself when `rows` is None."""
+    """The (N, C) real rows of a (B, T, C) `x`, or `x` itself when `rows` is
+    None. Its backward puts the gradient back at its frames, padded rows +0.0."""
     if rows is None:
         return x
-    _unrecorded(x)
-    return Tensor(x.data.reshape(-1, x.shape[-1])[rows.index])
+    return track(x.data.reshape(-1, x.shape[-1])[rows.index], (x,),
+                 lambda g: accumulate_grad(x, rows.scatter(g).reshape(x.shape), owned=True))
 
 
 def _unpack(r: Tensor, rows: FrameRows | None) -> Tensor:
     """(N, C) real rows back in the (B, T, C) layout, padded rows +0.0, or
-    `r` itself when `rows` is None."""
+    `r` itself when `rows` is None. Its backward gathers the real rows."""
     if rows is None:
         return r
-    _unrecorded(r)
-    out = np.zeros((len(rows.lengths) * rows.frames, r.shape[-1]), r.dtype)
-    out[rows.index] = r.data
-    return Tensor(out.reshape(len(rows.lengths), rows.frames, -1))
+    return track(rows.scatter(r.data).reshape(len(rows.lengths), rows.frames, -1), (r,),
+                 lambda g: accumulate_grad(r, g.reshape(-1, g.shape[-1])[rows.index], owned=True))
 
 
 def _frame_shift(t: int, d: int) -> tuple[slice, slice]:
@@ -257,7 +259,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     _affine(xhat, gamma.data, beta.data, out=out)
 
     def bwd(g):
-        lead = _lead_axes(x)
+        lead = tuple(range(x.ndim - 1))
         tmp = np.multiply(g, xhat, out=_empty(g.shape, g.dtype))
         accumulate_grad(gamma, tmp.sum(axis=lead), owned=True)
         accumulate_grad(beta, g.sum(axis=lead), owned=True)
@@ -396,8 +398,7 @@ def named_tensors(params):
             yield from ((f"{f.name}.{name}", t) for name, t in named_tensors(value))
 
 
-def _attention_core(q: Tensor, k: Tensor, v: Tensor, table: Tensor, lengths: np.ndarray,
-                    rows: FrameRows | None = None) -> Tensor:
+def _attention_core(q: Tensor, k: Tensor, v: Tensor, table: Tensor, lengths: np.ndarray) -> Tensor:
     """softmax(q kᵀ / sqrt(d) + bias + key mask) v per head, one record at a time.
 
     q, k and v are (B, T, C) projections whose channels split into the
@@ -410,13 +411,6 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, table: Tensor, lengths: np.
     added in batch order and applied to the table with one `np.add.at`.
     Every value is bit-identical to composing the engine's matmul, scale,
     add and softmax nodes over the batch with :func:`rel_position_bias`.
-
-    Given the batch's real `rows` (unrecorded only), record i's softmax and
-    product with v[i] run on its first max(lengths[i], 2) queries, and its
-    other output rows are left unwritten. q[i] k[i]ᵀ still takes every
-    query: OpenBLAS gives the first n query rows alone other bits (at 8
-    heads of 96 channels, every n up to 20 of 60 rows), while a product
-    with v[i] of two rows or more keeps them; one row runs through GEMV.
     """
     if {q.dtype, k.dtype, v.dtype, table.dtype} != {q.dtype}:
         raise DimensionError(f"mixed dtypes in one op: attention table {table.dtype.name} "
@@ -431,13 +425,11 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, table: Tensor, lengths: np.
         """Record i of a (B, T, C) array as an (H, T, C/H) view, head first."""
         return a[i].reshape(t, heads, c // heads).transpose(1, 0, 2)
 
-    def probs(i: int, bias: np.ndarray, out: np.ndarray, n: int = t) -> np.ndarray:
-        """Record i's (H, n, T) attention probabilities of its first n
-        queries, written into `out`, an (H, T, T) buffer."""
+    def probs(i: int, bias: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Record i's (H, T, T) attention probabilities, written into `out`."""
         np.matmul(rec(q.data, i), rec(k.data, i).transpose(0, 2, 1), out=out)
-        out = out[:, :n]
         out *= s
-        out += bias[:, :n]
+        out += bias
         out += key_bias[i]
         out -= out.max(axis=-1, keepdims=True)
         np.exp(out, out=out)
@@ -448,8 +440,7 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, table: Tensor, lengths: np.
     bias = table.data[:, _rel_index(t, d)]
     p = _empty((heads, t, t), q.dtype)
     for i in range(b):
-        n = t if rows is None else min(max(int(lengths[i]), 2), t)
-        np.matmul(probs(i, bias, p, n), rec(v.data, i), out=rec(out, i)[:, :n])
+        np.matmul(probs(i, bias, p), rec(v.data, i), out=rec(out, i))
 
     def bwd(g):
         gq, gk, gv = (_empty((b, t, c), q.dtype) for _ in range(3))
@@ -494,9 +485,9 @@ def mhsa(x: Tensor, params: AttentionParams, lengths=None, rows: FrameRows | Non
     record at a time and recomputes its probabilities in the backward, so
     attention holds (H, T, T) buffers, not (B, H, T, T) ones.
 
-    Given the batch's real `rows` (unrecorded only), the projections run on
-    those rows, the core reads +0.0 projections on padded frames and mixes
-    values for real queries only, and the output's padded rows are +0.0.
+    Given the batch's real `rows`, the four projections run on those rows
+    (see :func:`linear`), the core reads +0.0 projections on padded frames,
+    and the output's padded rows are +0.0.
     """
     if x.ndim != 3:
         raise DimensionError(f"mhsa expects rank-3 input, got {x.shape}")
@@ -508,10 +499,10 @@ def mhsa(x: Tensor, params: AttentionParams, lengths=None, rows: FrameRows | Non
         raise DimensionError(f"relative bias table must be (heads, 2*D+1), got {params.rel_table.shape}")
     lengths = _check_lengths(lengths, b, t)
     xr = _pack(x, rows)
-    q, k, v = (_unpack(linear(xr, w, bias), rows)
+    q, k, v = (_unpack(linear(xr, w, bias, rows), rows)
                for w, bias in ((params.wq, params.bq), (params.wk, params.bk), (params.wv, params.bv)))
-    mixed = _attention_core(q, k, v, params.rel_table, lengths, rows)
-    return _unpack(linear(_pack(mixed, rows), params.wo, params.bo), rows)
+    mixed = _attention_core(q, k, v, params.rel_table, lengths)
+    return _unpack(linear(_pack(mixed, rows), params.wo, params.bo, rows), rows)
 
 
 POOL_WINDOW = 3  # frames averaged by the pooling token mixer
@@ -689,9 +680,9 @@ def bilstm(x: Tensor, forward: LstmDirection, backward: LstmDirection,
     The whole-sequence buffers are step buffers. The gate and cell buffers
     BPTT reads are kept only when the node is recorded: an unrecorded
     forward holds the output, one input projection and one frame's gates.
-    Given the batch's real `rows` (unrecorded only), the input projection
-    runs on those rows, padded frames project to +0.0, and the output's
-    padded rows are +0.0.
+    Given the batch's real `rows`, the input projection runs on those rows,
+    read by index, padded frames project to +0.0, and the output's padded
+    rows are +0.0; without them the mask multiplies, so a NaN passes.
     """
     if x.ndim != 3:
         raise DimensionError(f"bilstm expects rank-3 input, got {x.shape}")
@@ -712,7 +703,7 @@ def bilstm(x: Tensor, forward: LstmDirection, backward: LstmDirection,
     parents = (x, forward.w_ih, forward.w_hh, forward.b, backward.w_ih, backward.w_hh, backward.b)
     save = _will_record(parents)
     xw = _empty((b, t, 4 * hidden), x.dtype)  # each direction's in turn; the backward reads neither
-    xr = x2 if rows is None else _pack(x, rows).data  # the rows projected, into the first rows of xw
+    xr = x2 if rows is None else x2[rows.index]  # the rows projected, into the first rows of xw
     proj = xw.reshape(b * t, 4 * hidden)[:len(xr)]
     saved = []
     for p, stride, half in halves:

@@ -5,7 +5,8 @@ op's arguments, or an attention, BiLSTM or whole-block input together with
 every parameter it reads through a closure, bar the three whose exact
 gradient is zero. :func:`grad_check` compares each at 64-bit over several
 seeds. Elementwise ops must agree to 1e-5, composed ops and whole blocks
-to 1e-4, and the shift, being exact data movement, to 1e-6.
+to 1e-4, and the shift and the frame-row gather and scatter, being exact
+data movement, to 1e-6.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from .tensor_autograd import (
     softmax,
 )
 from .tensor_autograd.engine import concat, matmul, mean_all, reduce_sum, sigmoid, tanh
-from .tensor_autograd.ops import _attention_core, batch_norm1d, conv1d_full, rel_position_bias
+from .tensor_autograd.ops import (_attention_core, _pack, _unpack, batch_norm1d, conv1d_full, frame_rows,
+                                  rel_position_bias)
 
 TOL_ELEMENTWISE = 1e-5
 TOL_COMPOSED = 1e-4
@@ -117,6 +119,7 @@ def _block_case(family, **cfg_kw):
 def _suite_cases():
     shift_uni = ShiftConfig(alpha=0.25, direction="unidirectional", placement="residual")
     shift_bi = ShiftConfig(alpha=0.25, direction="bidirectional", placement="residual")
+    rows = frame_rows(np.array([5, 3]), 5)  # the 8 real frames of a (2, 5) batch
     cases = [
         ("op.add", TOL_ELEMENTWISE,
          lambda rng, _: (add, [_t(rng, 3, 4), _t(rng, 3, 4)])),
@@ -141,6 +144,12 @@ def _suite_cases():
                          [_t(rng, 2, 3), _t(rng, 2, 2)])),
         ("op.linear", TOL_ELEMENTWISE,
          lambda rng, _: (linear, [_t(rng, 2, 4, 3), _t(rng, 3, 5), _t(rng, 5)])),
+        ("op.pack_rows", TOL_SHIFT,
+         lambda rng, _: (lambda x: _pack(x, rows), [_t(rng, 2, 5, 4)])),
+        ("op.unpack_rows", TOL_SHIFT,
+         lambda rng, _: (lambda r: _unpack(r, rows), [_t(rng, 8, 4)])),
+        ("op.linear_packed", TOL_ELEMENTWISE,
+         lambda rng, _: (lambda x, w, b: linear(x, w, b, rows), [_t(rng, 8, 3), _t(rng, 3, 5), _t(rng, 5)])),
         ("op.depthwise_conv1d", TOL_ELEMENTWISE,
          lambda rng, _: (depthwise_conv1d, [_t(rng, 2, 6, 4), _t(rng, 3, 4), _t(rng, 4)])),
         ("op.depthwise_conv1d_masked", TOL_ELEMENTWISE,

@@ -628,3 +628,20 @@ def test_results_are_bit_equal_with_and_without_the_pool(monkeypatch, preset):
     assert len(with_pool) == len(without)
     for got, want in zip(with_pool, without):
         assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+@pytest.mark.parametrize("preset", ss.PRESETS)
+def test_an_unrecorded_padded_forward_reads_no_buffer_before_writing_it(monkeypatch, preset):
+    """Eval packs a padded batch's real frames; with every step buffer NaN
+    when handed out, its logits are finite and bit-equal to the normal run."""
+    rng = np.random.default_rng(4)
+    records = [rng.standard_normal((2, t, 64), dtype=np.float32) for t in (1, 2, 9, 30, 50, 17, 4, 50)]
+    model = ss.build_model(ss.preset_config(preset, width=64, num_classes=4, num_input_layers=2),
+                           seed=0)
+    with no_grad():
+        want = model.forward(records).data
+        with monkeypatch.context() as poisoned:
+            poison_step_buffers(poisoned)
+            got = model.forward(records).data
+    assert np.isfinite(got).all()
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))

@@ -2,7 +2,10 @@
 
 import dataclasses
 import json
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -22,6 +25,7 @@ from shiftseq.blocks import (
     save_checkpoint,
     weighted_layer_sum,
 )
+import shiftseq
 from shiftseq.blocks import model as model_module
 from shiftseq.blocks.model import _DRAW_BLOCK
 from shiftseq.data import FeatureSequence, GenConfig
@@ -42,6 +46,7 @@ from shiftseq.tensor_autograd import (
     softmax,
     sum_all,
 )
+from shiftseq.tensor_autograd import engine
 from shiftseq.tensor_autograd.engine import backward, reduce_sum, reshape
 from shiftseq.tensor_autograd.ops import frame_rows
 from shiftseq.train import Optimizer, TrainConfig, collate, evaluate, predict_logits
@@ -707,19 +712,91 @@ def test_blocks_on_real_rows_never_read_padded_frames(variant):
                 assert not got[i, t:].any() and not np.signbit(got[i, t:]).any()
 
 
-def test_only_an_unrecorded_padded_batch_packs_rows(monkeypatch):
-    """A full batch, and a recorded forward, run every frame and copy nothing."""
+def test_a_full_batch_copies_nothing_and_a_padded_batch_packs_recorded_or_not(monkeypatch):
     model = randomised_model("transformer")
     _, batch = padded_batch(np.random.default_rng(34), [10, 30, 17])
     packed = []
     monkeypatch.setattr(model_module, "frame_rows", lambda *a: packed.append(a) or frame_rows(*a))
     with no_grad():
         model.forward(Tensor(batch), np.array([30, 30, 30]))
-    model.forward(Tensor(batch), np.array([10, 30, 17]))
+    model.forward(Tensor(batch), np.array([30, 30, 30]))
     assert packed == []
     with no_grad():
         model.forward(Tensor(batch), np.array([10, 30, 17]))
     assert len(packed) == 1
+    model.forward(Tensor(batch), np.array([10, 30, 17]))
+    assert len(packed) == 2
+
+
+@pytest.mark.parametrize("preset", ["shiftcnn", "transformer"])
+def test_a_padded_train_step_peaks_below_the_step_at_full_length(monkeypatch, preset):
+    """A recorded step saves its per-frame buffers at the real frames: on
+    records of 5-60 frames (60% padding) its traced peak stays well below
+    the same step with every record at 60 frames."""
+    monkeypatch.setattr(engine, "_POOL_MIN_BYTES", float("inf"))  # every buffer a traced allocation
+    model = build_model(preset_config(preset, width=64, num_input_layers=2), seed=0)
+    rng = np.random.default_rng(35)
+    lengths = (5, 10, 20, 60)
+    full = [rng.standard_normal((2, 60, 64)).astype(np.float32) for _ in lengths]
+
+    def peak(records):
+        for p in model.named_parameters().values():
+            p.grad = None
+        tracemalloc.start()
+        try:
+            loss, _ = model.loss(records, np.arange(4))
+            backward(loss)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak([a[:, :t] for a, t in zip(full, lengths)]) < 0.85 * peak(full)
+
+
+# prints, per width, variant and forward (eval, recorded), how many batches
+# give a 37-frame record logits other than its batch with an equal-length twin
+BATCH_INVARIANCE_PROBE = """
+import contextlib, dataclasses
+import numpy as np
+from shiftseq.blocks import build_model, preset_config
+from shiftseq.tensor_autograd import no_grad
+
+VARIANTS = {"cnn": ("cnn", {}), "shiftcnn": ("shiftcnn", {}), "shiftformer": ("shiftformer", {}),
+            "transformer-pooling": ("transformer", {"mixer": "pooling"}),
+            "transformer-no-mixer": ("transformer", {"mixer": "none"})}
+for width in (32, 768):
+    rng = np.random.default_rng(width)
+    def rec(t):
+        return rng.standard_normal((2, t, width), dtype=np.float32)
+    record = rec(37)
+    batches = [([record, rec(37)], 0)]
+    for n in (2, 3, 5, 8):
+        at = int(rng.integers(n))
+        others = [rec(int(t)) for t in rng.integers(1, 121, n - 1)]
+        batches.append((others[:at] + [record] + others[at:], at))
+    for name, (preset, overrides) in VARIANTS.items():
+        cfg = dataclasses.replace(preset_config(preset, width=width, num_input_layers=2), **overrides)
+        model = build_model(cfg, seed=0)
+        for recorded in (False, True):
+            with contextlib.nullcontext() if recorded else no_grad():
+                logits = [model.forward(batch).data[at] for batch, at in batches]
+            print(width, name, recorded, sum(not np.array_equal(z, logits[0]) for z in logits[1:]))
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_record_gets_the_same_logit_bits_in_any_batch(threads):
+    """cnn, shiftcnn, shiftformer and the pooling and no-mixer transformers
+    (the attention transformer's q kᵀ takes its batch's longest length, and
+    the LSTMs' recurrence bits depend on the batch at some widths)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(shiftseq.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)  # read when numpy loads
+    proc = subprocess.run([sys.executable, "-c", BATCH_INVARIANCE_PROBE], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2 * 5 * 2
+    assert [line for line in lines if not line.endswith(" 0")] == []
 
 
 @pytest.mark.parametrize("preset", PRESETS)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from shiftseq.blocks import ModelConfig, build_model
-from shiftseq.errors import ConfigError, DimensionError, UsageError
+from shiftseq.errors import ConfigError, DimensionError
 from shiftseq.shift import ShiftConfig, temporal_shift
 from shiftseq.tensor_autograd import (
     AttentionParams,
@@ -792,9 +792,17 @@ def test_frame_rows_pack_and_unpack_the_real_frames():
     assert _pack(Tensor(x), None).data is x
 
 
-def test_frame_rows_refuse_a_recorded_tensor():
-    rows = frame_rows(np.array([2, 3]), 3)
-    with pytest.raises(UsageError, match="no_grad"):
-        _pack(Tensor(np.ones((2, 3, 4)), requires_grad=True), rows)
-    with pytest.raises(UsageError, match="no_grad"):
-        _unpack(Tensor(np.ones((5, 4)), requires_grad=True), rows)
+def test_recorded_frame_rows_scatter_and_gather_the_gradient():
+    """Recorded, `_pack`'s backward puts the gradient back at its frames and
+    `_unpack`'s gathers the real rows: exactly, with padded rows at +0.0."""
+    rows = frame_rows(np.array([2, 3, 1]), 3)
+    real = np.array([[1, 1, 0], [1, 1, 1], [1, 0, 0]], dtype=bool)
+    x = Tensor(np.ones((3, 3, 4)), requires_grad=True)
+    g = -np.arange(1, 25, dtype=np.float64).reshape(6, 4)  # negative, so a -0.0 would show
+    backward(sum_all(mul(_pack(x, rows), Tensor(g))))
+    assert np.array_equal(x.grad[real], g)
+    assert not x.grad[~real].any() and not np.signbit(x.grad[~real]).any()
+    r = Tensor(np.ones((6, 4)), requires_grad=True)
+    h = -np.arange(1, 37, dtype=np.float64).reshape(3, 3, 4)
+    backward(sum_all(mul(_unpack(r, rows), Tensor(h))))
+    assert np.array_equal(r.grad, h[real])

@@ -48,11 +48,11 @@ def test_every_traced_target_resolves_in_the_package():
 def test_traced_flops_agree_with_count_flops(preset):
     """The trace books each FLOP op's work from the shapes of its positional
     arguments (`x` first, then a weight); summed over the ops outside any
-    other FLOP op, one forward books what `count_flops` counts at the padded
-    length: on a full 4-D batch, and recorded on ragged records. Unrecorded,
-    ragged records run the blocks' pointwise layers, top-level `linear`
-    calls, on their real frames, and the trace books those at the real
-    frames; attention and the LSTM it books at the padded length."""
+    other FLOP op, one forward on a full 4-D batch books what `count_flops`
+    counts at the padded length. Ragged records, recorded or not, run the
+    blocks' pointwise layers, top-level `linear` calls, on their real
+    frames, and the trace books those at the real frames; attention and the
+    LSTM it books at the padded length."""
     spans = load_spans()
     b, t, width, layers = 3, 11, 16, 2
     model = build_model(preset_config(preset, width=width, num_input_layers=layers), seed=0)
@@ -67,10 +67,9 @@ def test_traced_flops_agree_with_count_flops(preset):
             model.forward(features)
         return tracer.counters["flops.top_level"]
 
-    padded = b * count_flops(model, t).total_flops
-    assert booked(x, recorded=False) == padded
-    assert booked(records, recorded=True) == padded
+    assert booked(x, recorded=False) == b * count_flops(model, t).total_flops
     per_frame = {e.name: e.flops for e in count_flops(model, 1).entries}
     ragged = sum(per_frame[e.name] * sum(lengths) if e.name.endswith((".pw1", ".pw2")) else b * e.flops
                  for e in count_flops(model, t).entries)
     assert booked(records, recorded=False) == ragged
+    assert booked(records, recorded=True) == ragged
