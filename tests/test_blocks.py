@@ -712,6 +712,29 @@ def test_blocks_on_real_rows_never_read_padded_frames(variant):
                 assert not got[i, t:].any() and not np.signbit(got[i, t:]).any()
 
 
+@pytest.mark.parametrize("variant", ["lstm", "shiftlstm", "lstm-residual"])
+def test_a_recorded_lstm_without_rows_reads_no_padded_frame(variant):
+    """Recorded and given no rows, `bilstm` and `LstmBlock.forward` still read
+    no padded frame: with NaN there, their real output frames are the bits of
+    zero padding, and `bilstm`'s padded output frames are +0.0."""
+    block = randomised_model(variant).blocks[0]
+    lengths = np.array([10, 30, 17])
+    zero = np.random.default_rng(35).standard_normal((3, 30, 16)).astype(np.float32)
+    nan = zero.copy()
+    for i, t in enumerate(lengths):
+        zero[i, t:], nan[i, t:] = 0.0, np.nan
+    rnn = bilstm(Tensor(nan), block.rnn.fw, block.rnn.bw, lengths)
+    outs = {"bilstm": (rnn, bilstm(Tensor(zero), block.rnn.fw, block.rnn.bw, lengths)),
+            "block": (block.forward(Tensor(nan), lengths), block.forward(Tensor(zero), lengths))}
+    for name, (got, want) in outs.items():
+        assert got.requires_grad, name
+        for i, t in enumerate(lengths):
+            assert np.isfinite(got.data[i, :t]).all(), name
+            np.testing.assert_array_equal(got.data[i, :t], want.data[i, :t], err_msg=name)
+    for i, t in enumerate(lengths):
+        assert not rnn.data[i, t:].any() and not np.signbit(rnn.data[i, t:]).any()
+
+
 def test_a_full_batch_copies_nothing_and_a_padded_batch_packs_recorded_or_not(monkeypatch):
     model = randomised_model("transformer")
     _, batch = padded_batch(np.random.default_rng(34), [10, 30, 17])
@@ -763,14 +786,15 @@ from shiftseq.tensor_autograd import no_grad
 
 VARIANTS = {"cnn": ("cnn", {}), "shiftcnn": ("shiftcnn", {}), "shiftformer": ("shiftformer", {}),
             "transformer-pooling": ("transformer", {"mixer": "pooling"}),
-            "transformer-no-mixer": ("transformer", {"mixer": "none"})}
-for width in (32, 768):
+            "transformer-no-mixer": ("transformer", {"mixer": "none"}),
+            "lstm": ("lstm", {}), "shiftlstm": ("shiftlstm", {})}
+for width in (32, 64, 768):
     rng = np.random.default_rng(width)
     def rec(t):
         return rng.standard_normal((2, t, width), dtype=np.float32)
     record = rec(37)
     batches = [([record, rec(37)], 0)]
-    for n in (2, 3, 5, 8):
+    for n in (2, 3, 5, 8, 12):
         at = int(rng.integers(n))
         others = [rec(int(t)) for t in rng.integers(1, 121, n - 1)]
         batches.append((others[:at] + [record] + others[at:], at))
@@ -786,16 +810,16 @@ for width in (32, 768):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_a_record_gets_the_same_logit_bits_in_any_batch(threads):
-    """cnn, shiftcnn, shiftformer and the pooling and no-mixer transformers
-    (the attention transformer's q kᵀ takes its batch's longest length, and
-    the LSTMs' recurrence bits depend on the batch at some widths)."""
+    """cnn, shiftcnn, shiftformer, the pooling and no-mixer transformers,
+    lstm and shiftlstm (the attention transformer's q kᵀ takes its batch's
+    longest length)."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(shiftseq.__file__)))
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)  # read when numpy loads
     proc = subprocess.run([sys.executable, "-c", BATCH_INVARIANCE_PROBE], env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 2 * 5 * 2
+    assert len(lines) == 3 * 7 * 2
     assert [line for line in lines if not line.endswith(" 0")] == []
 
 

@@ -240,10 +240,11 @@ def bilstm_ref(x, dirs, g, lengths=None):
 
     Each frame adds the recurrent product to its input projection row, takes
     the gates, then the cell and hidden states, and multiplies both states by
-    the frame's 0/1 mask. BPTT visits the frames in the opposite order. The
-    weight gradients are products over all (B*T) rows, each row paired with
-    the hidden state its frame started from: the previous frame's in the
-    forward direction, the next frame's in the reverse one.
+    the frame's 0/1 mask; the output is +0.0 on padded frames. BPTT visits
+    the frames in the opposite order. The weight gradients are products over
+    all (B*T) rows, each row paired with the hidden state its frame started
+    from: the previous frame's in the forward direction, the next frame's in
+    the reverse one.
     """
     b, t, c = x.shape
     hidden = dirs[0][1].shape[0]
@@ -293,6 +294,7 @@ def bilstm_ref(x, dirs, g, lengths=None):
         dpre2 = dpre.reshape(b * t, 4 * hidden)
         grads += [x2.T @ dpre2, h_start.reshape(b * t, hidden).T @ dpre2, dpre2.sum(axis=0)]
         dxs.append(dpre2 @ w_ih.T)
+    out[mask[:, :, 0] == 0] = 0.0
     return out, [(dxs[0] + dxs[1]).reshape(b, t, c)] + grads
 
 
@@ -647,6 +649,28 @@ def test_bilstm_reverse_half_is_the_forward_half_on_reversed_records(dtype, shap
     for i in range(b):
         assert_bits(reverse_half[i, :n[i]], forward_half[i, n[i] - 1::-1])
         assert not reverse_half[i, n[i]:].any() and not forward_half[i, n[i]:].any()
+
+
+@pytest.mark.parametrize("hidden,batches", [(32, range(2, 41)), (64, range(2, 41)),
+                                            (768, [*range(2, 41), 90])])
+def test_bilstm_record_bits_do_not_depend_on_its_batch(hidden, batches):
+    """One record's output rows are the same bits in batches of 2-40 records
+    of 1-9 frames, and at H = 768 in one batch above the recurrence's row
+    split (81 rows)."""
+    c = 8
+    dirs = [LstmDirection(Tensor(arr((c, 4 * hidden), 10 + s, np.float32, 0.3)),
+                          Tensor(arr((hidden, 4 * hidden), 20 + s, np.float32, hidden ** -0.5)),
+                          Tensor(arr((4 * hidden,), 30 + s, np.float32, 0.1))) for s in range(2)]
+    record = arr((6, c), 1, np.float32)
+    rng = np.random.default_rng(hidden)
+    outs = []
+    for n in batches:
+        lengths = np.append(rng.integers(1, 10, n - 1), len(record))
+        x = rng.standard_normal((n, lengths.max(), c), dtype=np.float32)
+        x[-1, :len(record)] = record
+        with no_grad():
+            outs.append(bilstm(Tensor(x), *dirs, lengths).data[-1, :len(record)])
+    assert [n for n, out in zip(batches, outs) if not np.array_equal(out, outs[0])] == []
 
 
 def test_bilstm_under_no_grad_keeps_no_bptt_buffers():
