@@ -570,27 +570,51 @@ def _gate_views(gates: np.ndarray, hidden: int):
     return tuple(gates[:, k * hidden:(k + 1) * hidden] for k in range(4))
 
 
-# The largest M·N·K that OpenBLAS 0.3.31 runs through its small-matrix sgemm,
-# which reads both operands in place instead of packing them. On a 2-vCPU
-# AVX-512 Xeon at one thread, a (4, 768) @ (768, 3072) float32 product made
-# of column tiles took 0.50/0.48/0.81/0.99 ms (median of 7) with tiles of
-# 304/320/336/352 columns: 4·768·320 ≤ 10⁶ < 4·768·336.
+_TILE = 128  # rows and columns of a block of _transposed's copy
+
+
+def _transposed(w: np.ndarray) -> np.ndarray:
+    """A C-ordered copy of `w.T`, made in _TILE x _TILE blocks: each block's
+    reads and writes stay in cache, where a whole-array copy strides across
+    every row for each element it writes. For a 768 x 3072 float32 weight on
+    a 2-vCPU x86 host: 4.3 ms, against 12.7 ms for `np.ascontiguousarray`."""
+    rows, cols = w.shape
+    out = np.empty((cols, rows), w.dtype)
+    for i in range(0, rows, _TILE):
+        for j in range(0, cols, _TILE):
+            out[j:j + _TILE, i:i + _TILE] = w[i:i + _TILE, j:j + _TILE].T
+    return out
+
+
+# The largest M·N·K that OpenBLAS 0.3.31 (SkylakeX kernels) runs through its
+# small-matrix sgemm, which reads both operands in place instead of packing
+# them. On a 2-vCPU AVX-512 Xeon at one thread, a (4, 768) @ (768, 3072)
+# float32 product made of column tiles took 0.50/0.48/0.81/0.99 ms (median
+# of 7) with tiles of 304/320/336/352 columns: 4·768·320 ≤ 10⁶ < 4·768·336.
 _NO_PACK = 1_000_000
+# The largest batch whose recurrence runs on column tiles. The small-matrix
+# kernel runs on one thread while the untiled GEMM shares two, so tiles stop
+# winning at a smaller batch on two threads. Per-frame product on the same
+# host at H = 768 (384), ms, untiled -> tiles, median of 7: one thread, B = 8
+# 0.98 -> 0.69 (0.23 -> 0.19), B = 12 1.28 -> 0.89 (0.30 -> 0.20), B = 16
+# 1.02 -> 1.16 (0.26 -> 0.26); two threads, wall, B = 6 0.83 -> 0.68, B = 8
+# 0.70 -> 0.72 (0.23 -> 0.25), B = 16 0.76 -> 1.23 (0.27 -> 0.42).
+_TILED_ROWS = 8
 
 
 def _recurrent_tiles(w_hh: np.ndarray, b: int):
     """`w_hh` (H, 4H) cut into C-ordered column tiles for a batch of `b` rows,
-    as (row step, [(first column, tile)]). Each product of `row step` rows
-    of h with one tile keeps rows·H·columns within _NO_PACK, so OpenBLAS
-    computes every output element with the same reduction over H whatever
-    the batch size: a record's bits do not depend on its batch-mates. The
-    tiles are a multiple of 16 columns wide, and the rows are split too when
-    16 columns would exceed the bound."""
+    as [(first column, tile)], or None when the batch is 1 or above
+    _TILED_ROWS rows, or H is too wide for a 16-column tile. Each product of
+    the batch's h with one tile keeps rows·H·columns within _NO_PACK, so
+    OpenBLAS computes every output element with the same reduction over H in
+    any such batch: a record's bits do not depend on its batch-mates. The
+    tiles are the widest multiple of 16 columns (or all 4H) within the bound."""
     hidden, four_h = w_hh.shape
-    cols = _NO_PACK // (b * hidden) // 16 * 16
-    row_step = b if cols else max(1, _NO_PACK // (16 * hidden))
-    cols = min(max(cols, 16), four_h)
-    return row_step, [(j, np.ascontiguousarray(w_hh[:, j:j + cols])) for j in range(0, four_h, cols)]
+    cols = min(_NO_PACK // (b * hidden) // 16 * 16, four_h)
+    if not 2 <= b <= _TILED_ROWS or cols == 0:
+        return None
+    return [(j, np.ascontiguousarray(w_hh[:, j:j + cols])) for j in range(0, four_h, cols)]
 
 
 def _lstm_forward(xw: np.ndarray, w_hh: np.ndarray, out: np.ndarray,
@@ -604,10 +628,13 @@ def _lstm_forward(xw: np.ndarray, w_hh: np.ndarray, out: np.ndarray,
     returns None. A masked frame ends with zero state, so a run over
     time-reversed views starts fresh at each record's last real frame.
 
-    Each frame's recurrent term h @ w_hh is written into one (B, 4H) buffer
-    by products of h with the column tiles of :func:`_recurrent_tiles`, cut
-    once per call, so a row's bits are the same in any batch of two or
-    more rows. A single row (B = 1) runs through numpy's GEMV.
+    In a batch of 2 to _TILED_ROWS rows, each frame's recurrent term
+    h @ w_hh is written into one (B, 4H) buffer by products of h with the
+    column tiles of :func:`_recurrent_tiles`, cut once per call, so a row's
+    bits are the same in any such batch. Other batches multiply by a
+    contiguous copy of w_hh.T, made once per call: a single row through
+    numpy's GEMV, and from _TILED_ROWS + 1 rows one packed GEMM, which two
+    BLAS threads share.
     """
     b, t, four_h = xw.shape
     hidden = four_h // 4
@@ -617,15 +644,22 @@ def _lstm_forward(xw: np.ndarray, w_hh: np.ndarray, out: np.ndarray,
         tanh_cells = _empty((b, t, hidden), xw.dtype)
     else:
         frame_gates = np.empty((b, four_h), xw.dtype)
-    row_step, tiles = _recurrent_tiles(w_hh, b)
-    rec = np.empty((b, four_h), xw.dtype)  # h @ w_hh, tile by tile
+    tiles = _recurrent_tiles(w_hh, b)
+    if tiles is None:
+        # (w_hh.T @ h.T).T with w_hh.T made contiguous once: single-threaded
+        # OpenBLAS runs this few-row product 1.5-2x faster than h @ w_hh
+        w_hh_t = _transposed(w_hh)
+    else:
+        rec = np.empty((b, four_h), xw.dtype)  # h @ w_hh, tile by tile
     h = np.zeros((b, hidden), dtype=xw.dtype)
     c = np.zeros((b, hidden), dtype=xw.dtype)
     for step in range(t):
-        for r in range(0, b, row_step):
+        if tiles is None:
+            pre = xw[:, step] + (w_hh_t @ h.T).T
+        else:
             for j, tile in tiles:
-                np.matmul(h[r:r + row_step], tile, out=rec[r:r + row_step, j:j + tile.shape[1]])
-        pre = np.add(xw[:, step], rec, out=rec)
+                np.matmul(h, tile, out=rec[:, j:j + tile.shape[1]])
+            pre = np.add(xw[:, step], rec, out=rec)
         gates = gates_all[:, step] if save else frame_gates
         gates[:, :2 * hidden] = _sigmoid(pre[:, :2 * hidden])
         gates[:, 2 * hidden:3 * hidden] = np.tanh(pre[:, 2 * hidden:3 * hidden])
@@ -670,7 +704,7 @@ def _lstm_backward(g: np.ndarray, saved, w_hh: np.ndarray,
         d[:, 2 * hidden:3 * hidden] = dc * gi * (1.0 - gg * gg)
         d[:, 3 * hidden:] = dh * tanh_c * go * (1.0 - go)
         dc_next = dc * gf
-        # not tiled as in _lstm_forward: at H = 768 on one OpenBLAS thread,
+        # untiled at every batch size: at H = 768 on one OpenBLAS thread,
         # no-pack tiles of w_hh.T took this product from 0.87-0.90 to
         # 0.54-0.62 ms at B = 4-8, but from 1.01 to 1.25 ms at B = 16 and
         # from 1.50 to 2.58 ms at B = 32, the training default
@@ -690,8 +724,9 @@ def bilstm(x: Tensor, forward: LstmDirection, backward: LstmDirection,
 
     One fused graph node: each direction's input projection is a single
     (B*T, C) @ (C, 4H) GEMM hoisted out of the recurrence; only h @ w_hh runs
-    per frame, on column tiles of w_hh that keep each record's output bits
-    independent of its batch-mates from two records up. The backward pass is
+    per frame. In batches of 2 to _TILED_ROWS records it runs on column tiles
+    of w_hh, which give a record the same output bits in any such batch; see
+    :func:`_lstm_forward`. The backward pass is
     hand-written BPTT over the saved gate activations, finishing with
     whole-sequence GEMMs for w_ih, w_hh and x. The reverse direction is the
     same recurrence and BPTT run on time-reversed views (`a[:, ::-1]`) of its

@@ -36,7 +36,7 @@ from shiftseq.tensor_autograd import (
     sum_all,
 )
 from shiftseq.tensor_autograd.engine import matmul, reduce_sum, reshape, scale, transpose
-from shiftseq.tensor_autograd.ops import _GELU_BLOCK, batch_norm1d, rel_position_bias
+from shiftseq.tensor_autograd.ops import _GELU_BLOCK, _TILED_ROWS, batch_norm1d, rel_position_bias
 
 DTYPES = [np.float32, np.float64]
 
@@ -651,19 +651,18 @@ def test_bilstm_reverse_half_is_the_forward_half_on_reversed_records(dtype, shap
         assert not reverse_half[i, n[i]:].any() and not forward_half[i, n[i]:].any()
 
 
-@pytest.mark.parametrize("hidden,batches", [(32, range(2, 41)), (64, range(2, 41)),
-                                            (768, [*range(2, 41), 90])])
-def test_bilstm_record_bits_do_not_depend_on_its_batch(hidden, batches):
-    """One record's output rows are the same bits in batches of 2-40 records
-    of 1-9 frames, and at H = 768 in one batch above the recurrence's row
-    split (81 rows)."""
+@pytest.mark.parametrize("hidden", [32, 64, 768])
+def test_bilstm_record_bits_do_not_depend_on_its_batch(hidden, measured_blas):
+    """One record's output rows are the same bits in batches of 2 to
+    _TILED_ROWS records of 1-9 frames, where the recurrence runs on column
+    tiles."""
     c = 8
     dirs = [LstmDirection(Tensor(arr((c, 4 * hidden), 10 + s, np.float32, 0.3)),
                           Tensor(arr((hidden, 4 * hidden), 20 + s, np.float32, hidden ** -0.5)),
                           Tensor(arr((4 * hidden,), 30 + s, np.float32, 0.1))) for s in range(2)]
     record = arr((6, c), 1, np.float32)
     rng = np.random.default_rng(hidden)
-    outs = []
+    batches, outs = range(2, _TILED_ROWS + 1), []
     for n in batches:
         lengths = np.append(rng.integers(1, 10, n - 1), len(record))
         x = rng.standard_normal((n, lengths.max(), c), dtype=np.float32)

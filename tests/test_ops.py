@@ -30,8 +30,10 @@ from shiftseq.tensor_autograd import (
 )
 from shiftseq.tensor_autograd.ops import (
     _NO_PACK,
+    _TILED_ROWS,
     _pack,
     _recurrent_tiles,
+    _transposed,
     _unpack,
     batch_norm1d,
     conv1d_full,
@@ -578,22 +580,36 @@ class TestBiLstm:
         assert reachable(5) == reachable(50)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 7), (130, 260), (768, 3072)])
+    def test_tiled_transpose_is_the_contiguous_transpose(self, shape, dtype):
+        """The recurrent weight's transposed copy, made tile by tile, on shapes
+        that are and are not tile multiples."""
+        w = rnd(shape, 94, dtype)
+        got, want = _transposed(w), np.ascontiguousarray(w.T)
+        assert got.flags.c_contiguous and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(1, 4), (5, 20), (130, 520), (768, 3072)])
     def test_recurrent_tiles_are_the_weight_in_column_order(self, shape, dtype):
         """Side by side, the C-ordered tiles are the recurrent weight. Each is
         the widest multiple of 16 columns (or all 4H) that keeps its products
-        within the no-pack bound, and rows are split only below 16 columns."""
+        within the no-pack bound. A single row, a batch above _TILED_ROWS and
+        an H too wide for 16 columns get no tiles."""
         w = rnd(shape, 94, dtype)
         hidden, four_h = shape
-        for b in (1, 2, 4, 40, 90):
-            row_step, tiles = _recurrent_tiles(w, b)
+        for b in (1, _TILED_ROWS + 1, 40):
+            assert _recurrent_tiles(w, b) is None
+        assert _recurrent_tiles(np.broadcast_to(w[:1, :1], (8000, 32000)), _TILED_ROWS) is None
+        for b in range(2, _TILED_ROWS + 1):
+            tiles = _recurrent_tiles(w, b)
             cols = tiles[0][1].shape[1]
             assert [j for j, _ in tiles] == list(range(0, four_h, cols))
             assert all(t.flags.c_contiguous and t.dtype == w.dtype for _, t in tiles)
             assert np.array_equal(np.concatenate([t for _, t in tiles], axis=1), w)
-            assert row_step * hidden * cols <= _NO_PACK
-            assert cols == four_h or (cols % 16 == 0 and (cols + 16) * row_step * hidden > _NO_PACK)
-            assert row_step == b or (cols == 16 and (row_step + 1) * hidden * 16 > _NO_PACK)
+            assert b * hidden * cols <= _NO_PACK
+            assert cols == four_h or (cols % 16 == 0 and (cols + 16) * b * hidden > _NO_PACK)
+
 
 class TestMeanPoolTime:
     def test_constant_sequence(self):
